@@ -13,7 +13,9 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from tasnic.frame import MAX_WIRE_BYTES
 from tasnic.harness import run_scenario
+from tasnic.runtime import MAX_CHUNK
 from tasnic.scenario import parse_scenario
 
 LINK_RATE = 10_000_000_000
@@ -51,7 +53,7 @@ def main() -> int:
         }
         report = run_scenario(parse_scenario(doc)).report()
         for flow, slot in zip(report["flows"], slots):
-            measured = flow["goodput_bps"] * 1522 / 1482 / LINK_RATE
+            measured = flow["goodput_bps"] * MAX_WIRE_BYTES / MAX_CHUNK / LINK_RATE
             target = slot / window
             err = measured - target
             worst = max(worst, abs(err))

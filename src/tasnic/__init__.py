@@ -16,7 +16,7 @@ from .fabric import (
     mac_of,
     tile_plus_two_nodes,
 )
-from .frame import Frame, crc32, serialization_ticks, serialization_time_ns
+from .frame import Frame, crc32, serialization_ticks
 from .harness import RunResult, build_network, emit_report, run_scenario
 from .metrics import FlowRecorder
 from .nic import NicPort, ScheduleEntry, ScheduleTable, TokenBucket, TxQueue

@@ -139,7 +139,6 @@ class Link:
 
     def up_throughout(self, start: SimTime, end: SimTime) -> bool:
         """True when the link was continuously up over [start, end]."""
-        state = True
         last_before = None
         for t, up in self.transitions:
             if t <= start:
@@ -156,10 +155,6 @@ class Port:
     kind: PortKind
     link: Link | None = None  # None: unconnected (absent peer or mgmt)
 
-    @property
-    def connected(self) -> bool:
-        return self.link is not None
-
 
 class Topology:
     """Immutable wiring (nodes, ports, links); only link state mutates."""
@@ -175,7 +170,6 @@ class Topology:
         self.ports: dict[NodeId, dict[PortKind, Port]] = {}
         self.links: list[Link] = []
         self._link_by_ends: dict[frozenset, Link] = {}
-        self._by_coord = {abs_coords(n): n for n in self.nodes}
         self._rate = rate_bps
         self._prop = prop_delay_ns
         for n in self.nodes:
@@ -183,9 +177,6 @@ class Topology:
 
     def has_node(self, node_id: NodeId) -> bool:
         return node_id in self._present
-
-    def node_at(self, coord: GridCoord) -> NodeId | None:
-        return self._by_coord.get(coord)
 
     def port(self, node_id: NodeId, kind: PortKind) -> Port:
         return self.ports[node_id][kind]
@@ -208,12 +199,6 @@ class Topology:
         self.links.append(link)
         self._link_by_ends[frozenset((a, b))] = link
 
-    def intra_h_neighbor(self, n: NodeId) -> NodeId:
-        return NodeId(n.grc, n.gcc, n.lrc, 1 - n.lcc)
-
-    def intra_v_neighbor(self, n: NodeId) -> NodeId:
-        return NodeId(n.grc, n.gcc, 1 - n.lrc, n.lcc)
-
     def wrap_link(self, grc: int, gcc: int, direction: str) -> Link | None:
         """The external link a frame crosses leaving tile (grc, gcc) via ``direction``."""
         owner_pos = OWNER_OF_DIRECTION[direction]
@@ -221,9 +206,6 @@ class Topology:
         if not self.has_node(owner):
             return None
         return self.ports[owner][PortKind.EXTERNAL].link
-
-    def set_link_state(self, link: Link, up: bool, at: SimTime) -> None:
-        link.set_state(up, at)
 
     def echo(self) -> str:
         """Stable one-line-per-port wiring dump for debugging."""

@@ -1,5 +1,8 @@
 """L2 frames: 802.1Q-tagged Ethernet with an IEEE CRC-32 FCS.
 
+This module owns frame-size arithmetic: the payload limits, the wire
+length and the serialization time.  Other modules take sizes from here.
+
 Wire layout is dst(6) src(6) tpid(2)=0x8100 tci(2) ethertype(2) payload
 (46..1500) fcs(4), so the wire length is 18 + payload + 4 and tops out at
 1522 bytes.  Simulation-only bookkeeping (final destination, TTL, flow tag,
@@ -25,14 +28,14 @@ MAX_PAYLOAD = 1500
 MAX_WIRE_BYTES = HEADER_BYTES + MAX_PAYLOAD + FCS_BYTES  # 1522
 
 
+def wire_bytes(payload_len: int) -> int:
+    """Wire length of a frame whose payload is ``payload_len`` bytes before padding."""
+    return HEADER_BYTES + max(payload_len, MIN_PAYLOAD) + FCS_BYTES
+
+
 def crc32(data: bytes) -> int:
     """IEEE 802.3 CRC-32 (reflected, init and final xor 0xFFFFFFFF)."""
     return zlib.crc32(data) & 0xFFFFFFFF
-
-
-def serialization_time_ns(wire_bytes: int, rate_bps: int) -> float:
-    """Exact serialization time; the engine rounds this up to whole ns."""
-    return wire_bytes * 8 * 1e9 / rate_bps
 
 
 def serialization_ticks(wire_bytes: int, rate_bps: int) -> int:

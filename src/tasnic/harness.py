@@ -14,9 +14,9 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .engine import TICKS_PER_MS, Simulator
+from .engine import TICKS_PER_MS, RngStreams, Simulator
 from .fabric import NodeId, encode_id
-from .frame import Frame
+from .frame import Frame, wire_bytes
 from .metrics import CSV_HEADER, FlowRecorder, csv_row
 from .node import Network
 from .runtime import FRAGMENT_HEADER_BYTES, Message, ScheduleConfig
@@ -73,14 +73,36 @@ class _FlowGen:
             self.active = False
             return
         self._send_one()
-        wire_bits = self.frame_wire_bytes() * 8
+        wire_bits = wire_bytes(FRAGMENT_HEADER_BYTES + len(self.payload)) * 8
         next_t = self._t0 + (self.emitted * wire_bits * 1_000_000_000) // self.rate_bps
         if next_t < self.stop_ns:
             self.network.sim.at(next_t, self._emit_paced, label=f"flowgen:{self.flow_id}")
 
-    def frame_wire_bytes(self) -> int:
-        body = FRAGMENT_HEADER_BYTES + len(self.payload)
-        return 18 + max(body, 46) + 4
+
+class _FlowTap:
+    """``Network.flows`` of a run: sends each call to the frame's flow."""
+
+    def __init__(self, recorders: list[FlowRecorder], gens: list[_FlowGen]):
+        self.recorders = recorders
+        self.gens = gens
+
+    def offered(self, frame: Frame) -> None:
+        self.recorders[frame.meta.flow_id].on_offered()
+
+    def dequeued(self, frame: Frame) -> None:
+        if frame.meta.local_origin and frame.meta.hops == 1:
+            self.gens[frame.meta.flow_id].on_dequeued()
+
+    def dropped(self, frame: Frame, cause: str) -> None:
+        self.recorders[frame.meta.flow_id].on_drop(cause)
+
+    def delivered(self, frame: Frame) -> None:
+        self.recorders[frame.meta.flow_id].on_frame_delivered()
+
+    def message(self, msg: Message) -> None:
+        """Runtime message sink: a reassembled message of a flow."""
+        if msg.flow_id is not None:
+            self.recorders[msg.flow_id].on_message(msg)
 
 
 @dataclass(slots=True)
@@ -149,16 +171,12 @@ class RunResult:
 def build_network(scenario: Scenario, trace_tx: bool = False) -> Network:
     topo = scenario.build_fabric()
     sim = Simulator()
-    net = Network(
+    return Network(
         topo, sim,
         nic=scenario.nic, host=scenario.host, ptp=scenario.ptp,
         priority_map=scenario.priority_map,
-        drift_by_node=None, seed=scenario.seed,
+        drift_by_node=scenario.resolve_drift(topo, RngStreams(scenario.seed)),
         trace_routes=scenario.trace, trace_tx=trace_tx or scenario.trace)
-    drift = scenario.resolve_drift(topo, net.rng)
-    for node_id, node in net.nodes.items():
-        node.clock.drift_ppm = drift.get(node_id, 0.0)
-    return net
 
 
 def run_scenario(scenario: Scenario, trace_tx: bool = False) -> RunResult:
@@ -167,50 +185,20 @@ def run_scenario(scenario: Scenario, trace_tx: bool = False) -> RunResult:
 
     recorders: list[FlowRecorder] = []
     gens: list[_FlowGen] = []
-    by_flow: dict[int, FlowRecorder] = {}
     for i, f in enumerate(scenario.flows):
         stop = f.stop if f.stop is not None else scenario.duration_ns
         rec = FlowRecorder(i, str(f.src), str(f.dst), f.pcp, f.start, stop)
         recorders.append(rec)
-        by_flow[i] = rec
         gen = _FlowGen(net, rec, i, f.src, encode_id(f.dst), f.pcp, stop,
                        _payload(f.frame_payload_bytes), f.backlogged,
                        f.offered_rate_bps)
         gens.append(gen)
         sim.at(f.start, gen.begin, label=f"flowstart:{i}")
 
-    def on_offered(frame: Frame) -> None:
-        if frame.meta.flow_id is not None:
-            by_flow[frame.meta.flow_id].on_offered()
-    orig_note = net.note_offered
-
-    def note_offered(frame: Frame) -> None:
-        orig_note(frame)
-        on_offered(frame)
-    net.note_offered = note_offered  # type: ignore[method-assign]
-
-    def on_drop(frame: Frame, cause: str) -> None:
-        if frame.meta.flow_id is not None:
-            by_flow[frame.meta.flow_id].on_drop(cause)
-
-    def on_delivered(frame: Frame) -> None:
-        if frame.meta.flow_id is not None:
-            by_flow[frame.meta.flow_id].on_frame_delivered()
-    net.set_flow_hooks(on_drop, on_delivered)
-
-    def on_dequeued(frame: Frame) -> None:
-        if (frame.meta.flow_id is not None and frame.meta.local_origin
-                and frame.meta.hops == 1):
-            gens[frame.meta.flow_id].on_dequeued()
-    net.on_frame_dequeued = on_dequeued  # type: ignore[method-assign]
-
-    def make_sink(node_id: NodeId):
-        def sink(msg: Message) -> None:
-            if msg.flow_id is not None:
-                by_flow[msg.flow_id].on_message(msg)
-        return sink
-    for node_id, node in net.nodes.items():
-        node.runtime.message_sink = make_sink(node_id)
+    tap = _FlowTap(recorders, gens)
+    net.flows = tap
+    for node in net.nodes.values():
+        node.runtime.message_sink = tap.message
 
     for sched in scenario.schedules:
         net.nodes[sched.node].runtime.set_conf(ScheduleConfig(

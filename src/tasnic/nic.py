@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING
 from .clock import LocalClock
 from .engine import SimTime, Simulator
 from .fabric import Link, NodeId, PortKind
-from .frame import Frame, serialization_ticks
+from .frame import ETHERTYPE_PTP, MAX_WIRE_BYTES, Frame, serialization_ticks
 
 if TYPE_CHECKING:  # pragma: no cover
     from .node import Network
@@ -51,7 +51,7 @@ class RegisterError(Exception):
 
 def default_guardband_ns(rate_bps: int) -> int:
     """One maximum-size frame's serialization time at the port rate."""
-    return serialization_ticks(1522, rate_bps)
+    return serialization_ticks(MAX_WIRE_BYTES, rate_bps)
 
 
 @dataclass(slots=True, frozen=True)
@@ -74,7 +74,6 @@ class ScheduleTable:
             end = start + e.slot_us * 1_000
             self.slots_ns.append((start, end, e.queue_idx))
             start = end
-        self.filler_start_ns = start
         self.scheduled_set = frozenset(e.queue_idx for e in entries)
 
     def __eq__(self, other: object) -> bool:
@@ -378,7 +377,6 @@ class NicPort:
             i = candidates.index(self._rr_last)
             candidates = candidates[i + 1:] + candidates[:i + 1]
         token_wake: SimTime | None = None
-        fit_failed = False
         for idx in candidates:
             q = self.queue(idx)
             if not q.frames:
@@ -386,7 +384,6 @@ class NicPort:
             head = q.frames[0]
             ser = serialization_ticks(head.wire_bytes, self.rate_bps)
             if deadline_local is not None and local + ser > deadline_local:
-                fit_failed = True
                 continue
             ready = self._token_ready(head, now)
             if ready is not None:
@@ -400,8 +397,6 @@ class NicPort:
                 cap = self.clock.true_at_local(window_end_local, now)
                 token_wake = min(token_wake, cap)
             return ("idle_true", token_wake)
-        if fit_failed and window_end_local is not None:
-            return ("idle_local", window_end_local)
         if window_end_local is not None:
             return ("idle_local", window_end_local)
         return ("sleep",)
@@ -422,7 +417,8 @@ class NicPort:
         ser = serialization_ticks(frame.wire_bytes, self.rate_bps)
         tx_local = self.clock.read_ns(now)
         frame.meta.tx_ts = tx_local
-        self.network.on_tx_start(self, frame, tx_local)
+        if frame.ethertype == ETHERTYPE_PTP and self.network.ptp is not None:
+            self.network.ptp.on_tx_start(self.node_id, frame, tx_local)  # one-step timestamp
         frame.stamp_fcs()
         if self.trace is not None:
             self.trace.append(TxRecord(now, tx_local, qidx, frame.wire_bytes,
@@ -432,7 +428,7 @@ class NicPort:
         self.busy_until = now + ser
         self.sim.at(self.busy_until, self.kick, label=f"txdone:{self.node_id}:{self.kind.value}")
         self.network.schedule_delivery(self.link, self.node_id, frame, now, self.busy_until)
-        self.network.on_frame_dequeued(frame)
+        self.network.frame_dequeued(frame)
 
     def _set_wake(self, when: SimTime) -> None:
         if self._wake is not None:
@@ -445,11 +441,3 @@ class NicPort:
         if self._wake is not None:
             self._wake.cancel()
             self._wake = None
-
-    # -- register access ------------------------------------------------
-
-    def write_register(self, offset: int, value: int) -> None:
-        self.regs.write(offset, value)
-
-    def read_register(self, offset: int) -> int:
-        return self.regs.read(offset)

@@ -5,16 +5,18 @@ the messaging runtime and the RX pipeline (CRC check, local delivery with
 a fixed host processing delay, or software forwarding with MAC rewrite).
 The Network owns the shared pieces: the event engine, the topology and its
 link state, the sync service, frame delivery across links, and global
-drop/offered accounting hooks that the traffic harness taps into.
+offered/delivered/drop accounting.  Frames are observed in one way: the
+optional flow observer ``Network.flows`` gets ``offered``, ``dequeued``
+(transmission start), ``dropped`` (with the cause) and ``delivered`` for
+each frame that carries a flow id.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 from .clock import LocalClock
-from .engine import RngStreams, Simulator
+from .engine import Simulator
 from .fabric import (
     DATA_PORT_KINDS,
     Link,
@@ -25,7 +27,7 @@ from .fabric import (
     encode_id,
     mac_of,
 )
-from .frame import ETHERTYPE_PTP, ETHERTYPE_RUNTIME, Frame, FrameMeta, pad_payload
+from .frame import ETHERTYPE_PTP, ETHERTYPE_RUNTIME, MAX_WIRE_BYTES, Frame, FrameMeta, pad_payload
 from .nic import NicPort, TokenBucket
 from .ptp import PtpService
 from .qdisc import PriorityMap, classify, validate_map
@@ -165,14 +167,13 @@ class Network:
                  nic: NicSettings | None = None, host: HostSettings | None = None,
                  ptp: PtpSettings | None = None, priority_map: PriorityMap | None = None,
                  drift_by_node: dict[NodeId, float] | None = None,
-                 seed: int = 0, trace_routes: bool = False, trace_tx: bool = False):
+                 trace_routes: bool = False, trace_tx: bool = False):
         self.topology = topology
         self.sim = sim if sim is not None else Simulator()
         self.nic = nic if nic is not None else NicSettings()
         self.host = host if host is not None else HostSettings()
         self.ptp_settings = ptp if ptp is not None else PtpSettings()
         self.priority_map = priority_map if priority_map is not None else PriorityMap()
-        self.rng = RngStreams(seed)
         self.trace_routes = trace_routes
         map_errors = validate_map(self.priority_map, self.nic.num_tx_queues,
                                   self.nic.time_aware_queues)
@@ -186,7 +187,7 @@ class Network:
                                quantum_ns=self.ptp_settings.quantization_ns)
             node = Node(self, node_id, clock, self.priority_map)
             if self.host.injection_cap_bps:
-                node.bucket = TokenBucket(self.host.injection_cap_bps, 1522 * 8)
+                node.bucket = TokenBucket(self.host.injection_cap_bps, MAX_WIRE_BYTES * 8)
             for kind in DATA_PORT_KINDS:
                 port = topology.port(node_id, kind)
                 if port.link is None:
@@ -208,10 +209,7 @@ class Network:
                 raise ValueError(f"grandmaster {gm} is not a populated node")
             self.ptp = PtpService(self, gm, self.ptp_settings.interval_ms)
 
-        # harness hooks and global accounting
-        self.on_frame_dequeued: Callable[[Frame], None] = lambda frame: None
-        self._flow_drop_cb: Callable[[Frame, str], None] = lambda frame, cause: None
-        self._flow_delivered_cb: Callable[[Frame], None] = lambda frame: None
+        self.flows = None  # the flow observer (module docstring), if any
         self.frames_offered = 0
         self.frames_delivered = 0
         self.drops_by_cause: dict[str, int] = {}
@@ -221,9 +219,6 @@ class Network:
     def start(self) -> None:
         if self.ptp is not None:
             self.ptp.start()
-
-    def node(self, node_id: NodeId) -> Node:
-        return self.nodes[node_id]
 
     # -- frame construction ---------------------------------------------------
 
@@ -262,22 +257,29 @@ class Network:
             return
         self.nodes[dst_id].handle_rx(frame, dst_kind)
 
-    def on_tx_start(self, port: NicPort, frame: Frame, tx_local: int) -> None:
-        if frame.ethertype == ETHERTYPE_PTP and self.ptp is not None:
-            self.ptp.on_tx_start(port.node_id, frame, tx_local)
-
     # -- accounting -------------------------------------------------------------
 
-    def note_offered(self, frame: Frame) -> None:
+    def _observed(self, frame: Frame) -> bool:
+        return self.flows is not None and frame.meta.flow_id is not None
+
+    def count_offered(self, frame: Frame) -> None:
         self.frames_offered += 1
+        if self._observed(frame):
+            self.flows.offered(frame)
+
+    def frame_dequeued(self, frame: Frame) -> None:
+        if self._observed(frame):
+            self.flows.dequeued(frame)
 
     def count_drop(self, frame: Frame, cause: str) -> None:
         self.drops_by_cause[cause] = self.drops_by_cause.get(cause, 0) + 1
-        self._flow_drop_cb(frame, cause)
+        if self._observed(frame):
+            self.flows.dropped(frame, cause)
 
     def count_frame_delivered(self, frame: Frame) -> None:
         self.frames_delivered += 1
-        self._flow_delivered_cb(frame)
+        if self._observed(frame):
+            self.flows.delivered(frame)
 
     def record_route(self, frame: Frame) -> None:
         if len(self.route_traces) >= self.route_trace_cap:
@@ -290,13 +292,8 @@ class Network:
             "delivered_to": str(frame.meta.final_dst),
         })
 
-    def set_flow_hooks(self, drop_cb: Callable[[Frame, str], None],
-                       delivered_cb: Callable[[Frame], None]) -> None:
-        self._flow_drop_cb = drop_cb
-        self._flow_delivered_cb = delivered_cb
-
     # -- fault injection -----------------------------------------------------
 
     def schedule_link_state(self, link: Link, up: bool, at: int) -> None:
-        self.sim.at(at, lambda: self.topology.set_link_state(link, up, at),
+        self.sim.at(at, lambda: link.set_state(up, at),
                     label=f"link:{'up' if up else 'down'}")

@@ -9,7 +9,7 @@ NIC's register file.
 
 Fragment header layout (big-endian): msg_id u16, frag_index u16,
 frag_count u16, total_len u32, src_id u32, dst_id u32.  Each fragment
-carries up to 1482 payload bytes (1500 minus the header).
+carries up to ``MAX_CHUNK`` (1482) data bytes, the maximum payload minus the header.
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
 from .engine import TICKS_PER_S, SimTime
-from .fabric import AddressError, decode_id, encode_id
-from .frame import Frame
+from .fabric import AddressError, PortKind, decode_id, encode_id
+from .frame import MAX_PAYLOAD, Frame
 from .nic import (
     REG_COMMIT,
     REG_GUARDBAND_NS,
@@ -31,14 +31,13 @@ from .nic import (
     SCR_ENABLE,
     default_guardband_ns,
 )
-from .fabric import PortKind
 
 if TYPE_CHECKING:  # pragma: no cover
     from .node import Node
 
 _HEADER = struct.Struct(">HHHIII")
 FRAGMENT_HEADER_BYTES = _HEADER.size  # 18
-MAX_CHUNK = 1500 - FRAGMENT_HEADER_BYTES  # 1482 usable bytes per frame
+MAX_CHUNK = MAX_PAYLOAD - FRAGMENT_HEADER_BYTES  # 1482 usable bytes per frame
 DEFAULT_REASSEMBLY_DEADLINE_NS = TICKS_PER_S
 
 
@@ -155,7 +154,7 @@ class NodeRuntime:
             frame.meta.frag_index = idx
             frame.meta.send_local_ts = send_local
             frame.meta.send_true_ns = now
-            self.node.network.note_offered(frame)
+            self.node.network.count_offered(frame)
             self.node.send_frame(frame)
         return msg_id
 
@@ -254,14 +253,14 @@ class NodeRuntime:
         guard = cfg.guardband_ns
         if guard is None:
             guard = default_guardband_ns(port.rate_bps)
-        port.write_register(REG_WINDOW_US, cfg.window_us)
-        port.write_register(REG_GUARDBAND_NS, guard)
-        port.write_register(REG_NUM_ENTRIES, len(cfg.entries))
+        port.regs.write(REG_WINDOW_US, cfg.window_us)
+        port.regs.write(REG_GUARDBAND_NS, guard)
+        port.regs.write(REG_NUM_ENTRIES, len(cfg.entries))
         for j, (queue_idx, slot_us) in enumerate(cfg.entries):
-            port.write_register(REG_SCR_BASE + 8 * j, SCR_ENABLE | queue_idx)
-            port.write_register(REG_TQCR_BASE + 8 * j, slot_us)
-        port.write_register(REG_COMMIT, 1)
-        if not port.read_register(REG_COMMIT) & 1:
+            port.regs.write(REG_SCR_BASE + 8 * j, SCR_ENABLE | queue_idx)
+            port.regs.write(REG_TQCR_BASE + 8 * j, slot_us)
+        port.regs.write(REG_COMMIT, 1)
+        if not port.regs.read(REG_COMMIT) & 1:
             raise ConfigError("; ".join(port.regs.last_commit_errors))
 
     def get_conf(self, port_kind: PortKind) -> ScheduleConfig:

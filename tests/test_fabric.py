@@ -134,8 +134,8 @@ def test_tile_plus_two_shape():
 def test_link_up_throughout_interval_logic():
     topo = build_topology(1, 1)
     link = topo.links[0]
-    topo.set_link_state(link, False, 1000)
-    topo.set_link_state(link, True, 2000)
+    link.set_state(False, 1000)
+    link.set_state(True, 2000)
     assert link.up_throughout(0, 999)
     assert not link.up_throughout(0, 1000)
     assert not link.up_throughout(500, 1500)

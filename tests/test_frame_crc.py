@@ -9,7 +9,7 @@ from tasnic.frame import (
     crc32,
     pad_payload,
     serialization_ticks,
-    serialization_time_ns,
+    wire_bytes,
 )
 
 
@@ -89,8 +89,9 @@ def test_header_corruption_detected():
 
 
 def test_serialization_arithmetic():
-    assert serialization_time_ns(64, 10_000_000_000) == pytest.approx(51.2)
-    assert serialization_time_ns(1522, 10_000_000_000) == pytest.approx(1217.6)
+    # short payloads are padded to the 46-byte minimum on the wire
+    assert wire_bytes(1) == 68
+    assert wire_bytes(1500) == 1522
     # the engine rounds up to whole nanoseconds
     assert serialization_ticks(64, 10_000_000_000) == 52
     assert serialization_ticks(1522, 10_000_000_000) == 1218

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from tasnic.fabric import NodeId, PortKind
 from tasnic.harness import emit_report, run_scenario
 from tasnic.scenario import parse_scenario
@@ -122,3 +124,35 @@ def test_fault_schedule_applies_and_counts_drops():
     post = [m for m in rec.messages if m.send_true_ns > 3_000_000]
     assert post
     assert all(m.hops >= 2 for m in post)
+
+
+# PTP is off, so every frame belongs to a flow and the per-flow counters must
+# add up to the network totals.
+_DROP_CASES = {
+    "link_down": dict(
+        host={"injection_cap_bps": None},
+        flows=[{"src": "0.0.0.0", "dst": "0.0.1.1", "pcp": 0, "backlogged": True},
+               {"src": "0.0.0.1", "dst": "0.0.1.0", "pcp": 2,
+                "offered_rate_bps": 500_000_000}],
+        faults=[{"a": "0.0.0.0", "b": "0.0.0.1", "time_ns": 1_000_000, "state": "down"},
+                {"a": "0.0.0.1", "b": "0.0.1.1", "time_ns": 2_000_000, "state": "down"}]),
+    "queue_overflow": dict(
+        nic={"queue_depth": 8},  # below the 16 frames a backlogged flow keeps queued
+        flows=[{"src": "0.0.0.0", "dst": "0.0.1.1", "pcp": 0, "backlogged": True},
+               {"src": "0.0.0.1", "dst": "0.0.1.1", "pcp": 2, "backlogged": True}]),
+}
+
+
+@pytest.mark.parametrize("cause", sorted(_DROP_CASES))
+def test_flow_counters_reconcile_with_totals(cause):
+    doc = small_doc(ptp={"enabled": False}, duration_ns=3_000_000, **_DROP_CASES[cause])
+    report = run_scenario(parse_scenario(doc)).report()
+    totals, flows = report["totals"], report["flows"]
+    assert totals["drops_by_cause"].get(cause, 0) > 0
+    assert sum(f["offered_frames"] for f in flows) == totals["frames_offered"]
+    assert sum(f["delivered_frames"] for f in flows) == totals["frames_delivered"]
+    drops: dict[str, int] = {}
+    for f in flows:
+        for c, n in f["drops"].items():
+            drops[c] = drops.get(c, 0) + n
+    assert drops == totals["drops_by_cause"]

@@ -53,45 +53,45 @@ def program(net, entries, window_us=100, guardband_ns=None):
 
 def test_register_write_commit_activates_schedule():
     net, port = two_node_net()
-    port.write_register(REG_WINDOW_US, 100)
-    port.write_register(REG_GUARDBAND_NS, 1300)
-    port.write_register(REG_NUM_ENTRIES, 1)
-    port.write_register(REG_SCR_BASE, SCR_ENABLE | 0)
-    port.write_register(REG_TQCR_BASE, 90)
-    port.write_register(REG_COMMIT, 1)
-    assert port.read_register(REG_COMMIT) & 1
+    port.regs.write(REG_WINDOW_US, 100)
+    port.regs.write(REG_GUARDBAND_NS, 1300)
+    port.regs.write(REG_NUM_ENTRIES, 1)
+    port.regs.write(REG_SCR_BASE, SCR_ENABLE | 0)
+    port.regs.write(REG_TQCR_BASE, 90)
+    port.regs.write(REG_COMMIT, 1)
+    assert port.regs.read(REG_COMMIT) & 1
     assert port.active_table.entries[0].queue_idx == 0
     assert port.active_table.entries[0].slot_us == 90
-    assert port.read_register(REG_TQCR_BASE) == 90
-    assert port.read_register(REG_SCR_BASE) == (SCR_ENABLE | 0)
+    assert port.regs.read(REG_TQCR_BASE) == 90
+    assert port.regs.read(REG_SCR_BASE) == (SCR_ENABLE | 0)
 
 
 def test_commit_rejects_oversubscribed_window():
     net, port = two_node_net()
-    port.write_register(REG_WINDOW_US, 100)
-    port.write_register(REG_NUM_ENTRIES, 2)
-    port.write_register(REG_SCR_BASE, SCR_ENABLE | 0)
-    port.write_register(REG_TQCR_BASE, 90)
-    port.write_register(REG_SCR_BASE + 8, SCR_ENABLE | 1)
-    port.write_register(REG_TQCR_BASE + 8, 30)
-    port.write_register(REG_COMMIT, 1)
-    assert not port.read_register(REG_COMMIT) & 1
+    port.regs.write(REG_WINDOW_US, 100)
+    port.regs.write(REG_NUM_ENTRIES, 2)
+    port.regs.write(REG_SCR_BASE, SCR_ENABLE | 0)
+    port.regs.write(REG_TQCR_BASE, 90)
+    port.regs.write(REG_SCR_BASE + 8, SCR_ENABLE | 1)
+    port.regs.write(REG_TQCR_BASE + 8, 30)
+    port.regs.write(REG_COMMIT, 1)
+    assert not port.regs.read(REG_COMMIT) & 1
     assert port.active_table.entries == ()  # active untouched
 
 
 def test_shadow_reads_show_staged_values():
     net, port = two_node_net()
-    port.write_register(REG_WINDOW_US, 200)
-    assert port.read_register(REG_WINDOW_US) == 100           # active default
-    assert port.read_register(SHADOW_OFFSET + REG_WINDOW_US) == 200
+    port.regs.write(REG_WINDOW_US, 200)
+    assert port.regs.read(REG_WINDOW_US) == 100           # active default
+    assert port.regs.read(SHADOW_OFFSET + REG_WINDOW_US) == 200
 
 
 def test_unknown_offset_is_a_register_error():
     net, port = two_node_net()
     with pytest.raises(RegisterError):
-        port.write_register(0x0FC, 1)
+        port.regs.write(0x0FC, 1)
     with pytest.raises(RegisterError):
-        port.read_register(0x0FC)
+        port.regs.read(0x0FC)
 
 
 def test_commit_applies_at_window_boundary():
