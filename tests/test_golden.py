@@ -1,4 +1,9 @@
-"""Golden report hashes: short runs of each shipped scenario, byte for byte.
+"""Golden hashes: short runs of each shipped scenario, byte for byte.
+
+Two kinds of pin: the sha256 of the written report files, and the sha256 of
+the engine's event trace (one ``"{fire_at} {seq} {label}\n"`` line per
+processed event, collected through ``Simulator.trace_hook``), which also
+pins the order in which events are scheduled.
 
 A refactor or speed change must leave every hash below unchanged.  When a
 change to the model's behaviour is intended, recompute the pins on purpose
@@ -11,6 +16,8 @@ from pathlib import Path
 
 import pytest
 
+from tasnic import harness
+from tasnic.engine import Simulator
 from tasnic.harness import emit_report, run_scenario
 from tasnic.scenario import parse_scenario
 
@@ -50,3 +57,34 @@ def test_report_bytes_unchanged(name, tmp_path):
     written = emit_report(run_scenario(parse_scenario(doc)), "json", tmp_path)
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in written}
     assert digests == pins
+
+
+# name: (key in CASES, events processed, sha256 of the event trace)
+EVENT_TRACES = {
+    # slot scheduler plus host token bucket
+    "bandwidth_partition": (
+        "bandwidth_partition", 9283,
+        "9ce056f658ce2af413378cee74019fc73a46a3110ad5c4a2c493ff800724f369"),
+    # round-robin path, reroute and a link_down drop
+    "fault_reroute": (
+        "fault_reroute", 3697,
+        "d1d50b66a29095e769526c1e94c8fdf6b92be0b99ecfb364b10a63d25c828e53"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EVENT_TRACES))
+def test_event_trace_unchanged(name, monkeypatch):
+    case, events, pin = EVENT_TRACES[name]
+    filename, overrides, _ = CASES[case]
+    digest = hashlib.sha256()
+    seen = [0]
+
+    def hook(fire_at, seq, label):
+        digest.update(f"{fire_at} {seq} {label}\n".encode())
+        seen[0] += 1
+
+    monkeypatch.setattr(harness, "Simulator", lambda: Simulator(trace_hook=hook))
+    doc = json.loads((SCENARIOS / filename).read_text())
+    doc.update(overrides)
+    run_scenario(parse_scenario(doc))
+    assert (seen[0], digest.hexdigest()) == (events, pin)
