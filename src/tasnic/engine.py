@@ -17,7 +17,6 @@ from typing import Callable
 
 SimTime = int  # integer nanoseconds of true time
 
-TICKS_PER_US = 1_000
 TICKS_PER_MS = 1_000_000
 TICKS_PER_S = 1_000_000_000
 

@@ -34,7 +34,6 @@ def _payload(size: int) -> bytes:
 @dataclass(slots=True)
 class _FlowGen:
     network: Network
-    recorder: FlowRecorder
     flow_id: int
     src: NodeId
     dst_encoded: int
@@ -189,7 +188,7 @@ def run_scenario(scenario: Scenario, trace_tx: bool = False) -> RunResult:
         stop = f.stop if f.stop is not None else scenario.duration_ns
         rec = FlowRecorder(i, str(f.src), str(f.dst), f.pcp, f.start, stop)
         recorders.append(rec)
-        gen = _FlowGen(net, rec, i, f.src, encode_id(f.dst), f.pcp, stop,
+        gen = _FlowGen(net, i, f.src, encode_id(f.dst), f.pcp, stop,
                        _payload(f.frame_payload_bytes), f.backlogged,
                        f.offered_rate_bps)
         gens.append(gen)

@@ -13,6 +13,12 @@ bookkeeping at all.
 Schedule updates are staged in shadow registers and applied atomically at
 the next window boundary after a successful commit.
 
+The management queue (sync-protocol frames) is ``NicPort.MGMT_IDX`` (-1):
+it sits after the TX queues in one index space and is served only in
+leftover window time, after the unscheduled TX queues.  Each egress
+decision has one result: the queue to transmit from now, the true time at
+which to decide again, or None to sleep until the next enqueue.
+
 Locally-originated frames are additionally gated by the node's host
 injection budget (a token bucket refilled at the configured rate), which
 models the host side feeding the NIC; transit and sync-protocol frames
@@ -34,6 +40,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from .node import Network
 
 MAX_SCHEDULE_ENTRIES = 16
+MGMT_IDX = -1  # the management queue, last in NicPort's queue index space
 
 REG_WINDOW_US = 0x000
 REG_NUM_ENTRIES = 0x004
@@ -61,26 +68,33 @@ class ScheduleEntry:
 
 
 class ScheduleTable:
-    """A committed schedule plus derived ns-resolution slot boundaries."""
+    """A committed schedule plus derived ns-resolution slot ends and the
+    queues served round-robin in leftover window time."""
 
-    def __init__(self, window_us: int, entries: tuple[ScheduleEntry, ...], guardband_ns: int):
+    def __init__(self, window_us: int, entries: tuple[ScheduleEntry, ...], guardband_ns: int,
+                 num_tx_queues: int):
         self.window_us = window_us
         self.entries = entries
         self.guardband_ns = guardband_ns
         self.window_ns = window_us * 1_000
-        self.slots_ns: list[tuple[int, int, int]] = []
-        start = 0
+        self.slots_ns: list[tuple[int, int]] = []  # (slot end in the window, queue)
+        end = 0
         for e in entries:
-            end = start + e.slot_us * 1_000
-            self.slots_ns.append((start, end, e.queue_idx))
-            start = end
-        self.scheduled_set = frozenset(e.queue_idx for e in entries)
+            end += e.slot_us * 1_000
+            self.slots_ns.append((end, e.queue_idx))
+        scheduled = {e.queue_idx for e in entries}
+        self.leftover = (*(i for i in range(num_tx_queues) if i not in scheduled), MGMT_IDX)
 
-    def __eq__(self, other: object) -> bool:
-        return (isinstance(other, ScheduleTable)
-                and self.window_us == other.window_us
-                and self.entries == other.entries
-                and self.guardband_ns == other.guardband_ns)
+    def registers(self) -> dict[int, int]:
+        """The table in the register layout of ``RegisterFile.shadow``."""
+        regs = {REG_WINDOW_US: self.window_us, REG_NUM_ENTRIES: len(self.entries),
+                REG_GUARDBAND_NS: self.guardband_ns}
+        for j in range(MAX_SCHEDULE_ENTRIES):
+            regs[REG_SCR_BASE + 8 * j] = regs[REG_TQCR_BASE + 8 * j] = 0
+        for j, e in enumerate(self.entries):
+            regs[REG_SCR_BASE + 8 * j] = SCR_ENABLE | e.queue_idx
+            regs[REG_TQCR_BASE + 8 * j] = e.slot_us
+        return regs
 
 
 def validate_schedule(window_us: int, entries: tuple[ScheduleEntry, ...],
@@ -112,7 +126,6 @@ def validate_schedule(window_us: int, entries: tuple[ScheduleEntry, ...],
 class TxQueue:
     index: int
     depth: int = 1024
-    time_aware: bool = False           # member of the schedulable subgroup
     frames: deque = field(default_factory=deque)
     enqueued: int = 0
     dequeued: int = 0
@@ -169,14 +182,7 @@ class RegisterFile:
 
     def __init__(self, port: "NicPort"):
         self._port = port
-        self.shadow = {
-            REG_WINDOW_US: 100,
-            REG_NUM_ENTRIES: 0,
-            REG_GUARDBAND_NS: default_guardband_ns(port.rate_bps),
-        }
-        for j in range(MAX_SCHEDULE_ENTRIES):
-            self.shadow[REG_SCR_BASE + 8 * j] = 0
-            self.shadow[REG_TQCR_BASE + 8 * j] = 0
+        self.shadow = port.committed_table.registers()
         self.last_commit_ok = True
         self.last_commit_errors: list[str] = []
 
@@ -191,30 +197,15 @@ class RegisterFile:
         self.shadow[offset] = value
 
     def read(self, offset: int) -> int:
-        if offset >= SHADOW_OFFSET:
-            base = offset - SHADOW_OFFSET
-            if base not in self.shadow:
-                raise RegisterError(f"read from unknown shadow offset {offset:#x}")
-            return self.shadow[base]
         if offset == REG_COMMIT:
             return 1 if self.last_commit_ok else 0
-        active = self._port.committed_table
-        if offset == REG_WINDOW_US:
-            return active.window_us
-        if offset == REG_NUM_ENTRIES:
-            return len(active.entries)
-        if offset == REG_GUARDBAND_NS:
-            return active.guardband_ns
-        for j in range(MAX_SCHEDULE_ENTRIES):
-            if offset == REG_SCR_BASE + 8 * j:
-                if j < len(active.entries):
-                    return SCR_ENABLE | active.entries[j].queue_idx
-                return 0
-            if offset == REG_TQCR_BASE + 8 * j:
-                if j < len(active.entries):
-                    return active.entries[j].slot_us
-                return 0
-        raise RegisterError(f"read from unknown register offset {offset:#x}")
+        if offset >= SHADOW_OFFSET:
+            regs, base = self.shadow, offset - SHADOW_OFFSET
+        else:
+            regs, base = self._port.committed_table.registers(), offset
+        if base not in regs:
+            raise RegisterError(f"read from unknown register offset {offset:#x}")
+        return regs[base]
 
     def _commit(self) -> None:
         num = self.shadow[REG_NUM_ENTRIES]
@@ -238,18 +229,17 @@ class RegisterFile:
             return
         self.last_commit_ok = True
         self.last_commit_errors = []
-        self._port.arm_table(ScheduleTable(window, entries, guard))
+        self._port.arm_table(ScheduleTable(window, entries, guard, self._port.num_tx_queues))
 
 
 class NicPort:
     """Egress state machine for one data port."""
 
-    MGMT_IDX = -1  # sentinel resolved to the extra management queue
+    MGMT_IDX = MGMT_IDX
 
     def __init__(self, network: "Network", node_id: NodeId, kind: PortKind,
                  link: Link, clock: LocalClock, sim: Simulator,
-                 num_tx_queues: int, time_aware_queues: tuple[int, ...],
-                 queue_depth: int, bucket: TokenBucket | None):
+                 num_tx_queues: int, queue_depth: int, bucket: TokenBucket | None):
         self.network = network
         self.node_id = node_id
         self.kind = kind
@@ -259,12 +249,13 @@ class NicPort:
         self.num_tx_queues = num_tx_queues
         self.rate_bps = link.rate_bps
         self.bucket = bucket
-        self.queues = [TxQueue(i, queue_depth, i in time_aware_queues)
-                       for i in range(num_tx_queues)]
-        self.mgmt_queue = TxQueue(num_tx_queues, queue_depth)
-        self.regs = RegisterFile(self)
-        self.active_table = ScheduleTable(100, (), default_guardband_ns(self.rate_bps))
+        self.queues = [TxQueue(i, queue_depth) for i in range(num_tx_queues)]
+        self.mgmt_queue = TxQueue(MGMT_IDX, queue_depth)
+        self._all_queues = [*self.queues, self.mgmt_queue]  # indexed by queue_idx
+        self.active_table = ScheduleTable(100, (), default_guardband_ns(self.rate_bps),
+                                          num_tx_queues)
         self.committed_table = self.active_table
+        self.regs = RegisterFile(self)
         self._pending: ScheduleTable | None = None
         self._pending_at_local = 0
         self.busy_until: SimTime = 0
@@ -275,14 +266,9 @@ class NicPort:
 
     # -- queue access -------------------------------------------------
 
-    def queue(self, idx: int) -> TxQueue:
-        if idx == self.MGMT_IDX or idx == self.num_tx_queues:
-            return self.mgmt_queue
-        return self.queues[idx]
-
     def enqueue(self, idx: int, frame: Frame) -> bool:
-        """Admit a frame to queue ``idx``; False when tail-dropped."""
-        q = self.queue(idx)
+        """Admit a frame to queue ``idx`` (or MGMT_IDX); False when tail-dropped."""
+        q = self._all_queues[idx]
         if len(q.frames) >= q.depth:
             q.drops += 1
             self.network.count_drop(frame, "queue_overflow")
@@ -299,24 +285,15 @@ class NicPort:
         """Register a committed table; it activates at the window boundary."""
         self.committed_table = table
         local = self.clock.read_ns(self.sim.now)
-        if not self.active_table.entries:
-            effective = local
-        else:
-            w = self.active_table.window_ns
-            effective = ((local + w - 1) // w) * w
-        self._pending = table
-        self._pending_at_local = effective
+        w = self.active_table.window_ns
+        effective = ((local + w - 1) // w) * w if self.active_table.entries else local
         if effective <= local:
-            self._activate_pending()
+            self.active_table, self._pending = table, None
             self.kick()
         else:
+            self._pending, self._pending_at_local = table, effective
             when = self.clock.true_at_local(effective, self.sim.now)
             self.sim.at(when, self.kick, label=f"commit:{self.node_id}:{self.kind.value}")
-
-    def _activate_pending(self) -> None:
-        if self._pending is not None:
-            self.active_table = self._pending
-            self._pending = None
 
     # -- scheduler -----------------------------------------------------
 
@@ -327,58 +304,48 @@ class NicPort:
             return
         local = self.clock.read_ns(now)
         if self._pending is not None and local >= self._pending_at_local:
-            self._activate_pending()
-        action = self._decide(local, now)
-        kind = action[0]
-        if kind == "tx":
-            self._clear_wake()
-            self._transmit(action[1], now)
-        elif kind == "idle_local":
-            self._set_wake(self.clock.true_at_local(action[1], now))
-        elif kind == "idle_true":
-            self._set_wake(action[1])
-        else:  # sleep until an enqueue kicks us
-            self._clear_wake()
+            self.active_table, self._pending = self._pending, None
+        nxt = self._decide(local, now)
+        if isinstance(nxt, int):
+            self._set_wake(nxt)
+            return
+        self._clear_wake()
+        if nxt is not None:
+            self._transmit(nxt, now)
 
-    def _decide(self, local: int, now: SimTime):
+    def _decide(self, local: int, now: SimTime) -> TxQueue | SimTime | None:
+        """The queue to transmit from now, else the true wake time, else None."""
         table = self.active_table
         if not table.entries:
-            cands = list(range(self.num_tx_queues)) + [self.MGMT_IDX]
-            return self._rr_decide(cands, None, None, local, now)
+            return self._rr_decide(None, None, local, now)
         w = table.window_ns
         phase = local % w
         window_start = local - phase
-        for start, end, qidx in table.slots_ns:
+        for end, qidx in table.slots_ns:
             if phase < end:
                 q = self.queues[qidx]
-                slot_end_abs = window_start + end
-                if not q.frames:
-                    return ("idle_local", slot_end_abs)  # stall-on-empty
-                head = q.frames[0]
-                ser = serialization_ticks(head.wire_bytes, self.rate_bps)
-                if phase > end - table.guardband_ns:
-                    return ("idle_local", slot_end_abs)
-                if phase + ser > end:
-                    return ("idle_local", slot_end_abs)
-                ready = self._token_ready(head, now)
-                if ready is not None:
-                    cap = self.clock.true_at_local(slot_end_abs, now)
-                    return ("idle_true", min(ready, cap))
-                return ("tx", qidx)
-        deadline = window_start + w - table.guardband_ns
+                slot_end = window_start + end
+                # stall on an empty slot, or idle when the head frame may not
+                # start inside the guardband or would overrun the slot
+                if (not q.frames or phase > end - table.guardband_ns
+                        or phase + serialization_ticks(q.frames[0].wire_bytes,
+                                                       self.rate_bps) > end):
+                    return self.clock.true_at_local(slot_end, now)
+                ready = self._token_ready(q.frames[0], now)
+                return q if ready is None else min(ready, self.clock.true_at_local(slot_end, now))
         window_end = window_start + w
-        cands = [i for i in range(self.num_tx_queues) if i not in table.scheduled_set]
-        cands.append(self.MGMT_IDX)
-        return self._rr_decide(cands, deadline, window_end, local, now)
+        return self._rr_decide(window_end - table.guardband_ns, window_end, local, now)
 
-    def _rr_decide(self, candidates: list[int], deadline_local: int | None,
-                   window_end_local: int | None, local: int, now: SimTime):
-        if self._rr_last is not None and self._rr_last in candidates:
-            i = candidates.index(self._rr_last)
-            candidates = candidates[i + 1:] + candidates[:i + 1]
+    def _rr_decide(self, deadline_local: int | None, window_end_local: int | None,
+                   local: int, now: SimTime) -> TxQueue | SimTime | None:
+        """Round-robin over the table's leftover queues, one frame at a time."""
+        candidates = self.active_table.leftover
+        if self._rr_last in candidates:
+            i = candidates.index(self._rr_last) + 1
+            candidates = candidates[i:] + candidates[:i]
         token_wake: SimTime | None = None
         for idx in candidates:
-            q = self.queue(idx)
+            q = self._all_queues[idx]
             if not q.frames:
                 continue
             head = q.frames[0]
@@ -391,15 +358,11 @@ class NicPort:
                     token_wake = ready
                 continue
             self._rr_last = idx
-            return ("tx", idx)
-        if token_wake is not None:
-            if window_end_local is not None:
-                cap = self.clock.true_at_local(window_end_local, now)
-                token_wake = min(token_wake, cap)
-            return ("idle_true", token_wake)
-        if window_end_local is not None:
-            return ("idle_local", window_end_local)
-        return ("sleep",)
+            return q
+        if window_end_local is None:
+            return token_wake
+        window_end = self.clock.true_at_local(window_end_local, now)
+        return window_end if token_wake is None else min(token_wake, window_end)
 
     def _token_ready(self, frame: Frame, now: SimTime) -> SimTime | None:
         """None when the host budget allows the frame now, else the wake time."""
@@ -408,8 +371,7 @@ class NicPort:
         ready = self.bucket.ready_time(frame.wire_bytes * 8, now)
         return None if ready <= now else ready
 
-    def _transmit(self, qidx: int, now: SimTime) -> None:
-        q = self.queue(qidx)
+    def _transmit(self, q: TxQueue, now: SimTime) -> None:
         frame = q.frames.popleft()
         q.dequeued += 1
         if self.bucket is not None and frame.meta.local_origin:
@@ -421,7 +383,7 @@ class NicPort:
             self.network.ptp.on_tx_start(self.node_id, frame, tx_local)  # one-step timestamp
         frame.stamp_fcs()
         if self.trace is not None:
-            self.trace.append(TxRecord(now, tx_local, qidx, frame.wire_bytes,
+            self.trace.append(TxRecord(now, tx_local, q.index, frame.wire_bytes,
                                        ser, frame.meta.flow_id))
         self.tx_frames += 1
         self.link.tx_frames += 1

@@ -99,16 +99,14 @@ class Node:
             return
         decision = next_hop(self.network.topology, self.node_id, dst, ingress=None)
         if decision.verdict != Verdict.FORWARD:
-            self.counters.drop("no_route")
-            self.network.count_drop(frame, "no_route")
+            self._drop(frame, "no_route")
             return
         self._dispatch(frame, decision.out_port)
 
     def _dispatch(self, frame: Frame, out_kind: PortKind) -> None:
         """Rewrite the hop MAC, burn a TTL step and enqueue on the egress port."""
         if frame.meta.ttl <= 0:
-            self.counters.drop("ttl_expired")
-            self.network.count_drop(frame, "ttl_expired")
+            self._drop(frame, "ttl_expired")
             return
         frame.meta.ttl -= 1
         frame.meta.hops += 1
@@ -122,17 +120,19 @@ class Node:
         else:
             port.enqueue(classify(frame.pcp, self.priority_map), frame)
 
+    def _drop(self, frame: Frame, cause: str) -> None:
+        self.counters.drop(cause)
+        self.network.count_drop(frame, cause)
+
     # -- ingress -------------------------------------------------------------
 
     def handle_rx(self, frame: Frame, ingress: PortKind) -> None:
         self.counters.rx_frames += 1
         if not frame.fcs_ok():
-            self.counters.drop("crc")
-            self.network.count_drop(frame, "crc")
+            self._drop(frame, "crc")
             return
         if frame.dst_mac != self.mac:
-            self.counters.drop("mac_mismatch")
-            self.network.count_drop(frame, "mac_mismatch")
+            self._drop(frame, "mac_mismatch")
             return
         now = self.sim.now
         frame.meta.rx_ts = self.clock.read_ns(now)
@@ -153,8 +153,7 @@ class Node:
         decision = next_hop(self.network.topology, self.node_id,
                             frame.meta.final_dst, ingress)
         if decision.verdict != Verdict.FORWARD:
-            self.counters.drop("no_route")
-            self.network.count_drop(frame, "no_route")
+            self._drop(frame, "no_route")
             return
         self.counters.forwarded += 1
         self._dispatch(frame, decision.out_port)
@@ -194,8 +193,7 @@ class Network:
                     continue
                 node.ports[kind] = NicPort(
                     self, node_id, kind, port.link, clock, self.sim,
-                    self.nic.num_tx_queues, self.nic.time_aware_queues,
-                    self.nic.queue_depth, node.bucket)
+                    self.nic.num_tx_queues, self.nic.queue_depth, node.bucket)
                 if trace_tx:
                     node.ports[kind].trace = []
             self.nodes[node_id] = node
@@ -222,22 +220,21 @@ class Network:
 
     # -- frame construction ---------------------------------------------------
 
-    def build_runtime_frame(self, src: Node, dst: NodeId, payload: bytes,
-                            pcp: int) -> Frame:
-        meta = FrameMeta(final_dst=dst, ttl=DEFAULT_TTL, local_origin=True,
+    def _build_frame(self, src: Node, dst: NodeId, ethertype: int, payload: bytes,
+                     pcp: int, local_origin: bool) -> Frame:
+        meta = FrameMeta(final_dst=dst, ttl=DEFAULT_TTL, local_origin=local_origin,
                          route=[] if self.trace_routes else None)
         return Frame(dst_mac=mac_of(abs_coords(dst)), src_mac=src.mac, pcp=pcp,
-                     ethertype=ETHERTYPE_RUNTIME, payload=pad_payload(payload),
-                     meta=meta)
+                     ethertype=ethertype, payload=pad_payload(payload), meta=meta)
+
+    def build_runtime_frame(self, src: Node, dst: NodeId, payload: bytes,
+                            pcp: int) -> Frame:
+        return self._build_frame(src, dst, ETHERTYPE_RUNTIME, payload, pcp, local_origin=True)
 
     def send_protocol_frame(self, src_id: NodeId, dst: NodeId, ethertype: int,
                             payload: bytes, pcp: int = 7) -> None:
         src = self.nodes[src_id]
-        meta = FrameMeta(final_dst=dst, ttl=DEFAULT_TTL, local_origin=False,
-                         route=[] if self.trace_routes else None)
-        frame = Frame(dst_mac=mac_of(abs_coords(dst)), src_mac=src.mac, pcp=pcp,
-                      ethertype=ethertype, payload=pad_payload(payload), meta=meta)
-        src.send_frame(frame)
+        src.send_frame(self._build_frame(src, dst, ethertype, payload, pcp, local_origin=False))
 
     # -- wire-level delivery ---------------------------------------------------
 

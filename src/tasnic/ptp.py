@@ -113,10 +113,10 @@ class PtpService:
         if frame.meta.hops != 1:
             return  # transit hop (hops counts link traversals, origin = 1)
         msg = PtpMessage.unpack(frame.payload)
-        if msg.msg_type == MSG_SYNC:
-            frame.payload = pad_payload(PtpMessage(MSG_SYNC, tx_local, msg.exchange_id).pack())
-        elif msg.msg_type == MSG_DELAY_REQ:
-            frame.payload = pad_payload(PtpMessage(MSG_DELAY_REQ, tx_local, msg.exchange_id).pack())
+        if msg.msg_type not in (MSG_SYNC, MSG_DELAY_REQ):
+            return
+        frame.payload = pad_payload(PtpMessage(msg.msg_type, tx_local, msg.exchange_id).pack())
+        if msg.msg_type == MSG_DELAY_REQ:
             state = self.slaves.get(node_id)
             if state is not None and state.pending_id == msg.exchange_id:
                 state.pending.t3 = tx_local

@@ -49,6 +49,29 @@ def _parse_node(value, path: str, errors: list[str]) -> NodeId | None:
     return None
 
 
+def _malformed(value, what: str, path: str, errors: list[str]) -> ScenarioError:
+    """A value of the wrong shape ends validation, keeping the errors found so far."""
+    return ScenarioError(errors + [f"{path}: {value!r} is not {what}"])
+
+
+def _expect(value, kind: type, path: str, errors: list[str]):
+    if not isinstance(value, kind):
+        raise _malformed(value, "an object" if kind is dict else "a list", path, errors)
+    return value
+
+
+def _int(value, path: str, errors: list[str]) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise _malformed(value, "an integer", path, errors) from None
+
+
+def _ints(value, path: str, errors: list[str]) -> tuple[int, ...]:
+    return tuple(_int(v, f"{path}[{i}]", errors)
+                 for i, v in enumerate(_expect(value, list, path, errors)))
+
+
 @dataclass(slots=True)
 class GridSpec:
     g_r: int = 1
@@ -177,79 +200,83 @@ def parse_scenario(doc: dict) -> Scenario:
     errors: list[str] = []
     sc = Scenario()
 
-    grid = doc.get("grid", {})
+    grid = _expect(doc.get("grid", {}), dict, "grid", errors)
     if grid.get("preset") == "tile_plus_two":
         sc.grid = GridSpec(1, 3, None, "tile_plus_two")
     elif grid.get("preset"):
         errors.append(f"grid.preset: unknown preset {grid['preset']!r}")
     else:
-        g_r = int(grid.get("G_r", 1))
-        g_c = int(grid.get("G_c", 1))
+        g_r = _int(grid.get("G_r", 1), "grid.G_r", errors)
+        g_c = _int(grid.get("G_c", 1), "grid.G_c", errors)
         if g_r < 1 or g_c < 1:
             errors.append(f"grid: dimensions {g_r}x{g_c} must be >= 1")
             g_r, g_c = max(g_r, 1), max(g_c, 1)
         populated = None
         if grid.get("populated") is not None:
             populated = []
-            for i, v in enumerate(grid["populated"]):
+            for i, v in enumerate(_expect(grid["populated"], list, "grid.populated", errors)):
                 n = _parse_node(v, f"grid.populated[{i}]", errors)
                 if n is not None:
                     populated.append(n)
         sc.grid = GridSpec(g_r, g_c, populated, None)
 
-    link = doc.get("link", {})
-    sc.rate_bps = int(link.get("rate_bps", DEFAULT_LINK_RATE_BPS))
-    sc.prop_delay_ns = int(link.get("prop_delay_ns", DEFAULT_PROP_DELAY_NS))
+    link = _expect(doc.get("link", {}), dict, "link", errors)
+    sc.rate_bps = _int(link.get("rate_bps", DEFAULT_LINK_RATE_BPS), "link.rate_bps", errors)
+    sc.prop_delay_ns = _int(link.get("prop_delay_ns", DEFAULT_PROP_DELAY_NS),
+                            "link.prop_delay_ns", errors)
     if sc.rate_bps <= 0:
         errors.append(f"link.rate_bps: {sc.rate_bps} must be > 0")
     if sc.prop_delay_ns < 0:
         errors.append(f"link.prop_delay_ns: {sc.prop_delay_ns} must be >= 0")
 
-    host = doc.get("host", {})
+    host = _expect(doc.get("host", {}), dict, "host", errors)
     cap = host.get("injection_cap_bps", 2_250_000_000)
     sc.host = HostSettings(
-        injection_cap_bps=None if cap in (None, 0) else int(cap),
-        processing_delay_ns=int(host.get("processing_delay_ns", 10_000)))
+        injection_cap_bps=None if cap in (None, 0) else _int(cap, "host.injection_cap_bps", errors),
+        processing_delay_ns=_int(host.get("processing_delay_ns", 10_000),
+                                 "host.processing_delay_ns", errors))
 
-    ptp = doc.get("ptp", {})
+    ptp = _expect(doc.get("ptp", {}), dict, "ptp", errors)
     gm = None
     if ptp.get("grandmaster") is not None:
         gm = _parse_node(ptp["grandmaster"], "ptp.grandmaster", errors)
     sc.ptp = PtpSettings(
         enabled=bool(ptp.get("enabled", True)),
         grandmaster=gm,
-        interval_ms=int(ptp.get("interval_ms", 250)),
-        quantization_ns=int(ptp.get("quantization_ns", 8)),
-        convergence_rounds=int(ptp.get("convergence_rounds", 10)))
+        interval_ms=_int(ptp.get("interval_ms", 250), "ptp.interval_ms", errors),
+        quantization_ns=_int(ptp.get("quantization_ns", 8), "ptp.quantization_ns", errors),
+        convergence_rounds=_int(ptp.get("convergence_rounds", 10),
+                                "ptp.convergence_rounds", errors))
     sc.drift_spec = ptp.get("drift_ppm")
     if sc.ptp.interval_ms < 1:
         errors.append(f"ptp.interval_ms: {sc.ptp.interval_ms} must be >= 1")
     if sc.ptp.quantization_ns < 1:
         errors.append(f"ptp.quantization_ns: {sc.ptp.quantization_ns} must be >= 1")
 
-    nic = doc.get("nic", {})
+    nic = _expect(doc.get("nic", {}), dict, "nic", errors)
     sc.nic = NicSettings(
-        num_tx_queues=int(nic.get("num_tx_queues", 8)),
-        time_aware_queues=tuple(nic.get("time_aware_queues", (0, 1, 2))),
-        queue_depth=int(nic.get("queue_depth", 1024)))
+        num_tx_queues=_int(nic.get("num_tx_queues", 8), "nic.num_tx_queues", errors),
+        time_aware_queues=_ints(nic.get("time_aware_queues", [0, 1, 2]),
+                                "nic.time_aware_queues", errors),
+        queue_depth=_int(nic.get("queue_depth", 1024), "nic.queue_depth", errors))
     if sc.nic.num_tx_queues < 1:
         errors.append(f"nic.num_tx_queues: {sc.nic.num_tx_queues} must be >= 1")
     for q in sc.nic.time_aware_queues:
         if not 0 <= q < sc.nic.num_tx_queues:
             errors.append(f"nic.time_aware_queues: queue {q} does not exist")
 
-    pm = doc.get("priority_map", {})
+    pm = _expect(doc.get("priority_map", {}), dict, "priority_map", errors)
     sc.priority_map = PriorityMap(
-        num_classes=int(pm.get("num_classes", 3)),
-        prio_to_tc=tuple(pm.get("prio_to_tc", (0, 1, 2))),
-        tc_to_queue=tuple(pm.get("tc_to_queue", (0, 1, 2))))
+        num_classes=_int(pm.get("num_classes", 3), "priority_map.num_classes", errors),
+        prio_to_tc=_ints(pm.get("prio_to_tc", [0, 1, 2]), "priority_map.prio_to_tc", errors),
+        tc_to_queue=_ints(pm.get("tc_to_queue", [0, 1, 2]), "priority_map.tc_to_queue", errors))
     for e in validate_map(sc.priority_map, sc.nic.num_tx_queues, sc.nic.time_aware_queues):
         errors.append(f"priority_map: {e}")
 
-    sc.duration_ns = int(doc.get("duration_ns", 1_000_000_000))
+    sc.duration_ns = _int(doc.get("duration_ns", 1_000_000_000), "duration_ns", errors)
     if sc.duration_ns < 1:
         errors.append(f"duration_ns: {sc.duration_ns} must be >= 1")
-    sc.seed = int(doc.get("seed", 0))
+    sc.seed = _int(doc.get("seed", 0), "seed", errors)
     sc.trace = bool(doc.get("trace", False))
 
     if errors:
@@ -259,8 +286,9 @@ def parse_scenario(doc: dict) -> Scenario:
     if sc.ptp.enabled and sc.ptp.grandmaster is not None and not topo.has_node(sc.ptp.grandmaster):
         errors.append(f"ptp.grandmaster: {sc.ptp.grandmaster} is not a populated node")
 
-    for i, s in enumerate(doc.get("schedules", [])):
+    for i, s in enumerate(_expect(doc.get("schedules", []), list, "schedules", errors)):
         path = f"schedules[{i}]"
+        s = _expect(s, dict, path, errors)
         node = _parse_node(s.get("node"), f"{path}.node", errors)
         try:
             port = PortKind(s.get("port", "external"))
@@ -275,10 +303,15 @@ def parse_scenario(doc: dict) -> Scenario:
         if topo.port(node, port).link is None:
             errors.append(f"{path}: node {node} port {port.value} is not connected")
             continue
-        entries = tuple((int(q), int(slot)) for q, slot in s.get("entries", []))
-        window = int(s.get("window_us", 100))
+        entries = []
+        for j, e in enumerate(_expect(s.get("entries", []), list, f"{path}.entries", errors)):
+            entries.append(_ints(e, f"{path}.entries[{j}]", errors))
+            if len(entries[-1]) != 2:
+                raise _malformed(e, "[queue, slot_us]", f"{path}.entries[{j}]", errors)
+        entries = tuple(entries)
+        window = _int(s.get("window_us", 100), f"{path}.window_us", errors)
         guard = s.get("guardband_ns")
-        guard_val = int(guard) if guard is not None else None
+        guard_val = _int(guard, f"{path}.guardband_ns", errors) if guard is not None else None
         table_entries = tuple(ScheduleEntry(q, slot) for q, slot in entries)
         for e in validate_schedule(window, table_entries,
                                    guard_val if guard_val is not None else 0,
@@ -286,8 +319,9 @@ def parse_scenario(doc: dict) -> Scenario:
             errors.append(f"{path} (node {node} port {port.value}): {e}")
         sc.schedules.append(ScheduleSpec(node, port, window, entries, guard_val))
 
-    for i, f in enumerate(doc.get("faults", [])):
+    for i, f in enumerate(_expect(doc.get("faults", []), list, "faults", errors)):
         path = f"faults[{i}]"
+        f = _expect(f, dict, path, errors)
         a = _parse_node(f.get("a"), f"{path}.a", errors)
         b = _parse_node(f.get("b"), f"{path}.b", errors)
         if a is None or b is None:
@@ -295,7 +329,7 @@ def parse_scenario(doc: dict) -> Scenario:
         if topo.link_between(a, b) is None:
             errors.append(f"{path}: no link between {a} and {b}")
             continue
-        t = int(f.get("time_ns", 0))
+        t = _int(f.get("time_ns", 0), f"{path}.time_ns", errors)
         if not 0 <= t <= sc.duration_ns:
             errors.append(f"{path}.time_ns: {t} outside the run duration")
         state = f.get("state", "down")
@@ -304,8 +338,9 @@ def parse_scenario(doc: dict) -> Scenario:
             continue
         sc.faults.append(FaultSpec(a, b, t, state == "up"))
 
-    for i, f in enumerate(doc.get("flows", [])):
+    for i, f in enumerate(_expect(doc.get("flows", []), list, "flows", errors)):
         path = f"flows[{i}]"
+        f = _expect(f, dict, path, errors)
         src = _parse_node(f.get("src"), f"{path}.src", errors)
         dst = _parse_node(f.get("dst"), f"{path}.dst", errors)
         if src is None or dst is None:
@@ -319,24 +354,25 @@ def parse_scenario(doc: dict) -> Scenario:
         if src == dst:
             errors.append(f"{path}: src and dst must differ")
             continue
-        pcp = int(f.get("pcp", 0))
+        pcp = _int(f.get("pcp", 0), f"{path}.pcp", errors)
         if not 0 <= pcp <= 7:
             errors.append(f"{path}.pcp: {pcp} out of 0..7")
-        start = int(f.get("start", 0))
+        start = _int(f.get("start", 0), f"{path}.start", errors)
         stop = f.get("stop")
-        stop_val = int(stop) if stop is not None else None
+        stop_val = _int(stop, f"{path}.stop", errors) if stop is not None else None
         if start < 0 or start >= sc.duration_ns:
             errors.append(f"{path}.start: {start} outside the run duration")
         if stop_val is not None and not start < stop_val <= sc.duration_ns:
             errors.append(f"{path}.stop: {stop_val} must be in (start, duration]")
         backlogged = bool(f.get("backlogged", False))
         rate = f.get("offered_rate_bps")
-        rate_val = int(rate) if rate is not None else None
+        rate_val = _int(rate, f"{path}.offered_rate_bps", errors) if rate is not None else None
         if backlogged == (rate_val is not None):
             errors.append(f"{path}: exactly one of backlogged/offered_rate_bps required")
         if rate_val is not None and rate_val <= 0:
             errors.append(f"{path}.offered_rate_bps: must be > 0")
-        payload = int(f.get("frame_payload_bytes", MAX_CHUNK))
+        payload = _int(f.get("frame_payload_bytes", MAX_CHUNK), f"{path}.frame_payload_bytes",
+                       errors)
         if not 1 <= payload <= MAX_CHUNK:
             errors.append(f"{path}.frame_payload_bytes: {payload} not in 1..{MAX_CHUNK}")
         sc.flows.append(FlowSpec(src, dst, pcp, start, stop_val, backlogged,

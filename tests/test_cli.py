@@ -1,6 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 from tasnic.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def write_scenario(tmp_path, name="s.json", **overrides):
@@ -29,6 +37,24 @@ def test_validate_error_exit_one(tmp_path, capsys):
                                             "backlogged": True}])
     assert main(["validate", "--scenario", str(path)]) == 1
     assert "validation:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"grid": {"G_r": "x"}}, "grid.G_r: 'x' is not an integer"),
+    ({"flows": [1]}, "flows[0]: 1 is not an object"),
+    ({"schedules": [{"node": "0.0.0.0", "port": "intra_h", "entries": [[0]]}]},
+     "schedules[0].entries[0]: [0] is not [queue, slot_us]"),
+    ({"nic": {"time_aware_queues": 5}}, "nic.time_aware_queues: 5 is not a list"),
+], ids=["grid_G_r", "flow_item", "schedule_entry", "time_aware_queues"])
+def test_malformed_scenario_is_a_validation_error(tmp_path, doc, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    proc = subprocess.run([sys.executable, "-m", "tasnic.cli", "validate", "--scenario", str(path)],
+                          capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert proc.returncode == 1
+    assert f"validation: {message}" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_missing_file_exit_two(tmp_path):

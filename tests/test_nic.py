@@ -15,6 +15,7 @@ from tasnic.nic import (
     TokenBucket,
     default_guardband_ns,
 )
+from tasnic.nic import NicPort
 from tasnic.node import HostSettings, Network, NicSettings, PtpSettings
 from tasnic.qdisc import PriorityMap
 from tasnic.runtime import ScheduleConfig
@@ -157,6 +158,47 @@ def test_filler_round_robin_alternates_per_frame():
     assert port.trace[0].local_start == 90_000
 
 
+def test_management_queue_is_served_only_in_leftover_time():
+    net, port = two_node_net()
+    program(net, [(0, 90)], guardband_ns=1300)
+    for _ in range(100):
+        port.enqueue(0, make_frame(net))
+    for t in (0, 10_000, 120_000):
+        net.sim.at(t, lambda: port.enqueue(NicPort.MGMT_IDX, make_frame(net, payload_len=64)))
+    net.sim.run_until(300_000)
+    assert (port.mgmt_queue.enqueued, port.mgmt_queue.dequeued) == (3, 3)
+    assert sum(q.enqueued for q in port.queues) == 100
+    mgmt = [r for r in port.trace if r.queue_idx == NicPort.MGMT_IDX]
+    # the frames enqueued at 0 and 10 us wait for the leftover time of window
+    # 0, the one enqueued at 120 us for that of window 1
+    assert [r.local_start // 100_000 for r in mgmt] == [0, 0, 1]
+    assert (mgmt[0].local_start, mgmt[2].local_start) == (90_000, 190_000)
+    for rec in mgmt:
+        assert 90_000 <= rec.local_start % 100_000 <= 100_000 - 1300
+
+
+def test_table_swap_moves_queues_between_slot_and_leftover():
+    net, port = two_node_net()
+    program(net, [(0, 90)])
+    net.sim.at(10_000, lambda: port.enqueue(0, make_frame(net)))
+    net.sim.at(40_000, lambda: port.enqueue(1, make_frame(net)))
+    net.sim.run_until(50_000)
+    program(net, [(1, 90)])  # takes effect at the 100 us window boundary
+    net.sim.at(150_000, lambda: port.enqueue(0, make_frame(net)))
+    for _ in range(10):
+        net.sim.at(185_000, lambda: port.enqueue(1, make_frame(net)))
+    net.sim.run_until(300_000)
+    starts = [(r.queue_idx, r.local_start) for r in port.trace]
+    # first table: queue 0 in its slot, queue 1 in leftover time
+    assert starts[:2] == [(0, 10_000), (1, 90_000)]
+    # second table: queue 0 moved to leftover time, queue 1 only in its slot
+    assert (0, 190_000) in starts
+    for qidx, start in starts[2:]:
+        phase = start % 100_000
+        assert (phase >= 90_000) if qidx == 0 else (phase + 1218 <= 90_000)
+    assert len(starts) == 13
+
+
 def test_per_queue_fifo_order():
     net, port = two_node_net()
     sizes = [100, 700, 300, 1500, 46]
@@ -205,7 +247,7 @@ def test_queue_overflow_tail_drops():
     net, port = two_node_net(queue_depth=4)
     for _ in range(7):
         port.enqueue(0, make_frame(net))
-    q = port.queue(0)
+    q = port.queues[0]
     # one frame went straight to the wire; four queued; the rest tail-dropped
     assert q.dequeued == 1
     assert len(q.frames) == 4
