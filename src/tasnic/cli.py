@@ -85,8 +85,9 @@ def _cmd_sweep(args) -> int:
         return EXIT_VALIDATION
     jobs = [(str(f), str(Path(args.out) / f.stem), args.format) for f in files]
     worst = EXIT_OK
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    workers = min(args.jobs, len(jobs))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             for path, code in pool.map(_run_one, jobs):
                 print(f"{'ok' if code == 0 else 'FAILED'}: {path}")
                 worst = max(worst, code)

@@ -27,10 +27,12 @@ class SchedulingError(Exception):
 
 @dataclass(slots=True)
 class EventHandle:
-    """Cancellation token for a scheduled event."""
+    """A scheduled event; also its cancellation token."""
 
     fire_at: SimTime
     seq: int
+    action: Callable[[], None]
+    label: str
     cancelled: bool = False
 
     def cancel(self) -> None:
@@ -41,20 +43,6 @@ class EventHandle:
 class RunStats:
     events_processed: int
     final_time: SimTime
-
-
-@dataclass(slots=True)
-class _Event:
-    fire_at: SimTime
-    seq: int
-    action: Callable[[], None]
-    label: str
-    handle: EventHandle
-
-    def __lt__(self, other: "_Event") -> bool:
-        if self.fire_at != other.fire_at:
-            return self.fire_at < other.fire_at
-        return self.seq < other.seq
 
 
 class Simulator:
@@ -68,15 +56,16 @@ class Simulator:
         self.now: SimTime = 0
         self.events_processed = 0
         self.trace_hook = trace_hook
-        self._heap: list[_Event] = []
+        # (fire_at, seq, handle); seq is unique, so ties never compare handles
+        self._heap: list[tuple[SimTime, int, EventHandle]] = []
         self._seq = 0
 
     def at(self, when: SimTime, action: Callable[[], None], label: str = "") -> EventHandle:
         """Schedule ``action`` at absolute time ``when`` (>= now)."""
         if when < self.now:
             raise SchedulingError(f"scheduling at t={when} in the past (now={self.now})")
-        handle = EventHandle(when, self._seq)
-        heapq.heappush(self._heap, _Event(when, self._seq, action, label, handle))
+        handle = EventHandle(when, self._seq, action, label)
+        heapq.heappush(self._heap, (when, self._seq, handle))
         self._seq += 1
         return handle
 
@@ -87,23 +76,21 @@ class Simulator:
 
     def peek_time(self) -> SimTime | None:
         """Time of the next live event, or None when the queue is empty."""
-        while self._heap and self._heap[0].handle.cancelled:
+        while self._heap and self._heap[0][2].cancelled:
             heapq.heappop(self._heap)
-        return self._heap[0].fire_at if self._heap else None
+        return self._heap[0][0] if self._heap else None
 
     def step(self) -> bool:
         """Process a single event; returns False when nothing is pending."""
-        while self._heap:
-            ev = heapq.heappop(self._heap)
-            if ev.handle.cancelled:
-                continue
-            self.now = ev.fire_at
-            self.events_processed += 1
-            if self.trace_hook is not None:
-                self.trace_hook(ev.fire_at, ev.seq, ev.label)
-            ev.action()
-            return True
-        return False
+        if self.peek_time() is None:
+            return False
+        ev = heapq.heappop(self._heap)[2]
+        self.now = ev.fire_at
+        self.events_processed += 1
+        if self.trace_hook is not None:
+            self.trace_hook(ev.fire_at, ev.seq, ev.label)
+        ev.action()
+        return True
 
     def run_until(self, t_end: SimTime) -> RunStats:
         """Process every event with fire_at <= t_end, then set now = t_end."""

@@ -17,7 +17,7 @@ plus two single nodes on the horizontal axis" is expressed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
 
@@ -121,8 +121,7 @@ class Link:
     rate_bps: int = DEFAULT_LINK_RATE_BPS
     prop_delay_ns: int = DEFAULT_PROP_DELAY_NS
     up: bool = True
-    # (time, up) transitions in event order; consulted for in-flight drops
-    transitions: list[tuple[SimTime, bool]] = field(default_factory=list)
+    up_since: SimTime = 0  # last down-to-up change; consulted for in-flight drops
     drops: int = 0
     tx_frames: int = 0
 
@@ -134,20 +133,14 @@ class Link:
         raise ValueError(f"{node_id} is not an endpoint of this link")
 
     def set_state(self, up: bool, at: SimTime) -> None:
-        self.transitions.append((at, up))
+        """The only writer of link state; a redundant up keeps ``up_since``."""
+        if up and not self.up:
+            self.up_since = at
         self.up = up
 
-    def up_throughout(self, start: SimTime, end: SimTime) -> bool:
-        """True when the link was continuously up over [start, end]."""
-        last_before = None
-        for t, up in self.transitions:
-            if t <= start:
-                last_before = up
-            elif t <= end and not up:
-                return False
-        if last_before is not None and not last_before:
-            return False
-        return True
+    def up_throughout(self, start: SimTime) -> bool:
+        """True when the link has been continuously up from ``start`` until now."""
+        return self.up and self.up_since <= start
 
 
 @dataclass(slots=True)

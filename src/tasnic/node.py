@@ -241,14 +241,13 @@ class Network:
     def schedule_delivery(self, link: Link, src_id: NodeId, frame: Frame,
                           tx_start: int, tx_end: int) -> None:
         dst_id, dst_kind = link.other_end(src_id)
-        arrival = tx_end + link.prop_delay_ns
-        self.sim.at(arrival,
-                    lambda: self._arrive(link, frame, tx_start, arrival, dst_id, dst_kind),
+        self.sim.at(tx_end + link.prop_delay_ns,
+                    lambda: self._arrive(link, frame, tx_start, dst_id, dst_kind),
                     label=f"arrive:{dst_id}:{dst_kind.value}")
 
-    def _arrive(self, link: Link, frame: Frame, tx_start: int, arrival: int,
+    def _arrive(self, link: Link, frame: Frame, tx_start: int,
                 dst_id: NodeId, dst_kind: PortKind) -> None:
-        if not link.up_throughout(tx_start, arrival):
+        if not link.up_throughout(tx_start):
             link.drops += 1
             self.count_drop(frame, "link_down")
             return

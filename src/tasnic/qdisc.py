@@ -16,7 +16,6 @@ class PriorityMap:
     num_classes: int = 3
     prio_to_tc: tuple[int, ...] = (0, 1, 2)
     tc_to_queue: tuple[int, ...] = (0, 1, 2)
-    default_prio: int = 0
 
 
 IDENTITY_3CLASS = PriorityMap()

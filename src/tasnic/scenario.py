@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -70,6 +71,25 @@ def _int(value, path: str, errors: list[str]) -> int:
 def _ints(value, path: str, errors: list[str]) -> tuple[int, ...]:
     return tuple(_int(v, f"{path}[{i}]", errors)
                  for i, v in enumerate(_expect(value, list, path, errors)))
+
+
+def _number(value) -> bool:
+    try:
+        return math.isfinite(float(value))
+    except (TypeError, ValueError, OverflowError):
+        return False
+
+
+def _drift(spec, path: str, errors: list[str]):
+    """``spec`` unchanged once ``Scenario.resolve_drift`` can read it as numbers."""
+    if not isinstance(spec, dict):
+        if spec is None or (isinstance(spec, (int, float)) and _number(spec)):
+            return spec
+        raise _malformed(spec, "a number or an object", path, errors)
+    for key, value in spec.items():
+        if not _number(value):
+            raise _malformed(value, "a number", f"{path}.{key}", errors)
+    return spec
 
 
 @dataclass(slots=True)
@@ -178,21 +198,15 @@ class Scenario:
         return hashlib.sha256(blob).hexdigest()
 
     def resolve_drift(self, topology: Topology, rng) -> dict[NodeId, float]:
-        spec = self.drift_spec
-        out: dict[NodeId, float] = {}
-        if spec is None:
-            spec = {"seeded_max_ppm": 10.0}
+        spec = {"seeded_max_ppm": 10.0} if self.drift_spec is None else self.drift_spec
         if isinstance(spec, (int, float)):
             return {n: float(spec) for n in topology.nodes}
         if "seeded_max_ppm" in spec:
             limit = float(spec["seeded_max_ppm"])
-            for n in topology.nodes:
-                out[n] = rng.stream("drift", str(n)).uniform(-limit, limit)
-            return out
+            return {n: rng.stream("drift", str(n)).uniform(-limit, limit)
+                    for n in topology.nodes}
         default = float(spec.get("default", 0.0))
-        for n in topology.nodes:
-            out[n] = float(spec.get(str(n), default))
-        return out
+        return {n: float(spec.get(str(n), default)) for n in topology.nodes}
 
 
 def parse_scenario(doc: dict) -> Scenario:
@@ -247,7 +261,7 @@ def parse_scenario(doc: dict) -> Scenario:
         quantization_ns=_int(ptp.get("quantization_ns", 8), "ptp.quantization_ns", errors),
         convergence_rounds=_int(ptp.get("convergence_rounds", 10),
                                 "ptp.convergence_rounds", errors))
-    sc.drift_spec = ptp.get("drift_ppm")
+    sc.drift_spec = _drift(ptp.get("drift_ppm"), "ptp.drift_ppm", errors)
     if sc.ptp.interval_ms < 1:
         errors.append(f"ptp.interval_ms: {sc.ptp.interval_ms} must be >= 1")
     if sc.ptp.quantization_ns < 1:

@@ -167,7 +167,7 @@ def test_criterion_5_routing_oracle_and_single_fault_delivery():
     topo = build_topology(2, 2)
     fault_cases = 0
     for link in topo.links:
-        link.up = False
+        link.set_state(False, 0)
         connected = all(routing_oracle.bfs_distance(topo, topo.nodes[0], n) is not None
                         for n in topo.nodes)
         if connected:
@@ -176,7 +176,7 @@ def test_criterion_5_routing_oracle_and_single_fault_delivery():
                     assert routing_oracle.walk(topo, src, dst) is not None, \
                         (link.a, link.b, src, dst)
                     fault_cases += 1
-        link.up = True
+        link.set_state(True, 0)
     print(f"\nPASS criterion 5: oracle agreement on {pairs_checked} ordered pairs, "
           f"{fault_cases} single-fault deliveries")
 

@@ -45,7 +45,13 @@ def test_validate_error_exit_one(tmp_path, capsys):
     ({"schedules": [{"node": "0.0.0.0", "port": "intra_h", "entries": [[0]]}]},
      "schedules[0].entries[0]: [0] is not [queue, slot_us]"),
     ({"nic": {"time_aware_queues": 5}}, "nic.time_aware_queues: 5 is not a list"),
-], ids=["grid_G_r", "flow_item", "schedule_entry", "time_aware_queues"])
+    ({"ptp": {"drift_ppm": "x"}}, "ptp.drift_ppm: 'x' is not a number or an object"),
+    ({"ptp": {"drift_ppm": {"seeded_max_ppm": "x"}}},
+     "ptp.drift_ppm.seeded_max_ppm: 'x' is not a number"),
+    ({"ptp": {"drift_ppm": {"default": 1.0, "0.0.0.1": [2]}}},
+     "ptp.drift_ppm.0.0.0.1: [2] is not a number"),
+], ids=["grid_G_r", "flow_item", "schedule_entry", "time_aware_queues",
+        "drift_string", "drift_seeded_max", "drift_per_node"])
 def test_malformed_scenario_is_a_validation_error(tmp_path, doc, message):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
@@ -86,5 +92,32 @@ def test_sweep_runs_every_scenario(tmp_path):
     write_scenario(tmp_path, name="two.json", seed=5)
     out = tmp_path / "out"
     assert main(["sweep", "--dir", str(tmp_path), "--out", str(out)]) == 0
+    assert (out / "one" / "report.json").exists()
+    assert (out / "two" / "report.json").exists()
+
+
+def test_sweep_jobs_capped_at_scenario_count(tmp_path, monkeypatch):
+    # An in-process stand-in for the pool: records the worker count, forks nothing.
+    pools = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr("tasnic.cli.ProcessPoolExecutor", FakePool)
+    write_scenario(tmp_path, name="one.json")
+    write_scenario(tmp_path, name="two.json", seed=5)
+    out = tmp_path / "out"
+    assert main(["sweep", "--dir", str(tmp_path), "--out", str(out), "--jobs", "64"]) == 0
+    assert pools == [2]
     assert (out / "one" / "report.json").exists()
     assert (out / "two" / "report.json").exists()

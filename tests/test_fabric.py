@@ -132,15 +132,18 @@ def test_tile_plus_two_shape():
 
 
 def test_link_up_throughout_interval_logic():
+    # Link state changes in time order; each (start, end) interval is asked
+    # at its end time, as Network._arrive does on a frame arrival.
     topo = build_topology(1, 1)
     link = topo.links[0]
+    assert link.up_throughout(0)  # (0, 999)
     link.set_state(False, 1000)
+    assert not link.up_throughout(0)  # (0, 1000)
+    assert not link.up_throughout(500)  # (500, 1500)
+    assert not link.up_throughout(1500)  # (1500, 1800)
     link.set_state(True, 2000)
-    assert link.up_throughout(0, 999)
-    assert not link.up_throughout(0, 1000)
-    assert not link.up_throughout(500, 1500)
-    assert not link.up_throughout(1500, 1800)
-    assert link.up_throughout(2000, 5000)
+    assert link.up_throughout(2000)  # (2000, 5000)
+    assert not link.up_throughout(1999)  # (1999, 5000) covers the outage
 
 
 def test_echo_is_stable_and_lists_every_port():

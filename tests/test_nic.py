@@ -380,10 +380,15 @@ def test_link_down_mid_serialization_drops_at_link():
     assert net.drops_by_cause["link_down"] == 1
 
 
-def test_flapping_link_matches_interval_overlap_oracle():
+@pytest.mark.parametrize("flaps, delivered", [
+    ([(3_000, False), (9_000, True), (20_000, False), (21_500, True)], 10),
+    # a redundant up, a redundant down, and a down and an up at the same instant
+    ([(3_000, False), (9_000, True), (12_500, True), (20_000, False), (20_800, False),
+      (21_500, True), (25_000, False), (25_000, True)], 9),
+], ids=["flaps", "redundant_and_same_instant"])
+def test_flapping_link_matches_interval_overlap_oracle(flaps, delivered):
     net, port = two_node_net()
     ser, prop = 1218, 500
-    flaps = [(3_000, False), (9_000, True), (20_000, False), (21_500, True)]
     for at, up in flaps:
         net.schedule_link_state(port.link, up, at)
     sends = list(range(0, 30_000, 2_000))
@@ -392,7 +397,7 @@ def test_flapping_link_matches_interval_overlap_oracle():
     net.sim.run_until(60_000)
 
     def up_over(start, end):
-        state, last = True, True
+        last = True
         for at, up in flaps:
             if at <= start:
                 last = up
@@ -401,5 +406,6 @@ def test_flapping_link_matches_interval_overlap_oracle():
         return last
 
     expected = sum(1 for t in sends if up_over(t, t + ser + prop))
+    assert expected == delivered
     assert net.nodes[B].counters.rx_frames == expected
     assert port.link.drops == len(sends) - expected

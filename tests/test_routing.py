@@ -150,13 +150,13 @@ def test_preferred_port_faulty_uses_alternative_and_delivers():
     topo = build_topology(1, 1)
     src, dst = NodeId(0, 0, 0, 0), NodeId(0, 0, 0, 1)
     direct = topo.link_between(src, dst)
-    direct.up = False
+    direct.set_state(False, 0)
     decision = next_hop(topo, src, dst)
     assert decision.verdict == Verdict.FORWARD
     assert decision.out_port != PortKind.INTRA_H
     path = walk(topo, src, dst)
     assert path is not None and path[-1] == dst
-    direct.up = True
+    direct.set_state(True, 0)
 
 
 def test_single_fault_delivery_with_sane_path_lengths():
@@ -173,7 +173,7 @@ def test_single_fault_delivery_with_sane_path_lengths():
         for dst in topo.nodes:
             baseline[(src, dst)] = len(walk(topo, src, dst)) - 1
     for link in topo.links:
-        link.up = False
+        link.set_state(False, 0)
         if all(bfs_distance(topo, topo.nodes[0], n) is not None for n in topo.nodes):
             for src in topo.nodes:
                 for dst in topo.nodes:
@@ -182,7 +182,7 @@ def test_single_fault_delivery_with_sane_path_lengths():
                     hops = len(path) - 1
                     assert hops >= bfs_distance(topo, src, dst)
                     assert hops <= baseline[(src, dst)] + 8
-        link.up = True
+        link.set_state(True, 0)
 
 
 def test_never_selects_ingress_port():
@@ -209,8 +209,8 @@ def test_tile_plus_two_reroute_adds_a_hop():
     topo = tile_plus_two_nodes()
     west, east = NodeId(0, 0, 1, 1), NodeId(0, 2, 0, 0)
     link = topo.link_between(NodeId(0, 1, 0, 1), NodeId(0, 1, 1, 1))
-    link.up = False
+    link.set_state(False, 0)
     path = walk(topo, west, east)
     assert path is not None
     assert len(path) - 1 == 5
-    link.up = True
+    link.set_state(True, 0)
