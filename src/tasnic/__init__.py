@@ -22,7 +22,7 @@ from .metrics import FlowRecorder
 from .nic import NicPort, ScheduleEntry, ScheduleTable, TokenBucket, TxQueue
 from .node import HostSettings, Network, NicSettings, Node, PtpSettings
 from .qdisc import PriorityMap, classify, validate_map
-from .routing import ForwardDecision, Verdict, next_hop
+from .routing import next_hop
 from .runtime import FragmentHeader, NodeRuntime, ScheduleConfig
 from .scenario import Scenario, ScenarioError, load_scenario, parse_scenario
 

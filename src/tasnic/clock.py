@@ -87,7 +87,6 @@ class ServoState:
     """History needed by the two-sample drift estimator."""
 
     last_apply_local_ns: int | None = None
-    rounds: int = 0
     max_rate_adj_ppm: float = 200.0
 
 
@@ -109,4 +108,3 @@ def apply_servo(clock: LocalClock, offset_est_ns: int, true_now: SimTime, state:
             clock.set_rate_adj(min(max(adj, -bound), bound), true_now)
     clock.step(-offset_est_ns, true_now)
     state.last_apply_local_ns = clock.read_ns(true_now)
-    state.rounds += 1

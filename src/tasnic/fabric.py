@@ -143,52 +143,43 @@ class Link:
         return self.up and self.up_since <= start
 
 
-@dataclass(slots=True)
-class Port:
-    kind: PortKind
-    link: Link | None = None  # None: unconnected (absent peer or mgmt)
-
-
 class Topology:
-    """Immutable wiring (nodes, ports, links); only link state mutates."""
+    """Immutable wiring (nodes, ports, links); only link state mutates.
+
+    ``ports[node][kind]`` is the link on that port, or None when the port is
+    unconnected (an absent peer, or the out-of-band management port).
+    """
 
     def __init__(self, g_r: int, g_c: int, populated: list[NodeId],
                  rate_bps: int, prop_delay_ns: int):
         self.g_r = g_r
         self.g_c = g_c
-        self.n_r = 2 * g_r
-        self.n_c = 2 * g_c
         self.nodes: list[NodeId] = sorted(populated)
         self._present = set(self.nodes)
-        self.ports: dict[NodeId, dict[PortKind, Port]] = {}
+        self.ports: dict[NodeId, dict[PortKind, Link | None]] = {}
         self.links: list[Link] = []
         self._link_by_ends: dict[frozenset, Link] = {}
         self._rate = rate_bps
         self._prop = prop_delay_ns
         for n in self.nodes:
-            self.ports[n] = {k: Port(k) for k in (*DATA_PORT_KINDS, PortKind.MGMT)}
+            self.ports[n] = dict.fromkeys((*DATA_PORT_KINDS, PortKind.MGMT))
 
     def has_node(self, node_id: NodeId) -> bool:
         return node_id in self._present
-
-    def port(self, node_id: NodeId, kind: PortKind) -> Port:
-        return self.ports[node_id][kind]
 
     def link_between(self, a: NodeId, b: NodeId) -> Link | None:
         return self._link_by_ends.get(frozenset((a, b)))
 
     def peer_of(self, node_id: NodeId, kind: PortKind) -> tuple[NodeId, PortKind] | None:
-        port = self.ports[node_id][kind]
-        if port.link is None:
-            return None
-        return port.link.other_end(node_id)
+        link = self.ports[node_id][kind]
+        return None if link is None else link.other_end(node_id)
 
     def _wire(self, a: NodeId, pa: PortKind, b: NodeId, pb: PortKind) -> None:
         if not (self.has_node(a) and self.has_node(b)):
             return
         link = Link((a, pa), (b, pb), self._rate, self._prop)
-        self.ports[a][pa].link = link
-        self.ports[b][pb].link = link
+        self.ports[a][pa] = link
+        self.ports[b][pb] = link
         self.links.append(link)
         self._link_by_ends[frozenset((a, b))] = link
 
@@ -198,7 +189,7 @@ class Topology:
         owner = NodeId(grc, gcc, *owner_pos)
         if not self.has_node(owner):
             return None
-        return self.ports[owner][PortKind.EXTERNAL].link
+        return self.ports[owner][PortKind.EXTERNAL]
 
     def echo(self) -> str:
         """Stable one-line-per-port wiring dump for debugging."""
@@ -207,14 +198,14 @@ class Topology:
             coord = abs_coords(n)
             ip, mask = ip_of(coord)
             for kind in (*DATA_PORT_KINDS, PortKind.MGMT):
-                port = self.ports[n][kind]
+                link = self.ports[n][kind]
                 if kind == PortKind.MGMT:
                     peer = "mgmt(out-of-band)"
-                elif port.link is None:
+                elif link is None:
                     peer = "unconnected"
                 else:
-                    pn, pk = port.link.other_end(n)
-                    peer = f"{pn}:{pk.value} rate={port.link.rate_bps} prop_ns={port.link.prop_delay_ns}"
+                    pn, pk = link.other_end(n)
+                    peer = f"{pn}:{pk.value} rate={link.rate_bps} prop_ns={link.prop_delay_ns}"
                 lines.append(
                     f"node {n} abs=({coord.rc},{coord.cc}) mac={format_mac(mac_of(coord))} "
                     f"ip={ip}/{mask} port={kind.value} peer={peer}"

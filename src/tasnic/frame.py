@@ -54,8 +54,6 @@ class FrameMeta:
     frag_index: int | None = None
     send_local_ts: int | None = None  # sender clock at send_msg time
     send_true_ns: int | None = None
-    enqueue_ts: int | None = None     # local clock at last queue admission
-    tx_ts: int | None = None
     rx_ts: int | None = None
     hops: int = 0
     route: list[tuple[NodeId, str]] | None = None

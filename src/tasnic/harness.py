@@ -167,7 +167,7 @@ class RunResult:
         }
 
 
-def build_network(scenario: Scenario, trace_tx: bool = False) -> Network:
+def build_network(scenario: Scenario) -> Network:
     topo = scenario.build_fabric()
     sim = Simulator()
     return Network(
@@ -175,11 +175,11 @@ def build_network(scenario: Scenario, trace_tx: bool = False) -> Network:
         nic=scenario.nic, host=scenario.host, ptp=scenario.ptp,
         priority_map=scenario.priority_map,
         drift_by_node=scenario.resolve_drift(topo, RngStreams(scenario.seed)),
-        trace_routes=scenario.trace, trace_tx=trace_tx or scenario.trace)
+        trace=scenario.trace)
 
 
-def run_scenario(scenario: Scenario, trace_tx: bool = False) -> RunResult:
-    net = build_network(scenario, trace_tx=trace_tx)
+def run_scenario(scenario: Scenario) -> RunResult:
+    net = build_network(scenario)
     sim = net.sim
 
     recorders: list[FlowRecorder] = []

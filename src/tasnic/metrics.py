@@ -30,7 +30,6 @@ class DeliveredMessage:
     deliver_true_ns: int
     latency_ns: int
     hops: int
-    size: int
 
 
 @dataclass(slots=True)
@@ -63,7 +62,6 @@ class FlowRecorder:
             deliver_true_ns=msg.deliver_true_ns,
             latency_ns=latency,
             hops=msg.hops,
-            size=len(msg.data),
         ))
         self.bytes_delivered += len(msg.data)
 

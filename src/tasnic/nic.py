@@ -273,7 +273,6 @@ class NicPort:
             q.drops += 1
             self.network.count_drop(frame, "queue_overflow")
             return False
-        frame.meta.enqueue_ts = self.clock.read_ns(self.sim.now)
         q.frames.append(frame)
         q.enqueued += 1
         self.kick()
@@ -378,7 +377,6 @@ class NicPort:
             self.bucket.consume(frame.wire_bytes * 8, now)
         ser = serialization_ticks(frame.wire_bytes, self.rate_bps)
         tx_local = self.clock.read_ns(now)
-        frame.meta.tx_ts = tx_local
         if frame.ethertype == ETHERTYPE_PTP and self.network.ptp is not None:
             self.network.ptp.on_tx_start(self.node_id, frame, tx_local)  # one-step timestamp
         frame.stamp_fcs()

@@ -31,7 +31,7 @@ from .frame import ETHERTYPE_PTP, ETHERTYPE_RUNTIME, MAX_WIRE_BYTES, Frame, Fram
 from .nic import NicPort, TokenBucket
 from .ptp import PtpService
 from .qdisc import PriorityMap, classify, validate_map
-from .routing import DEFAULT_TTL, Verdict, next_hop
+from .routing import DEFAULT_TTL, next_hop
 from .runtime import NodeRuntime
 
 
@@ -91,26 +91,29 @@ class Node:
 
     def send_frame(self, frame: Frame) -> None:
         """Route and enqueue a locally-originated frame."""
-        dst = frame.meta.final_dst
-        if dst == self.node_id:
+        if frame.meta.final_dst == self.node_id:
             # loopback: no wire involved, just the host processing delay
             self.sim.after(self.network.host.processing_delay_ns,
                            lambda: self.runtime.on_frame(frame), label=f"loopback:{self.node_id}")
             return
-        decision = next_hop(self.network.topology, self.node_id, dst, ingress=None)
-        if decision.verdict != Verdict.FORWARD:
+        self._forward(frame, None)
+
+    def _forward(self, frame: Frame, ingress: PortKind | None) -> None:
+        """Route a frame that came in on ``ingress`` (None: originated here), burn
+        a TTL step, rewrite the hop MAC and enqueue it on the egress port."""
+        topology = self.network.topology
+        out_kind = next_hop(topology, self.node_id, frame.meta.final_dst, ingress)
+        if out_kind is None:
             self._drop(frame, "no_route")
             return
-        self._dispatch(frame, decision.out_port)
-
-    def _dispatch(self, frame: Frame, out_kind: PortKind) -> None:
-        """Rewrite the hop MAC, burn a TTL step and enqueue on the egress port."""
+        if ingress is not None:
+            self.counters.forwarded += 1
         if frame.meta.ttl <= 0:
             self._drop(frame, "ttl_expired")
             return
         frame.meta.ttl -= 1
         frame.meta.hops += 1
-        peer = self.network.topology.peer_of(self.node_id, out_kind)
+        peer = topology.peer_of(self.node_id, out_kind)
         frame.dst_mac = mac_of(abs_coords(peer[0]))
         if frame.meta.route is not None:
             frame.meta.route.append((self.node_id, out_kind.value))
@@ -150,13 +153,7 @@ class Node:
                            lambda: self.runtime.on_frame(frame),
                            label=f"hostrx:{self.node_id}")
             return
-        decision = next_hop(self.network.topology, self.node_id,
-                            frame.meta.final_dst, ingress)
-        if decision.verdict != Verdict.FORWARD:
-            self._drop(frame, "no_route")
-            return
-        self.counters.forwarded += 1
-        self._dispatch(frame, decision.out_port)
+        self._forward(frame, ingress)
 
 
 class Network:
@@ -165,15 +162,14 @@ class Network:
     def __init__(self, topology: Topology, sim: Simulator | None = None,
                  nic: NicSettings | None = None, host: HostSettings | None = None,
                  ptp: PtpSettings | None = None, priority_map: PriorityMap | None = None,
-                 drift_by_node: dict[NodeId, float] | None = None,
-                 trace_routes: bool = False, trace_tx: bool = False):
+                 drift_by_node: dict[NodeId, float] | None = None, trace: bool = False):
         self.topology = topology
         self.sim = sim if sim is not None else Simulator()
         self.nic = nic if nic is not None else NicSettings()
         self.host = host if host is not None else HostSettings()
         self.ptp_settings = ptp if ptp is not None else PtpSettings()
         self.priority_map = priority_map if priority_map is not None else PriorityMap()
-        self.trace_routes = trace_routes
+        self.trace = trace  # record each port's transmissions and each frame's route
         map_errors = validate_map(self.priority_map, self.nic.num_tx_queues,
                                   self.nic.time_aware_queues)
         if map_errors:
@@ -188,13 +184,13 @@ class Network:
             if self.host.injection_cap_bps:
                 node.bucket = TokenBucket(self.host.injection_cap_bps, MAX_WIRE_BYTES * 8)
             for kind in DATA_PORT_KINDS:
-                port = topology.port(node_id, kind)
-                if port.link is None:
+                link = topology.ports[node_id][kind]
+                if link is None:
                     continue
                 node.ports[kind] = NicPort(
-                    self, node_id, kind, port.link, clock, self.sim,
+                    self, node_id, kind, link, clock, self.sim,
                     self.nic.num_tx_queues, self.nic.queue_depth, node.bucket)
-                if trace_tx:
+                if trace:
                     node.ports[kind].trace = []
             self.nodes[node_id] = node
 
@@ -223,7 +219,7 @@ class Network:
     def _build_frame(self, src: Node, dst: NodeId, ethertype: int, payload: bytes,
                      pcp: int, local_origin: bool) -> Frame:
         meta = FrameMeta(final_dst=dst, ttl=DEFAULT_TTL, local_origin=local_origin,
-                         route=[] if self.trace_routes else None)
+                         route=[] if self.trace else None)
         return Frame(dst_mac=mac_of(abs_coords(dst)), src_mac=src.mac, pcp=pcp,
                      ethertype=ethertype, payload=pad_payload(payload), meta=meta)
 

@@ -13,12 +13,14 @@ assumed to be disseminated out-of-band on the management network).  When
 the chosen egress is down or equals the ingress anyway, the bypass tries
 the other dimension's port first, then any remaining live data port except
 the ingress; with nothing left the frame is dropped.
+
+``next_hop(topo, cur, dst, ingress)`` returns the egress ``PortKind``, or
+None when there is none: ``cur`` is ``dst``, ``dst`` is not a populated
+node, or no live port is left.  The result depends only on its arguments
+and the current link states.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from enum import Enum
 
 from .fabric import (
     DATA_PORT_KINDS,
@@ -32,25 +34,8 @@ from .fabric import (
 DEFAULT_TTL = 64
 
 
-class Verdict(Enum):
-    LOCAL = "local"
-    FORWARD = "forward"
-    DROP = "drop"
-
-
-@dataclass(slots=True, frozen=True)
-class ForwardDecision:
-    verdict: Verdict
-    out_port: PortKind | None = None
-    reason: str | None = None
-
-
-LOCAL = ForwardDecision(Verdict.LOCAL)
-
-
 def _port_up(topo: Topology, node: NodeId, kind: PortKind) -> bool:
-    port = topo.ports[node].get(kind)
-    return port is not None and port.link is not None and port.link.up
+    return (link := topo.ports[node][kind]) is not None and link.up
 
 
 def _steer_within_tile(cur: NodeId, target_lrc: int, target_lcc: int) -> PortKind | None:
@@ -95,33 +80,33 @@ def _preferred_port(topo: Topology, cur: NodeId, dst: NodeId) -> PortKind | None
 _BYPASS_AFTER = {
     PortKind.INTRA_H: (PortKind.INTRA_V, PortKind.EXTERNAL),
     PortKind.INTRA_V: (PortKind.INTRA_H, PortKind.EXTERNAL),
-    # blocked east/west crossing: try the vertical dimension first, and
-    # vice versa for a blocked south/north crossing
-    "EW": (PortKind.INTRA_V, PortKind.INTRA_H),
-    "SN": (PortKind.INTRA_H, PortKind.INTRA_V),
+}
+# a blocked external port, by its owner's local position: an east/west
+# crossing tries the vertical dimension first, a south/north one the horizontal
+_BYPASS_EXTERNAL = {
+    pos: ((PortKind.INTRA_V, PortKind.INTRA_H) if direction in ("E", "W")
+          else (PortKind.INTRA_H, PortKind.INTRA_V))
+    for pos, direction in EXTERNAL_DIRECTION.items()
 }
 
 
 def next_hop(topo: Topology, cur: NodeId, dst: NodeId,
-             ingress: PortKind | None = None) -> ForwardDecision:
-    """Forwarding decision at ``cur`` for a frame destined to ``dst``."""
-    if not topo.has_node(dst):
-        return ForwardDecision(Verdict.DROP, reason="no-route")
-    if cur == dst:
-        return LOCAL
+             ingress: PortKind | None = None) -> PortKind | None:
+    """Egress port at ``cur`` for a frame destined to ``dst``; None when there is none."""
+    if cur == dst or not topo.has_node(dst):
+        return None
 
     preferred = _preferred_port(topo, cur, dst)
     if preferred is not None and preferred != ingress and _port_up(topo, cur, preferred):
-        return ForwardDecision(Verdict.FORWARD, preferred)
+        return preferred
 
     if preferred is None:
         candidates: tuple[PortKind, ...] = DATA_PORT_KINDS
     elif preferred == PortKind.EXTERNAL:
-        own_direction = EXTERNAL_DIRECTION[(cur.lrc, cur.lcc)]
-        candidates = _BYPASS_AFTER["EW" if own_direction in ("E", "W") else "SN"]
+        candidates = _BYPASS_EXTERNAL[(cur.lrc, cur.lcc)]
     else:
         candidates = _BYPASS_AFTER[preferred]
     for kind in candidates:
         if kind != ingress and kind != preferred and _port_up(topo, cur, kind):
-            return ForwardDecision(Verdict.FORWARD, kind)
-    return ForwardDecision(Verdict.DROP, reason="no-route")
+            return kind
+    return None

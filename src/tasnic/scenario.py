@@ -64,7 +64,7 @@ def _expect(value, kind: type, path: str, errors: list[str]):
 def _int(value, path: str, errors: list[str]) -> int:
     try:
         return int(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise _malformed(value, "an integer", path, errors) from None
 
 
@@ -230,8 +230,15 @@ def parse_scenario(doc: dict) -> Scenario:
             populated = []
             for i, v in enumerate(_expect(grid["populated"], list, "grid.populated", errors)):
                 n = _parse_node(v, f"grid.populated[{i}]", errors)
-                if n is not None:
-                    populated.append(n)
+                if n is None:
+                    continue
+                if not (0 <= n.grc < g_r and 0 <= n.gcc < g_c and n.lrc in (0, 1)
+                        and n.lcc in (0, 1)):
+                    errors.append(f"grid.populated[{i}]: {n} is outside the {g_r}x{g_c} grid")
+                    continue
+                populated.append(n)
+            if not grid["populated"]:
+                errors.append("grid.populated: must name at least one node")
         sc.grid = GridSpec(g_r, g_c, populated, None)
 
     link = _expect(doc.get("link", {}), dict, "link", errors)
@@ -249,6 +256,11 @@ def parse_scenario(doc: dict) -> Scenario:
         injection_cap_bps=None if cap in (None, 0) else _int(cap, "host.injection_cap_bps", errors),
         processing_delay_ns=_int(host.get("processing_delay_ns", 10_000),
                                  "host.processing_delay_ns", errors))
+    if sc.host.injection_cap_bps is not None and sc.host.injection_cap_bps < 0:
+        errors.append(f"host.injection_cap_bps: {sc.host.injection_cap_bps} must be >= 0"
+                      " (0 or null: uncapped)")
+    if sc.host.processing_delay_ns < 0:
+        errors.append(f"host.processing_delay_ns: {sc.host.processing_delay_ns} must be >= 0")
 
     ptp = _expect(doc.get("ptp", {}), dict, "ptp", errors)
     gm = None
@@ -266,6 +278,8 @@ def parse_scenario(doc: dict) -> Scenario:
         errors.append(f"ptp.interval_ms: {sc.ptp.interval_ms} must be >= 1")
     if sc.ptp.quantization_ns < 1:
         errors.append(f"ptp.quantization_ns: {sc.ptp.quantization_ns} must be >= 1")
+    if sc.ptp.convergence_rounds < 0:
+        errors.append(f"ptp.convergence_rounds: {sc.ptp.convergence_rounds} must be >= 0")
 
     nic = _expect(doc.get("nic", {}), dict, "nic", errors)
     sc.nic = NicSettings(
@@ -314,7 +328,7 @@ def parse_scenario(doc: dict) -> Scenario:
         if not topo.has_node(node):
             errors.append(f"{path}.node: {node} is not populated")
             continue
-        if topo.port(node, port).link is None:
+        if topo.ports[node][port] is None:
             errors.append(f"{path}: node {node} port {port.value} is not connected")
             continue
         entries = []

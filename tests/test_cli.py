@@ -50,8 +50,17 @@ def test_validate_error_exit_one(tmp_path, capsys):
      "ptp.drift_ppm.seeded_max_ppm: 'x' is not a number"),
     ({"ptp": {"drift_ppm": {"default": 1.0, "0.0.0.1": [2]}}},
      "ptp.drift_ppm.0.0.0.1: [2] is not a number"),
+    ({"duration_ns": 1e400}, "duration_ns: inf is not an integer"),
+    ({"link": {"prop_delay_ns": 1e400}}, "link.prop_delay_ns: inf is not an integer"),
+    ({"grid": {"populated": []}}, "grid.populated: must name at least one node"),
+    ({"grid": {"populated": ["5.0.0.0"]}}, "grid.populated[0]: 5.0.0.0 is outside the 1x1 grid"),
+    ({"host": {"processing_delay_ns": -1}}, "host.processing_delay_ns: -1 must be >= 0"),
+    ({"host": {"injection_cap_bps": -5}}, "host.injection_cap_bps: -5 must be >= 0"),
+    ({"ptp": {"convergence_rounds": -5}}, "ptp.convergence_rounds: -5 must be >= 0"),
 ], ids=["grid_G_r", "flow_item", "schedule_entry", "time_aware_queues",
-        "drift_string", "drift_seeded_max", "drift_per_node"])
+        "drift_string", "drift_seeded_max", "drift_per_node",
+        "duration_inf", "prop_delay_inf", "populated_empty", "populated_outside_grid",
+        "processing_delay_negative", "injection_cap_negative", "convergence_rounds_negative"])
 def test_malformed_scenario_is_a_validation_error(tmp_path, doc, message):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))

@@ -99,10 +99,10 @@ def test_build_1x3_east_west_wiring():
 def test_port_peer_symmetry(dims):
     topo = build_topology(*dims)
     for n in topo.nodes:
-        for kind, port in topo.ports[n].items():
-            if port.link is None:
+        for kind, link in topo.ports[n].items():
+            if link is None:
                 continue
-            peer_node, peer_kind = port.link.other_end(n)
+            peer_node, peer_kind = link.other_end(n)
             back = topo.peer_of(peer_node, peer_kind)
             assert back == (n, kind)
 
@@ -113,9 +113,9 @@ def test_every_node_has_three_data_ports_and_mgmt():
         kinds = set(topo.ports[n])
         assert kinds == {PortKind.INTRA_H, PortKind.INTRA_V,
                          PortKind.EXTERNAL, PortKind.MGMT}
-        assert topo.ports[n][PortKind.MGMT].link is None
+        assert topo.ports[n][PortKind.MGMT] is None
         for k in (PortKind.INTRA_H, PortKind.INTRA_V, PortKind.EXTERNAL):
-            assert topo.ports[n][k].link is not None
+            assert topo.ports[n][k] is not None
 
 
 def test_tile_plus_two_shape():
@@ -127,8 +127,8 @@ def test_tile_plus_two_shape():
     assert topo.peer_of(west_ext, PortKind.EXTERNAL) == (NodeId(0, 1, 0, 0), PortKind.EXTERNAL)
     assert topo.peer_of(east_ext, PortKind.EXTERNAL) == (NodeId(0, 1, 1, 1), PortKind.EXTERNAL)
     # the extras' intra-tile ports have no peers
-    assert topo.ports[west_ext][PortKind.INTRA_H].link is None
-    assert topo.ports[west_ext][PortKind.INTRA_V].link is None
+    assert topo.ports[west_ext][PortKind.INTRA_H] is None
+    assert topo.ports[west_ext][PortKind.INTRA_V] is None
 
 
 def test_link_up_throughout_interval_logic():

@@ -59,9 +59,9 @@ def test_latency_is_never_negative_beyond_quantization():
 def test_injection_respects_cap_over_sliding_windows():
     doc = small_doc(flows=[
         {"src": "0.0.0.0", "dst": "0.0.1.1", "pcp": 2, "backlogged": True}],
-        duration_ns=50_000_000)
+        duration_ns=50_000_000, trace=True)
     sc = parse_scenario(doc)
-    res = run_scenario(sc, trace_tx=True)
+    res = run_scenario(sc)
     cap = sc.host.injection_cap_bps
     port = res.network.nodes[NodeId(0, 0, 0, 0)].ports[PortKind.INTRA_H]
     window = 10_000_000  # 10 ms

@@ -310,9 +310,31 @@ def test_forward_rewrites_destination_mac_to_peer():
                   host=HostSettings(injection_cap_bps=None))
     src = net.nodes[NodeId(1, 2, 0, 0)]
     frame = net.build_runtime_frame(src, NodeId(1, 2, 0, 1), bytes(64), pcp=0)
-    src._dispatch(frame, PortKind.INTRA_H)
+    src._forward(frame, None)
     assert frame.dst_mac == bytes((0x02, 0, 0, 0, 2, 5))
     assert frame.meta.ttl == 63
+
+
+@pytest.mark.parametrize("at", ["origin", "transit"])
+def test_forward_without_live_egress_drops_no_route(at):
+    # 0.0.0.0 -> 0.0.1.1 goes out intra_h to 0.0.0.1, then intra_v.  At the
+    # origin every egress is down; at the transit node every egress but the
+    # ingress (intra_h) is.
+    topo = build_topology(1, 1)
+    net = Network(topo, ptp=PtpSettings(enabled=False),
+                  host=HostSettings(injection_cap_bps=None))
+    src, transit, dst = NodeId(0, 0, 0, 0), NodeId(0, 0, 0, 1), NodeId(0, 0, 1, 1)
+    dropper = src if at == "origin" else transit
+    for kind, link in topo.ports[dropper].items():
+        if link is not None and not (at == "transit" and kind == PortKind.INTRA_H):
+            link.set_state(False, 0)
+    net.nodes[src].send_frame(net.build_runtime_frame(net.nodes[src], dst, bytes(64), pcp=0))
+    net.sim.run_until(1_000_000)
+    assert net.nodes[dropper].counters.drops == {"no_route": 1}
+    assert net.drops_by_cause == {"no_route": 1}
+    assert net.nodes[dropper].counters.rx_frames == (at == "transit")
+    assert all(node.counters.forwarded == 0 for node in net.nodes.values())
+    assert net.nodes[dst].counters.rx_frames == 0
 
 
 def test_ttl_expiry_drops_at_next_forwarder():

@@ -3,7 +3,7 @@ from collections import deque
 import pytest
 
 from tasnic.fabric import NodeId, PortKind, build_topology, tile_plus_two_nodes
-from tasnic.routing import Verdict, next_hop
+from tasnic.routing import next_hop
 
 # ---------------------------------------------------------------------------
 # Independent straight-line reimplementation of the routing rule, used as the
@@ -14,7 +14,7 @@ _OWNER = {"E": (1, 1), "W": (0, 0), "N": (0, 1), "S": (1, 0)}
 
 
 def oracle_port(topo, cur, dst):
-    """Expected egress port kind on a fault-free fabric; None means local."""
+    """Expected egress port kind on a fault-free fabric; None at the destination."""
     if cur == dst:
         return None
     if dst.gcc != cur.gcc:
@@ -43,16 +43,16 @@ def walk(topo, src, dst, ttl=64):
     visited = set()
     path = [cur]
     for _ in range(ttl):
-        decision = next_hop(topo, cur, dst, ingress)
-        if decision.verdict == Verdict.LOCAL:
+        if cur == dst:
             return path
-        if decision.verdict == Verdict.DROP:
+        out_port = next_hop(topo, cur, dst, ingress)
+        if out_port is None:
             return None
-        key = (cur, decision.out_port)
+        key = (cur, out_port)
         if key in visited:
             return None
         visited.add(key)
-        peer = topo.peer_of(cur, decision.out_port)
+        peer = topo.peer_of(cur, out_port)
         if peer is None:
             return None
         cur, ingress = peer
@@ -67,11 +67,10 @@ def bfs_distance(topo, src, dst):
         n = frontier.popleft()
         if n == dst:
             return dist[n]
-        for kind in topo.ports[n]:
-            port = topo.ports[n][kind]
-            if port.link is None or not port.link.up:
+        for link in topo.ports[n].values():
+            if link is None or not link.up:
                 continue
-            peer, _ = port.link.other_end(n)
+            peer, _ = link.other_end(n)
             if peer not in dist:
                 dist[peer] = dist[n] + 1
                 frontier.append(peer)
@@ -84,15 +83,15 @@ def bfs_distance(topo, src, dst):
 def test_destination_reached_is_local():
     topo = build_topology(1, 1)
     n = NodeId(0, 0, 0, 0)
-    assert next_hop(topo, n, n).verdict == Verdict.LOCAL
+    assert next_hop(topo, n, n) is None
 
 
 def test_neighbor_goes_out_the_joining_port():
     topo = build_topology(1, 1)
     src, dst = NodeId(0, 0, 0, 0), NodeId(0, 0, 0, 1)
-    decision = next_hop(topo, src, dst)
-    assert decision.verdict == Verdict.FORWARD
-    assert topo.peer_of(src, decision.out_port)[0] == dst
+    out_port = next_hop(topo, src, dst)
+    assert out_port is not None
+    assert topo.peer_of(src, out_port)[0] == dst
     assert bfs_distance(topo, src, dst) == 1
 
 
@@ -101,8 +100,7 @@ def test_shorter_wrap_direction_wins():
     topo = build_topology(1, 3)
     src = NodeId(0, 0, 0, 0)  # the west-port owner itself
     dst = NodeId(0, 2, 0, 0)
-    decision = next_hop(topo, src, dst)
-    assert decision.out_port == PortKind.EXTERNAL
+    assert next_hop(topo, src, dst) == PortKind.EXTERNAL
     assert topo.peer_of(src, PortKind.EXTERNAL)[0].gcc == 2
 
 
@@ -110,15 +108,12 @@ def test_column_tie_breaks_east():
     topo = build_topology(1, 2)
     src = NodeId(0, 0, 1, 1)  # east-port owner; distances tie at 1
     dst = NodeId(0, 1, 0, 0)
-    decision = next_hop(topo, src, dst)
-    assert decision.out_port == PortKind.EXTERNAL
+    assert next_hop(topo, src, dst) == PortKind.EXTERNAL
 
 
 def test_unknown_destination_drops():
     topo = tile_plus_two_nodes()
-    decision = next_hop(topo, NodeId(0, 1, 0, 0), NodeId(0, 0, 0, 0))
-    assert decision.verdict == Verdict.DROP
-    assert decision.reason == "no-route"
+    assert next_hop(topo, NodeId(0, 1, 0, 0), NodeId(0, 0, 0, 0)) is None
 
 
 @pytest.mark.parametrize("dims", [(2, 2), (1, 3)])
@@ -127,13 +122,7 @@ def test_oracle_equivalence_all_pairs(dims):
     checked = 0
     for src in topo.nodes:
         for dst in topo.nodes:
-            expected = oracle_port(topo, src, dst)
-            decision = next_hop(topo, src, dst)
-            if expected is None:
-                assert decision.verdict == Verdict.LOCAL
-            else:
-                assert decision.verdict == Verdict.FORWARD
-                assert decision.out_port == expected, (src, dst)
+            assert next_hop(topo, src, dst) == oracle_port(topo, src, dst), (src, dst)
             checked += 1
     assert checked == len(topo.nodes) ** 2
 
@@ -151,9 +140,9 @@ def test_preferred_port_faulty_uses_alternative_and_delivers():
     src, dst = NodeId(0, 0, 0, 0), NodeId(0, 0, 0, 1)
     direct = topo.link_between(src, dst)
     direct.set_state(False, 0)
-    decision = next_hop(topo, src, dst)
-    assert decision.verdict == Verdict.FORWARD
-    assert decision.out_port != PortKind.INTRA_H
+    out_port = next_hop(topo, src, dst)
+    assert out_port is not None
+    assert out_port != PortKind.INTRA_H
     path = walk(topo, src, dst)
     assert path is not None and path[-1] == dst
     direct.set_state(True, 0)
@@ -191,11 +180,11 @@ def test_never_selects_ingress_port():
         for dst in topo.nodes:
             cur, ingress = src, None
             for _ in range(64):
-                decision = next_hop(topo, cur, dst, ingress)
-                if decision.verdict != Verdict.FORWARD:
+                out_port = next_hop(topo, cur, dst, ingress)
+                if out_port is None:
                     break
-                assert decision.out_port != ingress
-                cur, ingress = topo.peer_of(cur, decision.out_port)
+                assert out_port != ingress
+                cur, ingress = topo.peer_of(cur, out_port)
 
 
 def test_tile_plus_two_path_is_four_hops_each_way():
