@@ -252,10 +252,7 @@ def emit_report(result: RunResult, fmt: str, out_dir: str | Path) -> list[Path]:
         for node_id in sorted(result.network.nodes):
             node = result.network.nodes[node_id]
             for kind in sorted(node.ports, key=lambda k: k.value):
-                port = node.ports[kind]
-                if port.trace is None:
-                    continue
-                for rec in port.trace:
+                for rec in node.ports[kind].trace:
                     lines.append(json.dumps({
                         "node": str(node_id), "port": kind.value,
                         "true_start": rec.true_start, "local_start": rec.local_start,
