@@ -9,40 +9,32 @@ injection budget at 2.25 Gbps the high-priority flow should land near
 """
 
 import argparse
+import json
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
 
 from tasnic.harness import emit_report, run_scenario
 from tasnic.scenario import parse_scenario
 
 
-def scenario_doc(duration_ms: int, slot_us: int, seed: int) -> dict:
-    return {
-        "grid": {"preset": "tile_plus_two"},
-        "ptp": {"drift_ppm": {"seeded_max_ppm": 10}},
-        "schedules": [{"node": "0.0.1.1", "port": "external", "window_us": 100,
-                       "entries": [[2, slot_us]]}],
-        "flows": [
-            {"src": "0.0.1.1", "dst": "0.2.0.0", "pcp": 2, "backlogged": True},
-            {"src": "0.0.1.1", "dst": "0.2.0.0", "pcp": 0, "backlogged": True},
-        ],
-        "duration_ns": duration_ms * 1_000_000,
-        "seed": seed,
-    }
-
-
 def main() -> int:
+    doc = json.loads((ROOT / "scenarios" / "bandwidth_partition.json").read_text())
+    schedule = doc["schedules"][0]
+    slot = schedule["entries"][0]  # [queue, slot_us] of the high-priority queue
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--duration-ms", type=int, default=200)
-    parser.add_argument("--slot-us", type=int, default=90)
-    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--duration-ms", type=int, default=doc["duration_ns"] // 1_000_000)
+    parser.add_argument("--slot-us", type=int, default=slot[1])
+    parser.add_argument("--seed", type=int, default=doc["seed"])
     parser.add_argument("--out", default=None, help="also write a JSON report here")
     args = parser.parse_args()
+    doc["duration_ns"] = args.duration_ms * 1_000_000
+    slot[1] = args.slot_us
+    doc["seed"] = args.seed
 
-    scenario = parse_scenario(scenario_doc(args.duration_ms, args.slot_us, args.seed))
-    result = run_scenario(scenario)
+    result = run_scenario(parse_scenario(doc))
     report = result.report()
 
     print(f"{'flow':>4} {'pcp':>3} {'goodput_gbps':>12} {'delivered':>9} {'drops':>6}")
@@ -54,7 +46,7 @@ def main() -> int:
               f"{flow['dropped_frames']:>6}")
     hi = report["flows"][0]["goodput_bps"]
     print(f"\nhigh-priority share of combined goodput: {hi/combined:.4f}"
-          f"  (slot fraction {args.slot_us/100:.2f})")
+          f"  (slot fraction {args.slot_us / schedule['window_us']:.2f})")
     if args.out:
         for path in emit_report(result, "json", args.out):
             print(f"wrote {path}")

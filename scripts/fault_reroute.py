@@ -8,35 +8,30 @@ latency rises accordingly while delivery stays complete.
 """
 
 import argparse
+import json
 import statistics
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
 
 from tasnic.harness import run_scenario
 from tasnic.scenario import parse_scenario
 
 
 def main() -> int:
+    doc = json.loads((ROOT / "scenarios" / "fault_reroute.json").read_text())
+    flow, fault = doc["flows"][0], doc["faults"][0]
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--rate-mbps", type=int, default=200)
-    parser.add_argument("--duration-ms", type=int, default=200)
-    parser.add_argument("--seed", type=int, default=7)
+    parser.add_argument("--rate-mbps", type=int, default=flow["offered_rate_bps"] // 1_000_000)
+    parser.add_argument("--duration-ms", type=int, default=doc["duration_ns"] // 1_000_000)
+    parser.add_argument("--seed", type=int, default=doc["seed"])
     args = parser.parse_args()
-
-    duration = args.duration_ms * 1_000_000
-    fault_t = duration // 2
-    doc = {
-        "grid": {"preset": "tile_plus_two"},
-        "ptp": {"drift_ppm": {"seeded_max_ppm": 10}},
-        "flows": [{"src": "0.0.1.1", "dst": "0.2.0.0", "pcp": 2,
-                   "offered_rate_bps": args.rate_mbps * 1_000_000}],
-        "faults": [{"a": "0.1.0.1", "b": "0.1.1.1",
-                    "time_ns": fault_t, "state": "down"}],
-        "duration_ns": duration,
-        "seed": args.seed,
-    }
+    flow["offered_rate_bps"] = args.rate_mbps * 1_000_000
+    doc["duration_ns"] = args.duration_ms * 1_000_000
+    fault["time_ns"] = fault_t = doc["duration_ns"] // 2
+    doc["seed"] = args.seed
     result = run_scenario(parse_scenario(doc))
     rec = result.recorders[0]
     pre = [m for m in rec.messages if m.deliver_true_ns < fault_t]

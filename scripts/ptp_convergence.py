@@ -7,10 +7,12 @@ worst true divergence from the grandmaster after the convergence horizon.
 """
 
 import argparse
+import json
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
 
 from tasnic.engine import TICKS_PER_S
 from tasnic.harness import run_scenario
@@ -18,23 +20,20 @@ from tasnic.scenario import parse_scenario
 
 
 def main() -> int:
+    doc = json.loads((ROOT / "scenarios" / "ptp_defaults.json").read_text())
+    ptp = doc["ptp"]
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--seconds", type=int, default=10)
-    parser.add_argument("--max-drift-ppm", type=float, default=10.0)
-    parser.add_argument("--interval-ms", type=int, default=250)
-    parser.add_argument("--seed", type=int, default=11)
+    parser.add_argument("--seconds", type=int, default=doc["duration_ns"] // TICKS_PER_S)
+    parser.add_argument("--max-drift-ppm", type=float,
+                        default=ptp["drift_ppm"]["seeded_max_ppm"])
+    parser.add_argument("--interval-ms", type=int, default=ptp["interval_ms"])
+    parser.add_argument("--seed", type=int, default=doc["seed"])
     args = parser.parse_args()
-
-    doc = {
-        "grid": {"G_r": 1, "G_c": 1},
-        "ptp": {"interval_ms": args.interval_ms,
-                "drift_ppm": {"seeded_max_ppm": args.max_drift_ppm}},
-        "flows": [],
-        "duration_ns": args.seconds * TICKS_PER_S,
-        "seed": args.seed,
-    }
-    scenario = parse_scenario(doc)
-    result = run_scenario(scenario)
+    doc["duration_ns"] = args.seconds * TICKS_PER_S
+    ptp["drift_ppm"]["seeded_max_ppm"] = args.max_drift_ppm
+    ptp["interval_ms"] = args.interval_ms
+    doc["seed"] = args.seed
+    result = run_scenario(parse_scenario(doc))
     net = result.network
 
     print(f"grandmaster: {net.ptp.grandmaster}")

@@ -84,6 +84,9 @@ def decode_id(value: int) -> NodeId:
     return NodeId((value >> 24) & 0xFF, (value >> 16) & 0xFF, (value >> 8) & 0xFF, value & 0xFF)
 
 
+MAX_GRID_DIM = 128  # tiles per dimension: the absolute row 2*Grc+Lrc must fit one MAC byte
+
+
 def abs_coords(node_id: NodeId) -> GridCoord:
     return GridCoord(node_id.grc * 2 + node_id.lrc, node_id.gcc * 2 + node_id.lcc)
 

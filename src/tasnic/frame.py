@@ -54,7 +54,6 @@ class FrameMeta:
     frag_index: int | None = None
     send_local_ts: int | None = None  # sender clock at send_msg time
     send_true_ns: int | None = None
-    rx_ts: int | None = None
     hops: int = 0
     route: list[tuple[NodeId, str]] | None = None
 

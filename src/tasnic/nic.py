@@ -310,7 +310,7 @@ class NicPort:
             return
         self._clear_wake()
         if nxt is not None:
-            self._transmit(nxt, now)
+            self._transmit(nxt, now, local)
 
     def _decide(self, local: int, now: SimTime) -> TxQueue | SimTime | None:
         """The queue to transmit from now, else the true wake time, else None."""
@@ -370,16 +370,14 @@ class NicPort:
         ready = self.bucket.ready_time(frame.wire_bytes * 8, now)
         return None if ready <= now else ready
 
-    def _transmit(self, q: TxQueue, now: SimTime) -> None:
+    def _transmit(self, q: TxQueue, now: SimTime, tx_local: int) -> None:
         frame = q.frames.popleft()
         q.dequeued += 1
         if self.bucket is not None and frame.meta.local_origin:
             self.bucket.consume(frame.wire_bytes * 8, now)
         ser = serialization_ticks(frame.wire_bytes, self.rate_bps)
-        tx_local = self.clock.read_ns(now)
         if frame.ethertype == ETHERTYPE_PTP and self.network.ptp is not None:
             self.network.ptp.on_tx_start(self.node_id, frame, tx_local)  # one-step timestamp
-        frame.stamp_fcs()
         if self.trace is not None:
             self.trace.append(TxRecord(now, tx_local, q.index, frame.wire_bytes,
                                        ser, frame.meta.flow_id))

@@ -1,8 +1,10 @@
 """Living simulation composition: nodes with NIC ports over a fabric.
 
 A Node glues together its local clock, the per-port NIC egress machinery,
-the messaging runtime and the RX pipeline (CRC check, local delivery with
-a fixed host processing delay, or software forwarding with MAC rewrite).
+the messaging runtime and the RX pipeline (FCS check of frames that carry
+one, local delivery with a fixed host processing delay, or software
+forwarding).  A frame's ``dst_mac`` names its final destination for the
+whole path; routing reads ``FrameMeta.final_dst``.
 The Network owns the shared pieces: the event engine, the topology and its
 link state, the sync service, frame delivery across links, and global
 offered/delivered/drop accounting.  Frames are observed in one way: the
@@ -24,7 +26,6 @@ from .fabric import (
     PortKind,
     Topology,
     abs_coords,
-    encode_id,
     mac_of,
 )
 from .frame import ETHERTYPE_PTP, ETHERTYPE_RUNTIME, MAX_WIRE_BYTES, Frame, FrameMeta, pad_payload
@@ -73,9 +74,7 @@ class Node:
                  priority_map: PriorityMap):
         self.network = network
         self.node_id = node_id
-        self.coord = abs_coords(node_id)
-        self.mac = mac_of(self.coord)
-        self.encoded = encode_id(node_id)
+        self.mac = mac_of(abs_coords(node_id))
         self.clock = clock
         self.priority_map = priority_map
         self.counters = NodeCounters()
@@ -100,9 +99,8 @@ class Node:
 
     def _forward(self, frame: Frame, ingress: PortKind | None) -> None:
         """Route a frame that came in on ``ingress`` (None: originated here), burn
-        a TTL step, rewrite the hop MAC and enqueue it on the egress port."""
-        topology = self.network.topology
-        out_kind = next_hop(topology, self.node_id, frame.meta.final_dst, ingress)
+        a TTL step and enqueue it on the egress port."""
+        out_kind = next_hop(self.network.topology, self.node_id, frame.meta.final_dst, ingress)
         if out_kind is None:
             self._drop(frame, "no_route")
             return
@@ -113,8 +111,6 @@ class Node:
             return
         frame.meta.ttl -= 1
         frame.meta.hops += 1
-        peer = topology.peer_of(self.node_id, out_kind)
-        frame.dst_mac = mac_of(abs_coords(peer[0]))
         if frame.meta.route is not None:
             frame.meta.route.append((self.node_id, out_kind.value))
         port = self.ports[out_kind]
@@ -131,14 +127,9 @@ class Node:
 
     def handle_rx(self, frame: Frame, ingress: PortKind) -> None:
         self.counters.rx_frames += 1
-        if not frame.fcs_ok():
+        if frame.fcs is not None and not frame.fcs_ok():
             self._drop(frame, "crc")
             return
-        if frame.dst_mac != self.mac:
-            self._drop(frame, "mac_mismatch")
-            return
-        now = self.sim.now
-        frame.meta.rx_ts = self.clock.read_ns(now)
         if frame.meta.final_dst == self.node_id:
             self.counters.delivered_local += 1
             if frame.meta.route is not None:
@@ -146,7 +137,7 @@ class Node:
             if frame.ethertype == ETHERTYPE_PTP:
                 # hardware fast path: the sync agent sees the frame directly
                 if self.network.ptp is not None:
-                    self.network.ptp.on_frame(self, frame)
+                    self.network.ptp.on_frame(self, frame, self.clock.read_ns(self.sim.now))
                 return
             self.network.count_frame_delivered(frame)
             self.sim.after(self.network.host.processing_delay_ns,

@@ -123,21 +123,22 @@ class PtpService:
 
     # -- protocol handlers --------------------------------------------------
 
-    def on_frame(self, node: "Node", frame: Frame) -> None:
+    def on_frame(self, node: "Node", frame: Frame, rx_local: int) -> None:
+        """Handle a sync frame delivered to ``node``, received at local time ``rx_local``."""
         msg = PtpMessage.unpack(frame.payload)
-        rx_ts = frame.meta.rx_ts
         if msg.msg_type == MSG_SYNC and node.node_id in self.slaves:
             state = self.slaves[node.node_id]
             if state.pending_id != msg.exchange_id:
                 return
             state.pending.t1 = msg.origin_timestamp
-            state.pending.t2 = rx_ts
+            state.pending.t2 = rx_local
             self._send(node.node_id, self.grandmaster, PtpMessage(MSG_DELAY_REQ, 0, msg.exchange_id))
         elif msg.msg_type == MSG_DELAY_REQ and node.node_id == self.grandmaster:
             slave = self._id_to_slave.get(msg.exchange_id)
             if slave is None:
                 return
-            self._send(self.grandmaster, slave, PtpMessage(MSG_DELAY_RESP, rx_ts, msg.exchange_id))
+            self._send(self.grandmaster, slave,
+                       PtpMessage(MSG_DELAY_RESP, rx_local, msg.exchange_id))
         elif msg.msg_type == MSG_DELAY_RESP and node.node_id in self.slaves:
             state = self.slaves[node.node_id]
             ex = state.pending

@@ -18,8 +18,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .fabric import (
+    AddressError,
     DEFAULT_LINK_RATE_BPS,
     DEFAULT_PROP_DELAY_NS,
+    MAX_GRID_DIM,
     NodeId,
     PortKind,
     Topology,
@@ -43,8 +45,8 @@ def _parse_node(value, path: str, errors: list[str]) -> NodeId | None:
         if isinstance(value, str):
             return NodeId.parse(value)
         if isinstance(value, (list, tuple)) and len(value) == 4:
-            return NodeId(*(int(v) for v in value))
-    except Exception:
+            return NodeId(*(_int(v, path, errors) for v in value))
+    except (AddressError, ScenarioError, ValueError):
         pass
     errors.append(f"{path}: {value!r} is not a node id")
     return None
@@ -62,10 +64,18 @@ def _expect(value, kind: type, path: str, errors: list[str]):
 
 
 def _int(value, path: str, errors: list[str]) -> int:
-    try:
+    """A JSON integer, or a float with an integral value; never a bool or a string."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and value.is_integer():
         return int(value)
-    except (TypeError, ValueError, OverflowError):
-        raise _malformed(value, "an integer", path, errors) from None
+    raise _malformed(value, "an integer", path, errors)
+
+
+def _bool(value, path: str, errors: list[str]) -> bool:
+    if not isinstance(value, bool):
+        raise _malformed(value, "a boolean", path, errors)
+    return value
 
 
 def _ints(value, path: str, errors: list[str]) -> tuple[int, ...]:
@@ -222,9 +232,9 @@ def parse_scenario(doc: dict) -> Scenario:
     else:
         g_r = _int(grid.get("G_r", 1), "grid.G_r", errors)
         g_c = _int(grid.get("G_c", 1), "grid.G_c", errors)
-        if g_r < 1 or g_c < 1:
-            errors.append(f"grid: dimensions {g_r}x{g_c} must be >= 1")
-            g_r, g_c = max(g_r, 1), max(g_c, 1)
+        if not (1 <= g_r <= MAX_GRID_DIM and 1 <= g_c <= MAX_GRID_DIM):
+            errors.append(f"grid: dimensions {g_r}x{g_c} must be in 1..{MAX_GRID_DIM}")
+            g_r, g_c = (min(max(d, 1), MAX_GRID_DIM) for d in (g_r, g_c))
         populated = None
         if grid.get("populated") is not None:
             populated = []
@@ -252,8 +262,10 @@ def parse_scenario(doc: dict) -> Scenario:
 
     host = _expect(doc.get("host", {}), dict, "host", errors)
     cap = host.get("injection_cap_bps", 2_250_000_000)
+    if cap is not None:
+        cap = _int(cap, "host.injection_cap_bps", errors) or None  # 0: uncapped
     sc.host = HostSettings(
-        injection_cap_bps=None if cap in (None, 0) else _int(cap, "host.injection_cap_bps", errors),
+        injection_cap_bps=cap,
         processing_delay_ns=_int(host.get("processing_delay_ns", 10_000),
                                  "host.processing_delay_ns", errors))
     if sc.host.injection_cap_bps is not None and sc.host.injection_cap_bps < 0:
@@ -267,7 +279,7 @@ def parse_scenario(doc: dict) -> Scenario:
     if ptp.get("grandmaster") is not None:
         gm = _parse_node(ptp["grandmaster"], "ptp.grandmaster", errors)
     sc.ptp = PtpSettings(
-        enabled=bool(ptp.get("enabled", True)),
+        enabled=_bool(ptp.get("enabled", True), "ptp.enabled", errors),
         grandmaster=gm,
         interval_ms=_int(ptp.get("interval_ms", 250), "ptp.interval_ms", errors),
         quantization_ns=_int(ptp.get("quantization_ns", 8), "ptp.quantization_ns", errors),
@@ -305,7 +317,7 @@ def parse_scenario(doc: dict) -> Scenario:
     if sc.duration_ns < 1:
         errors.append(f"duration_ns: {sc.duration_ns} must be >= 1")
     sc.seed = _int(doc.get("seed", 0), "seed", errors)
-    sc.trace = bool(doc.get("trace", False))
+    sc.trace = _bool(doc.get("trace", False), "trace", errors)
 
     if errors:
         raise ScenarioError(errors)
@@ -392,7 +404,7 @@ def parse_scenario(doc: dict) -> Scenario:
             errors.append(f"{path}.start: {start} outside the run duration")
         if stop_val is not None and not start < stop_val <= sc.duration_ns:
             errors.append(f"{path}.stop: {stop_val} must be in (start, duration]")
-        backlogged = bool(f.get("backlogged", False))
+        backlogged = _bool(f.get("backlogged", False), f"{path}.backlogged", errors)
         rate = f.get("offered_rate_bps")
         rate_val = _int(rate, f"{path}.offered_rate_bps", errors) if rate is not None else None
         if backlogged == (rate_val is not None):

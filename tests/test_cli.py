@@ -57,10 +57,24 @@ def test_validate_error_exit_one(tmp_path, capsys):
     ({"host": {"processing_delay_ns": -1}}, "host.processing_delay_ns: -1 must be >= 0"),
     ({"host": {"injection_cap_bps": -5}}, "host.injection_cap_bps: -5 must be >= 0"),
     ({"ptp": {"convergence_rounds": -5}}, "ptp.convergence_rounds: -5 must be >= 0"),
+    ({"duration_ns": 2.9}, "duration_ns: 2.9 is not an integer"),
+    ({"link": {"rate_bps": 1.5}}, "link.rate_bps: 1.5 is not an integer"),
+    ({"seed": True}, "seed: True is not an integer"),
+    ({"ptp": {"enabled": "false"}}, "ptp.enabled: 'false' is not a boolean"),
+    ({"trace": "no"}, "trace: 'no' is not a boolean"),
+    ({"flows": [{"src": "0.0.0.0", "dst": "0.0.0.1", "backlogged": 1}]},
+     "flows[0].backlogged: 1 is not a boolean"),
+    ({"grid": {"G_r": 129}}, "grid: dimensions 129x1 must be in 1..128"),
+    ({"ptp": {"grandmaster": [0, 0, 0, 1.5]}}, "ptp.grandmaster: [0, 0, 0, 1.5] is not a node id"),
+    ({"duration_ns": "5000"}, "duration_ns: '5000' is not an integer"),
+    ({"host": {"injection_cap_bps": False}}, "host.injection_cap_bps: False is not an integer"),
 ], ids=["grid_G_r", "flow_item", "schedule_entry", "time_aware_queues",
         "drift_string", "drift_seeded_max", "drift_per_node",
         "duration_inf", "prop_delay_inf", "populated_empty", "populated_outside_grid",
-        "processing_delay_negative", "injection_cap_negative", "convergence_rounds_negative"])
+        "processing_delay_negative", "injection_cap_negative", "convergence_rounds_negative",
+        "duration_fraction", "rate_fraction", "seed_bool", "ptp_enabled_string",
+        "trace_string", "backlogged_int", "grid_too_large", "node_id_fraction",
+        "duration_string", "injection_cap_bool"])
 def test_malformed_scenario_is_a_validation_error(tmp_path, doc, message):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))

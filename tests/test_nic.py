@@ -304,14 +304,15 @@ def test_guardband_default_is_max_frame_time():
 # -- forwarding glue -----------------------------------------------------------
 
 
-def test_forward_rewrites_destination_mac_to_peer():
+def test_forward_keeps_destination_mac():
     topo = build_topology(3, 3)
     net = Network(topo, ptp=PtpSettings(enabled=False),
                   host=HostSettings(injection_cap_bps=None))
     src = net.nodes[NodeId(1, 2, 0, 0)]
-    frame = net.build_runtime_frame(src, NodeId(1, 2, 0, 1), bytes(64), pcp=0)
+    # another tile, several hops away: the first hop's peer is not the destination
+    frame = net.build_runtime_frame(src, NodeId(0, 0, 1, 1), bytes(64), pcp=0)
     src._forward(frame, None)
-    assert frame.dst_mac == bytes((0x02, 0, 0, 0, 2, 5))
+    assert frame.dst_mac == mac_of(GridCoord(1, 1))
     assert frame.meta.ttl == 63
 
 
@@ -365,6 +366,21 @@ def test_corrupted_frame_dropped_with_counter():
     dst.handle_rx(frame, PortKind.INTRA_H)
     assert dst.counters.drops["crc"] == 1
     assert dst.counters.delivered_local == 0
+
+
+def test_origin_stamped_fcs_survives_a_multi_hop_path():
+    topo = build_topology(3, 3)
+    net = Network(topo, ptp=PtpSettings(enabled=False),
+                  host=HostSettings(injection_cap_bps=None))
+    src, dst = NodeId(1, 2, 0, 0), NodeId(0, 0, 1, 1)
+    frame = net.build_runtime_frame(net.nodes[src], dst, bytes(100), pcp=0)
+    frame.stamp_fcs()
+    net.nodes[src].send_frame(frame)
+    net.sim.run_until(1_000_000)
+    assert frame.meta.hops >= 3
+    assert net.nodes[dst].counters.delivered_local == 1
+    assert frame.fcs_ok()
+    assert "crc" not in net.drops_by_cause
 
 
 def test_transit_frame_keeps_pcp_and_uses_mapped_queue():

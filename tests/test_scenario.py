@@ -3,6 +3,7 @@ import json
 import pytest
 
 from tasnic.fabric import NodeId
+from tasnic.harness import build_network
 from tasnic.scenario import ScenarioError, load_scenario, parse_scenario
 
 
@@ -28,6 +29,19 @@ def test_minimal_scenario_fills_defaults():
     assert sc.priority_map.num_classes == 3
     assert sc.seed == 0
     assert len(sc.flows) == 1
+
+
+def test_integral_float_is_an_integer():
+    sc = parse_scenario(minimal_doc(duration_ns=1e6, link={"rate_bps": 1e10}))
+    assert sc.duration_ns == 1_000_000 and type(sc.duration_ns) is int
+    assert sc.rate_bps == 10_000_000_000 and type(sc.rate_bps) is int
+
+
+def test_largest_grid_is_128_tiles_per_side():
+    # the last row's absolute coordinate, 2*127+1, is the largest MAC byte
+    sc = parse_scenario(minimal_doc(grid={"G_r": 128, "G_c": 1, "populated": ["127.0.1.1"]},
+                                    flows=[]))
+    assert build_network(sc).nodes[NodeId(127, 0, 1, 1)].mac[4] == 255
 
 
 def test_oversubscribed_schedule_names_the_port():
