@@ -17,7 +17,7 @@ plus two single nodes on the horizontal axis" is expressed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable
 
@@ -115,6 +115,19 @@ def format_mac(mac: bytes) -> str:
     return ":".join(f"{b:02x}" for b in mac)
 
 
+class LinkEpoch:
+    """Count of link-state changes, shared by the links of one topology.
+
+    Anything derived from link state (a node's route table) is valid for as
+    long as the count it was built at is still current.
+    """
+
+    __slots__ = ("value",)
+
+    def __init__(self) -> None:
+        self.value = 0
+
+
 @dataclass(slots=True)
 class Link:
     """Full-duplex point-to-point segment between two data ports."""
@@ -127,6 +140,7 @@ class Link:
     up_since: SimTime = 0  # last down-to-up change; consulted for in-flight drops
     drops: int = 0
     tx_frames: int = 0
+    epoch: LinkEpoch = field(default_factory=LinkEpoch, repr=False, compare=False)
 
     def other_end(self, node_id: NodeId) -> tuple[NodeId, PortKind]:
         if node_id == self.a[0]:
@@ -136,10 +150,14 @@ class Link:
         raise ValueError(f"{node_id} is not an endpoint of this link")
 
     def set_state(self, up: bool, at: SimTime) -> None:
-        """The only writer of link state; a redundant up keeps ``up_since``."""
-        if up and not self.up:
+        """The only writer of link state.  A change moves the epoch; a redundant
+        call changes nothing, so a redundant up keeps ``up_since``."""
+        if up == self.up:
+            return
+        if up:
             self.up_since = at
         self.up = up
+        self.epoch.value += 1
 
     def up_throughout(self, start: SimTime) -> bool:
         """True when the link has been continuously up from ``start`` until now."""
@@ -151,6 +169,7 @@ class Topology:
 
     ``ports[node][kind]`` is the link on that port, or None when the port is
     unconnected (an absent peer, or the out-of-band management port).
+    ``link_epoch`` counts the state changes of all its links.
     """
 
     def __init__(self, g_r: int, g_c: int, populated: list[NodeId],
@@ -161,6 +180,7 @@ class Topology:
         self._present = set(self.nodes)
         self.ports: dict[NodeId, dict[PortKind, Link | None]] = {}
         self.links: list[Link] = []
+        self.link_epoch = LinkEpoch()
         self._link_by_ends: dict[frozenset, Link] = {}
         self._rate = rate_bps
         self._prop = prop_delay_ns
@@ -180,7 +200,7 @@ class Topology:
     def _wire(self, a: NodeId, pa: PortKind, b: NodeId, pb: PortKind) -> None:
         if not (self.has_node(a) and self.has_node(b)):
             return
-        link = Link((a, pa), (b, pb), self._rate, self._prop)
+        link = Link((a, pa), (b, pb), self._rate, self._prop, epoch=self.link_epoch)
         self.ports[a][pa] = link
         self.ports[b][pb] = link
         self.links.append(link)

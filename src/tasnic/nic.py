@@ -37,7 +37,7 @@ from .fabric import Link, NodeId, PortKind
 from .frame import ETHERTYPE_PTP, MAX_WIRE_BYTES, Frame, serialization_ticks
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .node import Network
+    from .node import Network, Node
 
 MAX_SCHEDULE_ENTRIES = 16
 MGMT_IDX = -1  # the management queue, last in NicPort's queue index space
@@ -263,6 +263,19 @@ class NicPort:
         self._rr_last: int | None = None
         self.trace: list[TxRecord] | None = None
         self.tx_frames = 0
+        self.queued = 0  # frames in all queues, the management queue included
+        self._txdone_label = f"txdone:{node_id}:{kind.value}"
+        self._wake_label = f"wake:{node_id}:{kind.value}"
+        self._commit_label = f"commit:{node_id}:{kind.value}"
+        # the link's far end, set by attach_peer once every node exists
+        self.peer: Node | None = None
+        self.peer_kind: PortKind | None = None
+        self.arrive_label = ""
+
+    def attach_peer(self, peer: Node, peer_kind: PortKind) -> None:
+        """Record the node and port at the far end of the link."""
+        self.peer, self.peer_kind = peer, peer_kind
+        self.arrive_label = f"arrive:{peer.node_id}:{peer_kind.value}"
 
     # -- queue access -------------------------------------------------
 
@@ -275,6 +288,7 @@ class NicPort:
             return False
         q.frames.append(frame)
         q.enqueued += 1
+        self.queued += 1
         self.kick()
         return True
 
@@ -292,7 +306,7 @@ class NicPort:
         else:
             self._pending, self._pending_at_local = table, effective
             when = self.clock.true_at_local(effective, self.sim.now)
-            self.sim.at(when, self.kick, label=f"commit:{self.node_id}:{self.kind.value}")
+            self.sim.at(when, self.kick, label=self._commit_label)
 
     # -- scheduler -----------------------------------------------------
 
@@ -300,6 +314,9 @@ class NicPort:
         """Re-evaluate the egress decision unless mid-transmission."""
         now = self.sim.now
         if self.busy_until > now:
+            return
+        if not self.queued and self._pending is None and not self.active_table.entries:
+            self._clear_wake()  # where round-robin over empty queues ends anyway
             return
         local = self.clock.read_ns(now)
         if self._pending is not None and local >= self._pending_at_local:
@@ -373,6 +390,7 @@ class NicPort:
     def _transmit(self, q: TxQueue, now: SimTime, tx_local: int) -> None:
         frame = q.frames.popleft()
         q.dequeued += 1
+        self.queued -= 1
         if self.bucket is not None and frame.meta.local_origin:
             self.bucket.consume(frame.wire_bytes * 8, now)
         ser = serialization_ticks(frame.wire_bytes, self.rate_bps)
@@ -384,8 +402,8 @@ class NicPort:
         self.tx_frames += 1
         self.link.tx_frames += 1
         self.busy_until = now + ser
-        self.sim.at(self.busy_until, self.kick, label=f"txdone:{self.node_id}:{self.kind.value}")
-        self.network.schedule_delivery(self.link, self.node_id, frame, now, self.busy_until)
+        self.sim.at(self.busy_until, self.kick, label=self._txdone_label)
+        self.network.schedule_delivery(self, frame, now, self.busy_until)
         self.network.frame_dequeued(frame)
 
     def _set_wake(self, when: SimTime) -> None:
@@ -393,7 +411,7 @@ class NicPort:
             self._wake.cancel()
         if when <= self.sim.now:
             when = self.sim.now + 1
-        self._wake = self.sim.at(when, self.kick, label=f"wake:{self.node_id}:{self.kind.value}")
+        self._wake = self.sim.at(when, self.kick, label=self._wake_label)
 
     def _clear_wake(self) -> None:
         if self._wake is not None:

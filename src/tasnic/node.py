@@ -5,6 +5,9 @@ the messaging runtime and the RX pipeline (FCS check of frames that carry
 one, local delivery with a fixed host processing delay, or software
 forwarding).  A frame's ``dst_mac`` names its final destination for the
 whole path; routing reads ``FrameMeta.final_dst``.
+Each Node keeps a route table: the egress port per ``(final_dst, ingress)``,
+filled from ``next_hop`` on a miss and dropped when the topology's link
+epoch has moved since it was filled.
 The Network owns the shared pieces: the event engine, the topology and its
 link state, the sync service, frame delivery across links, and global
 offered/delivered/drop accounting.  Frames are observed in one way: the
@@ -80,7 +83,13 @@ class Node:
         self.counters = NodeCounters()
         self.bucket: TokenBucket | None = None
         self.ports: dict[PortKind, NicPort] = {}
+        self.hostrx_label = f"hostrx:{node_id}"
+        self.loopback_label = f"loopback:{node_id}"
+        self.reasm_deadline_label = f"reasm-deadline:{node_id}"
         self.runtime = NodeRuntime(self)
+        self._link_epoch = network.topology.link_epoch
+        self._routes_epoch = self._link_epoch.value
+        self._routes: dict[tuple[NodeId, PortKind | None], NicPort | None] = {}
 
     @property
     def sim(self) -> Simulator:
@@ -93,15 +102,29 @@ class Node:
         if frame.meta.final_dst == self.node_id:
             # loopback: no wire involved, just the host processing delay
             self.sim.after(self.network.host.processing_delay_ns,
-                           lambda: self.runtime.on_frame(frame), label=f"loopback:{self.node_id}")
+                           lambda: self.runtime.on_frame(frame), label=self.loopback_label)
             return
         self._forward(frame, None)
+
+    def egress_port(self, dst: NodeId, ingress: PortKind | None) -> NicPort | None:
+        """The port ``next_hop`` picks toward ``dst`` under the current link
+        states, read from the route table of the current link epoch."""
+        if self._routes_epoch != self._link_epoch.value:
+            self._routes = {}
+            self._routes_epoch = self._link_epoch.value
+        key = (dst, ingress)
+        try:
+            return self._routes[key]
+        except KeyError:
+            kind = next_hop(self.network.topology, self.node_id, dst, ingress)
+            port = self._routes[key] = None if kind is None else self.ports[kind]
+            return port
 
     def _forward(self, frame: Frame, ingress: PortKind | None) -> None:
         """Route a frame that came in on ``ingress`` (None: originated here), burn
         a TTL step and enqueue it on the egress port."""
-        out_kind = next_hop(self.network.topology, self.node_id, frame.meta.final_dst, ingress)
-        if out_kind is None:
+        port = self.egress_port(frame.meta.final_dst, ingress)
+        if port is None:
             self._drop(frame, "no_route")
             return
         if ingress is not None:
@@ -112,8 +135,7 @@ class Node:
         frame.meta.ttl -= 1
         frame.meta.hops += 1
         if frame.meta.route is not None:
-            frame.meta.route.append((self.node_id, out_kind.value))
-        port = self.ports[out_kind]
+            frame.meta.route.append((self.node_id, port.kind.value))
         if frame.ethertype == ETHERTYPE_PTP:
             port.enqueue(NicPort.MGMT_IDX, frame)
         else:
@@ -142,7 +164,7 @@ class Node:
             self.network.count_frame_delivered(frame)
             self.sim.after(self.network.host.processing_delay_ns,
                            lambda: self.runtime.on_frame(frame),
-                           label=f"hostrx:{self.node_id}")
+                           label=self.hostrx_label)
             return
         self._forward(frame, ingress)
 
@@ -184,6 +206,10 @@ class Network:
                 if trace:
                     node.ports[kind].trace = []
             self.nodes[node_id] = node
+        for node in self.nodes.values():
+            for port in node.ports.values():
+                peer_id, peer_kind = port.link.other_end(node.node_id)
+                port.attach_peer(self.nodes[peer_id], peer_kind)
 
         self.ptp: PtpService | None = None
         if self.ptp_settings.enabled:
@@ -225,20 +251,20 @@ class Network:
 
     # -- wire-level delivery ---------------------------------------------------
 
-    def schedule_delivery(self, link: Link, src_id: NodeId, frame: Frame,
+    def schedule_delivery(self, port: NicPort, frame: Frame,
                           tx_start: int, tx_end: int) -> None:
-        dst_id, dst_kind = link.other_end(src_id)
-        self.sim.at(tx_end + link.prop_delay_ns,
-                    lambda: self._arrive(link, frame, tx_start, dst_id, dst_kind),
-                    label=f"arrive:{dst_id}:{dst_kind.value}")
+        """Deliver a frame that ``port`` sends from ``tx_start`` to ``tx_end`` to the
+        link's far end, one propagation delay later."""
+        self.sim.at(tx_end + port.link.prop_delay_ns,
+                    lambda: self._arrive(port, frame, tx_start), label=port.arrive_label)
 
-    def _arrive(self, link: Link, frame: Frame, tx_start: int,
-                dst_id: NodeId, dst_kind: PortKind) -> None:
+    def _arrive(self, port: NicPort, frame: Frame, tx_start: int) -> None:
+        link = port.link
         if not link.up_throughout(tx_start):
             link.drops += 1
             self.count_drop(frame, "link_down")
             return
-        self.nodes[dst_id].handle_rx(frame, dst_kind)
+        port.peer.handle_rx(frame, port.peer_kind)
 
     # -- accounting -------------------------------------------------------------
 

@@ -170,7 +170,7 @@ class NodeRuntime:
                                bytearray(header.total_len))
             part.deadline_handle = self.node.sim.after(
                 self.reassembly_deadline_ns, lambda: self._expire(key),
-                label=f"reasm-deadline:{self.node.node_id}")
+                label=self.node.reasm_deadline_label)
             self._partials[key] = part
         if header.frag_count != part.frag_count or header.total_len != part.total_len:
             return  # inconsistent fragment; ignore

@@ -72,6 +72,17 @@ def _int(value, path: str, errors: list[str]) -> int:
     raise _malformed(value, "an integer", path, errors)
 
 
+INT64_MAX = 2**63 - 1  # the largest time or rate a field may hold
+
+
+def _int64(value, path: str, errors: list[str]) -> int:
+    """``_int`` of a time or rate field, which must not exceed ``INT64_MAX``."""
+    n = _int(value, path, errors)
+    if n > INT64_MAX:
+        errors.append(f"{path}: {value!r} is above 2**63 - 1")
+    return n
+
+
 def _bool(value, path: str, errors: list[str]) -> bool:
     if not isinstance(value, bool):
         raise _malformed(value, "a boolean", path, errors)
@@ -252,9 +263,9 @@ def parse_scenario(doc: dict) -> Scenario:
         sc.grid = GridSpec(g_r, g_c, populated, None)
 
     link = _expect(doc.get("link", {}), dict, "link", errors)
-    sc.rate_bps = _int(link.get("rate_bps", DEFAULT_LINK_RATE_BPS), "link.rate_bps", errors)
-    sc.prop_delay_ns = _int(link.get("prop_delay_ns", DEFAULT_PROP_DELAY_NS),
-                            "link.prop_delay_ns", errors)
+    sc.rate_bps = _int64(link.get("rate_bps", DEFAULT_LINK_RATE_BPS), "link.rate_bps", errors)
+    sc.prop_delay_ns = _int64(link.get("prop_delay_ns", DEFAULT_PROP_DELAY_NS),
+                              "link.prop_delay_ns", errors)
     if sc.rate_bps <= 0:
         errors.append(f"link.rate_bps: {sc.rate_bps} must be > 0")
     if sc.prop_delay_ns < 0:
@@ -263,11 +274,11 @@ def parse_scenario(doc: dict) -> Scenario:
     host = _expect(doc.get("host", {}), dict, "host", errors)
     cap = host.get("injection_cap_bps", 2_250_000_000)
     if cap is not None:
-        cap = _int(cap, "host.injection_cap_bps", errors) or None  # 0: uncapped
+        cap = _int64(cap, "host.injection_cap_bps", errors) or None  # 0: uncapped
     sc.host = HostSettings(
         injection_cap_bps=cap,
-        processing_delay_ns=_int(host.get("processing_delay_ns", 10_000),
-                                 "host.processing_delay_ns", errors))
+        processing_delay_ns=_int64(host.get("processing_delay_ns", 10_000),
+                                   "host.processing_delay_ns", errors))
     if sc.host.injection_cap_bps is not None and sc.host.injection_cap_bps < 0:
         errors.append(f"host.injection_cap_bps: {sc.host.injection_cap_bps} must be >= 0"
                       " (0 or null: uncapped)")
@@ -281,8 +292,8 @@ def parse_scenario(doc: dict) -> Scenario:
     sc.ptp = PtpSettings(
         enabled=_bool(ptp.get("enabled", True), "ptp.enabled", errors),
         grandmaster=gm,
-        interval_ms=_int(ptp.get("interval_ms", 250), "ptp.interval_ms", errors),
-        quantization_ns=_int(ptp.get("quantization_ns", 8), "ptp.quantization_ns", errors),
+        interval_ms=_int64(ptp.get("interval_ms", 250), "ptp.interval_ms", errors),
+        quantization_ns=_int64(ptp.get("quantization_ns", 8), "ptp.quantization_ns", errors),
         convergence_rounds=_int(ptp.get("convergence_rounds", 10),
                                 "ptp.convergence_rounds", errors))
     sc.drift_spec = _drift(ptp.get("drift_ppm"), "ptp.drift_ppm", errors)
@@ -313,7 +324,7 @@ def parse_scenario(doc: dict) -> Scenario:
     for e in validate_map(sc.priority_map, sc.nic.num_tx_queues, sc.nic.time_aware_queues):
         errors.append(f"priority_map: {e}")
 
-    sc.duration_ns = _int(doc.get("duration_ns", 1_000_000_000), "duration_ns", errors)
+    sc.duration_ns = _int64(doc.get("duration_ns", 1_000_000_000), "duration_ns", errors)
     if sc.duration_ns < 1:
         errors.append(f"duration_ns: {sc.duration_ns} must be >= 1")
     sc.seed = _int(doc.get("seed", 0), "seed", errors)
@@ -348,10 +359,11 @@ def parse_scenario(doc: dict) -> Scenario:
             entries.append(_ints(e, f"{path}.entries[{j}]", errors))
             if len(entries[-1]) != 2:
                 raise _malformed(e, "[queue, slot_us]", f"{path}.entries[{j}]", errors)
+            _int64(entries[-1][1], f"{path}.entries[{j}][1]", errors)
         entries = tuple(entries)
-        window = _int(s.get("window_us", 100), f"{path}.window_us", errors)
+        window = _int64(s.get("window_us", 100), f"{path}.window_us", errors)
         guard = s.get("guardband_ns")
-        guard_val = _int(guard, f"{path}.guardband_ns", errors) if guard is not None else None
+        guard_val = _int64(guard, f"{path}.guardband_ns", errors) if guard is not None else None
         table_entries = tuple(ScheduleEntry(q, slot) for q, slot in entries)
         for e in validate_schedule(window, table_entries,
                                    guard_val if guard_val is not None else 0,
@@ -369,7 +381,7 @@ def parse_scenario(doc: dict) -> Scenario:
         if topo.link_between(a, b) is None:
             errors.append(f"{path}: no link between {a} and {b}")
             continue
-        t = _int(f.get("time_ns", 0), f"{path}.time_ns", errors)
+        t = _int64(f.get("time_ns", 0), f"{path}.time_ns", errors)
         if not 0 <= t <= sc.duration_ns:
             errors.append(f"{path}.time_ns: {t} outside the run duration")
         state = f.get("state", "down")
@@ -397,16 +409,16 @@ def parse_scenario(doc: dict) -> Scenario:
         pcp = _int(f.get("pcp", 0), f"{path}.pcp", errors)
         if not 0 <= pcp <= 7:
             errors.append(f"{path}.pcp: {pcp} out of 0..7")
-        start = _int(f.get("start", 0), f"{path}.start", errors)
+        start = _int64(f.get("start", 0), f"{path}.start", errors)
         stop = f.get("stop")
-        stop_val = _int(stop, f"{path}.stop", errors) if stop is not None else None
+        stop_val = _int64(stop, f"{path}.stop", errors) if stop is not None else None
         if start < 0 or start >= sc.duration_ns:
             errors.append(f"{path}.start: {start} outside the run duration")
         if stop_val is not None and not start < stop_val <= sc.duration_ns:
             errors.append(f"{path}.stop: {stop_val} must be in (start, duration]")
         backlogged = _bool(f.get("backlogged", False), f"{path}.backlogged", errors)
         rate = f.get("offered_rate_bps")
-        rate_val = _int(rate, f"{path}.offered_rate_bps", errors) if rate is not None else None
+        rate_val = _int64(rate, f"{path}.offered_rate_bps", errors) if rate is not None else None
         if backlogged == (rate_val is not None):
             errors.append(f"{path}: exactly one of backlogged/offered_rate_bps required")
         if rate_val is not None and rate_val <= 0:

@@ -68,13 +68,20 @@ def test_validate_error_exit_one(tmp_path, capsys):
     ({"ptp": {"grandmaster": [0, 0, 0, 1.5]}}, "ptp.grandmaster: [0, 0, 0, 1.5] is not a node id"),
     ({"duration_ns": "5000"}, "duration_ns: '5000' is not an integer"),
     ({"host": {"injection_cap_bps": False}}, "host.injection_cap_bps: False is not an integer"),
+    ({"duration_ns": 1e30}, "duration_ns: 1e+30 is above 2**63 - 1"),
+    ({"link": {"rate_bps": 2**63}}, "link.rate_bps: 9223372036854775808 is above 2**63 - 1"),
+    ({"flows": [{"src": "0.0.0.0", "dst": "0.0.0.1", "offered_rate_bps": 2**63}]},
+     "flows[0].offered_rate_bps: 9223372036854775808 is above 2**63 - 1"),
+    ({"schedules": [{"node": "0.0.0.0", "port": "intra_h", "entries": [[0, 1e19]]}]},
+     "schedules[0].entries[0][1]: 10000000000000000000 is above 2**63 - 1"),
 ], ids=["grid_G_r", "flow_item", "schedule_entry", "time_aware_queues",
         "drift_string", "drift_seeded_max", "drift_per_node",
         "duration_inf", "prop_delay_inf", "populated_empty", "populated_outside_grid",
         "processing_delay_negative", "injection_cap_negative", "convergence_rounds_negative",
         "duration_fraction", "rate_fraction", "seed_bool", "ptp_enabled_string",
         "trace_string", "backlogged_int", "grid_too_large", "node_id_fraction",
-        "duration_string", "injection_cap_bool"])
+        "duration_string", "injection_cap_bool", "duration_above_int64", "rate_above_int64",
+        "offered_rate_above_int64", "slot_above_int64"])
 def test_malformed_scenario_is_a_validation_error(tmp_path, doc, message):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))

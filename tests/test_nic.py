@@ -1,5 +1,8 @@
+import random
+
 import pytest
 
+from tasnic.clock import LocalClock
 from tasnic.fabric import GridCoord, NodeId, PortKind, build_topology, mac_of
 from tasnic.frame import ETHERTYPE_RUNTIME, Frame, FrameMeta
 from tasnic.nic import (
@@ -299,6 +302,60 @@ def test_transit_frames_bypass_the_host_cap():
 def test_guardband_default_is_max_frame_time():
     assert default_guardband_ns(10_000_000_000) == 1218
     assert default_guardband_ns(2_250_000_000) == 5412
+
+
+# -- idle-port exit --------------------------------------------------------------
+
+
+@pytest.mark.parametrize("entries", [[], [(0, 30), (1, 20)]])
+def test_queued_counter_is_the_sum_of_queue_lengths(entries):
+    net, port = two_node_net(queue_depth=6)
+    if entries:
+        program(net, entries)
+    rng = random.Random(11)
+    t = 0
+    for _ in range(400):
+        for _ in range(rng.randint(0, 4)):
+            idx = rng.choice([NicPort.MGMT_IDX, *range(port.num_tx_queues)])
+            port.enqueue(idx, make_frame(net, payload_len=rng.randint(46, 1500)))
+        t += rng.randint(0, 3_000)
+        net.sim.run_until(t)
+        assert port.queued == sum(len(q.frames) for q in (*port.queues, port.mgmt_queue))
+    assert port.tx_frames > 0
+    assert port.mgmt_queue.dequeued > 0
+    assert net.drops_by_cause["queue_overflow"] > 0
+
+
+def test_scheduled_port_with_empty_queues_still_wakes_at_the_slot_end():
+    net, port = two_node_net()
+    fired = []
+    net.sim.trace_hook = lambda t, seq, label: fired.append((t, label))
+    program(net, [(0, 90)])
+    net.sim.run_until(100_000)
+    assert port.queued == 0
+    # the empty slot stalls the port until its end, then the leftover time
+    # runs to the window end
+    assert fired == [(90_000, "wake:0.0.0.0:intra_h"), (100_000, "wake:0.0.0.0:intra_h")]
+
+
+def test_idle_round_robin_port_reads_no_clock_and_sets_no_wake(monkeypatch):
+    net, port = two_node_net()
+    reads = []
+    read_ns = LocalClock.read_ns
+
+    def counted(clock, true_now):
+        reads.append(true_now)
+        return read_ns(clock, true_now)
+    monkeypatch.setattr(LocalClock, "read_ns", counted)
+    fired = []
+    net.sim.trace_hook = lambda t, seq, label: fired.append((t, label))
+    port.enqueue(0, make_frame(net))  # starts at once; its txdone finds the port idle
+    assert reads == [0]
+    net.sim.run_until(10_000)
+    assert fired == [(1_218, "txdone:0.0.0.0:intra_h"), (1_718, "arrive:0.0.0.1:intra_h")]
+    port.kick()
+    assert reads == [0]
+    assert port._wake is None
 
 
 # -- forwarding glue -----------------------------------------------------------

@@ -2,7 +2,9 @@ from collections import deque
 
 import pytest
 
-from tasnic.fabric import NodeId, PortKind, build_topology, tile_plus_two_nodes
+import tasnic.node
+from tasnic.fabric import DATA_PORT_KINDS, NodeId, PortKind, build_topology, tile_plus_two_nodes
+from tasnic.node import Network, PtpSettings
 from tasnic.routing import next_hop
 
 # ---------------------------------------------------------------------------
@@ -203,3 +205,82 @@ def test_tile_plus_two_reroute_adds_a_hop():
     assert path is not None
     assert len(path) - 1 == 5
     link.set_state(True, 0)
+
+
+# -- per-node route tables ----------------------------------------------------
+
+
+def table_kind(node, dst, ingress):
+    port = node.egress_port(dst, ingress)
+    return None if port is None else port.kind
+
+
+def test_route_tables_follow_every_single_link_fault():
+    # A 4x4-node torus (2x2 tiles).  Each table is filled before the state
+    # change, so a table that kept its entries across it would answer with
+    # the old egress for the keys the change reroutes.
+    topo = build_topology(2, 2)
+    net = Network(topo, ptp=PtpSettings(enabled=False))
+    keys = [(node, dst, ingress) for node in net.nodes.values() for dst in topo.nodes
+            for ingress in (None, *DATA_PORT_KINDS)]
+
+    def check(state):
+        for node, dst, ingress in keys:
+            assert table_kind(node, dst, ingress) == next_hop(topo, node.node_id, dst, ingress), \
+                (state, node.node_id, dst, ingress)
+
+    check("fault-free")
+    for link in topo.links:
+        link.set_state(False, 0)
+        check(("down", link.a, link.b))
+        link.set_state(True, 0)
+        check(("up", link.a, link.b))
+
+
+@pytest.fixture
+def next_hop_calls(monkeypatch):
+    """The number of next_hop calls made by route-table misses."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return next_hop(*args)
+    monkeypatch.setattr(tasnic.node, "next_hop", counted)
+    return calls
+
+
+def test_redundant_link_state_keeps_the_epoch_and_the_tables(next_hop_calls):
+    topo = build_topology(2, 2)
+    net = Network(topo, ptp=PtpSettings(enabled=False))
+    node, dst = net.nodes[NodeId(0, 0, 0, 0)], NodeId(1, 1, 1, 1)
+    link = topo.links[0]
+    epoch = topo.link_epoch.value
+    node.egress_port(dst, None)
+    link.set_state(True, 5)
+    assert topo.link_epoch.value == epoch and link.up_since == 0
+    node.egress_port(dst, None)
+    assert len(next_hop_calls) == 1
+
+    link.set_state(False, 10)
+    link.set_state(False, 20)
+    assert topo.link_epoch.value == epoch + 1
+    link.set_state(True, 30)
+    link.set_state(True, 40)
+    assert topo.link_epoch.value == epoch + 2 and link.up_since == 30
+    node.egress_port(dst, None)
+    assert len(next_hop_calls) == 2
+
+
+def test_link_state_of_another_topology_keeps_the_tables(next_hop_calls):
+    topo, other = build_topology(2, 2), build_topology(2, 2)
+    net = Network(topo, ptp=PtpSettings(enabled=False))
+    node, dst = net.nodes[NodeId(0, 0, 0, 0)], NodeId(1, 1, 1, 1)
+    node.egress_port(dst, None)
+    for link in other.links:
+        link.set_state(False, 0)
+    assert topo.link_epoch.value == 0
+    node.egress_port(dst, None)
+    assert len(next_hop_calls) == 1
+    topo.links[0].set_state(False, 0)
+    node.egress_port(dst, None)
+    assert len(next_hop_calls) == 2

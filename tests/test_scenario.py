@@ -1,10 +1,12 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tasnic.fabric import NodeId
 from tasnic.harness import build_network
-from tasnic.scenario import ScenarioError, load_scenario, parse_scenario
+from tasnic.scenario import INT64_MAX, ScenarioError, load_scenario, parse_scenario
 
 
 def minimal_doc(**overrides):
@@ -35,6 +37,16 @@ def test_integral_float_is_an_integer():
     sc = parse_scenario(minimal_doc(duration_ns=1e6, link={"rate_bps": 1e10}))
     assert sc.duration_ns == 1_000_000 and type(sc.duration_ns) is int
     assert sc.rate_bps == 10_000_000_000 and type(sc.rate_bps) is int
+
+
+def test_time_and_rate_fields_take_int64_max():
+    sc = parse_scenario(minimal_doc(
+        duration_ns=INT64_MAX, link={"rate_bps": INT64_MAX, "prop_delay_ns": INT64_MAX},
+        flows=[{"src": "0.0.0.0", "dst": "0.0.0.1", "offered_rate_bps": INT64_MAX}]))
+    assert sc.duration_ns == sc.rate_bps == sc.flows[0].offered_rate_bps == INT64_MAX
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(minimal_doc(link={"prop_delay_ns": INT64_MAX + 1}))
+    assert err.value.errors == [f"link.prop_delay_ns: {INT64_MAX + 1} is above 2**63 - 1"]
 
 
 def test_largest_grid_is_128_tiles_per_side():
@@ -141,3 +153,75 @@ def test_grandmaster_must_be_populated():
     with pytest.raises(ScenarioError) as err:
         parse_scenario(doc)
     assert any("grandmaster" in e for e in err.value.errors)
+
+
+# -- fuzzing -------------------------------------------------------------------
+
+# A document that uses every section; the fuzz below replaces parts of it.
+FULL_DOC = {
+    "grid": {"G_r": 1, "G_c": 2},
+    "link": {"rate_bps": 10_000_000_000, "prop_delay_ns": 500},
+    "host": {"injection_cap_bps": 2_250_000_000, "processing_delay_ns": 10_000},
+    "ptp": {"enabled": True, "grandmaster": "0.0.0.0", "interval_ms": 250,
+            "quantization_ns": 8, "convergence_rounds": 10,
+            "drift_ppm": {"default": 1.0, "0.0.0.1": 2.0}},
+    "nic": {"num_tx_queues": 8, "time_aware_queues": [0, 1, 2], "queue_depth": 1024},
+    "priority_map": {"num_classes": 3, "prio_to_tc": [0, 1, 2], "tc_to_queue": [0, 1, 2]},
+    "schedules": [{"node": "0.0.0.0", "port": "intra_h", "window_us": 100,
+                   "entries": [[0, 50], [1, 30]], "guardband_ns": 1300}],
+    "faults": [{"a": "0.0.0.0", "b": "0.0.0.1", "time_ns": 500, "state": "down"}],
+    "flows": [{"src": "0.0.0.0", "dst": "0.1.1.1", "pcp": 1, "start": 0, "stop": 900,
+               "offered_rate_bps": 1_000_000, "frame_payload_bytes": 64},
+              {"src": [0, 0, 0, 1], "dst": "0.1.0.0", "backlogged": True}],
+    "duration_ns": 1_000,
+    "seed": 1,
+    "trace": False,
+}
+FIELD_KEYS = sorted({key for value in FULL_DOC.values() if isinstance(value, dict)
+                     for key in value} | {"populated", "preset", "seeded_max_ppm"})
+# small integers keep fuzzed grids small; the extremes probe the bounds
+json_scalars = (st.none() | st.booleans() | st.integers(-3, 12)
+                | st.sampled_from([2**63 - 1, 2**63, -2**63, 10**30]) | st.floats()
+                | st.sampled_from(["0.0.0.0", "0.0.0.1", "0.1.1.1", "1.0.0.0", "intra_h",
+                                   "intra_v", "external", "mgmt", "up", "down",
+                                   "tile_plus_two", "1.5", "x", ""]))
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(st.sampled_from(FIELD_KEYS),
+                                                                inner, max_size=6),
+    max_leaves=10)
+
+
+def _replace_part(draw, value):
+    """``value`` with one part, at a random depth, replaced by arbitrary JSON."""
+    descend = draw(st.integers(0, 3)) > 0
+    if isinstance(value, dict) and value and descend:
+        key = draw(st.sampled_from([*value, *FIELD_KEYS]))
+        return {**value, key: _replace_part(draw, value.get(key))}
+    if isinstance(value, list) and value and descend:
+        i = draw(st.integers(0, len(value) - 1))
+        return [*value[:i], _replace_part(draw, value[i]), *value[i + 1:]]
+    return draw(json_values)
+
+
+@st.composite
+def fuzzed_documents(draw):
+    """``FULL_DOC`` with one to three parts of its sections replaced."""
+    doc = FULL_DOC
+    for _ in range(draw(st.integers(1, 3))):
+        section = draw(st.sampled_from(list(FULL_DOC)))
+        doc = {**doc, section: _replace_part(draw, doc[section])}
+    return doc
+
+
+def test_full_fuzz_document_is_valid():
+    assert len(parse_scenario(FULL_DOC).flows) == 2
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(fuzzed_documents() | st.dictionaries(st.sampled_from(list(FULL_DOC)), json_values))
+def test_any_document_parses_or_is_a_scenario_error(doc):
+    try:
+        parse_scenario(doc)
+    except ScenarioError:
+        pass
