@@ -9,7 +9,7 @@ to model the hardware timestamping resolution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .engine import SimTime
 
@@ -22,10 +22,13 @@ class LocalClock:
     offset_ns: int = 0            # cumulative step corrections applied so far
     last_true_ns: SimTime = 0
     last_local_ns: float = 0.0    # exact local time at last_true_ns
+    rate: float = field(init=False, repr=False, compare=False)  # kept by set_rate_adj
 
-    @property
-    def rate(self) -> float:
-        return 1.0 + (self.drift_ppm + self.rate_adj_ppm) * 1e-6
+    def __post_init__(self) -> None:
+        self._update_rate()
+
+    def _update_rate(self) -> None:
+        self.rate = 1.0 + (self.drift_ppm + self.rate_adj_ppm) * 1e-6
 
     def local_exact(self, true_now: SimTime) -> float:
         """Unquantized local time at true instant ``true_now``."""
@@ -35,7 +38,10 @@ class LocalClock:
 
     def read_ns(self, true_now: SimTime) -> int:
         """Local timestamp, floored to the timestamp quantum."""
-        exact = self.local_exact(true_now)
+        # local_exact, inlined: this is the hot read
+        if true_now < self.last_true_ns:
+            raise ValueError(f"clock read at t={true_now} before checkpoint {self.last_true_ns}")
+        exact = self.last_local_ns + (true_now - self.last_true_ns) * self.rate
         q = self.quantum_ns
         if q <= 1:
             return int(exact)
@@ -54,6 +60,7 @@ class LocalClock:
     def set_rate_adj(self, rate_adj_ppm: float, true_now: SimTime) -> None:
         self._checkpoint(true_now)
         self.rate_adj_ppm = rate_adj_ppm
+        self._update_rate()
 
     def true_at_local(self, target_local: int, true_now: SimTime) -> SimTime:
         """Earliest integer true time >= true_now whose reading reaches ``target_local``.

@@ -25,18 +25,34 @@ class SchedulingError(Exception):
     """Raised when an event is scheduled in the past (a logic bug)."""
 
 
-@dataclass(slots=True)
-class EventHandle:
-    """A scheduled event; also its cancellation token."""
+class EventHandle(list):
+    """A scheduled event, its own heap entry and its cancellation token.
 
-    fire_at: SimTime
-    seq: int
-    action: Callable[[], None]
-    label: str
-    cancelled: bool = False
+    The entry is the list ``[fire_at, seq, action, label]``.  ``seq`` is
+    unique, so the heap's list comparison never reaches the action.
+    Cancelling sets the action to None; the engine skips such an entry.
+    """
+
+    __slots__ = ()
+
+    @property
+    def fire_at(self) -> SimTime:
+        return self[0]
+
+    @property
+    def seq(self) -> int:
+        return self[1]
+
+    @property
+    def label(self) -> str:
+        return self[3]
+
+    @property
+    def cancelled(self) -> bool:
+        return self[2] is None
 
     def cancel(self) -> None:
-        self.cancelled = True
+        self[2] = None
 
 
 @dataclass(slots=True, frozen=True)
@@ -56,16 +72,15 @@ class Simulator:
         self.now: SimTime = 0
         self.events_processed = 0
         self.trace_hook = trace_hook
-        # (fire_at, seq, handle); seq is unique, so ties never compare handles
-        self._heap: list[tuple[SimTime, int, EventHandle]] = []
+        self._heap: list[EventHandle] = []
         self._seq = 0
 
     def at(self, when: SimTime, action: Callable[[], None], label: str = "") -> EventHandle:
         """Schedule ``action`` at absolute time ``when`` (>= now)."""
         if when < self.now:
             raise SchedulingError(f"scheduling at t={when} in the past (now={self.now})")
-        handle = EventHandle(when, self._seq, action, label)
-        heapq.heappush(self._heap, (when, self._seq, handle))
+        handle = EventHandle((when, self._seq, action, label))
+        heapq.heappush(self._heap, handle)
         self._seq += 1
         return handle
 
@@ -76,32 +91,43 @@ class Simulator:
 
     def peek_time(self) -> SimTime | None:
         """Time of the next live event, or None when the queue is empty."""
-        while self._heap and self._heap[0][2].cancelled:
-            heapq.heappop(self._heap)
-        return self._heap[0][0] if self._heap else None
+        heap = self._heap
+        while heap and heap[0][2] is None:
+            heapq.heappop(heap)
+        return heap[0][0] if heap else None
 
     def step(self) -> bool:
         """Process a single event; returns False when nothing is pending."""
-        if self.peek_time() is None:
-            return False
-        ev = heapq.heappop(self._heap)[2]
-        self.now = ev.fire_at
-        self.events_processed += 1
-        if self.trace_hook is not None:
-            self.trace_hook(ev.fire_at, ev.seq, ev.label)
-        ev.action()
-        return True
+        heap = self._heap
+        while heap:
+            fire_at, seq, action, label = heapq.heappop(heap)
+            if action is None:
+                continue
+            self.now = fire_at
+            self.events_processed += 1
+            if self.trace_hook is not None:
+                self.trace_hook(fire_at, seq, label)
+            action()
+            return True
+        return False
 
     def run_until(self, t_end: SimTime) -> RunStats:
         """Process every event with fire_at <= t_end, then set now = t_end."""
         if t_end < self.now:
             raise SchedulingError(f"run_until({t_end}) is before now={self.now}")
         start_count = self.events_processed
-        while True:
-            nxt = self.peek_time()
-            if nxt is None or nxt > t_end:
-                break
-            self.step()
+        heap = self._heap
+        pop = heapq.heappop
+        hook = self.trace_hook
+        while heap and heap[0][0] <= t_end:
+            fire_at, seq, action, label = pop(heap)
+            if action is None:
+                continue
+            self.now = fire_at
+            self.events_processed += 1
+            if hook is not None:
+                hook(fire_at, seq, label)
+            action()
         self.now = t_end
         return RunStats(self.events_processed - start_count, self.now)
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .engine import SimTime
 
@@ -34,6 +34,10 @@ class PortKind(Enum):
     EXTERNAL = "external"
     MGMT = "mgmt"
 
+    # members are singletons, so identity hashes them; Enum's own hash is a
+    # Python-level call on every dict lookup keyed by a port kind
+    __hash__ = object.__hash__
+
 
 DATA_PORT_KINDS = (PortKind.INTRA_H, PortKind.INTRA_V, PortKind.EXTERNAL)
 
@@ -45,8 +49,9 @@ DEFAULT_LINK_RATE_BPS = 10_000_000_000
 DEFAULT_PROP_DELAY_NS = 500
 
 
-@dataclass(slots=True, frozen=True, order=True)
-class NodeId:
+class NodeId(NamedTuple):
+    """A node's <Grc, Gcc, Lrc, Lcc>; a tuple, so it hashes and compares in C."""
+
     grc: int
     gcc: int
     lrc: int

@@ -44,6 +44,20 @@ def serialization_ticks(wire_bytes: int, rate_bps: int) -> int:
     return -(-bits * 1_000_000_000 // rate_bps)
 
 
+class SerializationTicks(dict):
+    """Wire bytes -> ``serialization_ticks`` at one rate, each size computed once."""
+
+    __slots__ = ("rate_bps",)
+
+    def __init__(self, rate_bps: int):
+        super().__init__()
+        self.rate_bps = rate_bps
+
+    def __missing__(self, wire_bytes: int) -> int:
+        ticks = self[wire_bytes] = serialization_ticks(wire_bytes, self.rate_bps)
+        return ticks
+
+
 @dataclass(slots=True)
 class FrameMeta:
     final_dst: NodeId | None = None   # L3-analog destination read by routing
@@ -68,16 +82,15 @@ class Frame:
     vid: int = 0
     fcs: int | None = None
     meta: FrameMeta = field(default_factory=FrameMeta)
+    # set by __post_init__; a payload rewritten in flight keeps its length
+    wire_bytes: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not 0 <= self.pcp <= 7:
             raise ValueError(f"pcp {self.pcp} out of range")
         if not MIN_PAYLOAD <= len(self.payload) <= MAX_PAYLOAD:
             raise ValueError(f"payload of {len(self.payload)} bytes is not in 46..1500")
-
-    @property
-    def wire_bytes(self) -> int:
-        return HEADER_BYTES + len(self.payload) + FCS_BYTES
+        self.wire_bytes = HEADER_BYTES + len(self.payload) + FCS_BYTES
 
     def tci(self) -> int:
         return (self.pcp << 13) | (self.vid & 0x0FFF)

@@ -34,12 +34,19 @@ from typing import TYPE_CHECKING
 from .clock import LocalClock
 from .engine import SimTime, Simulator
 from .fabric import Link, NodeId, PortKind
-from .frame import ETHERTYPE_PTP, MAX_WIRE_BYTES, Frame, serialization_ticks
+from .frame import (
+    ETHERTYPE_PTP,
+    MAX_WIRE_BYTES,
+    Frame,
+    SerializationTicks,
+    serialization_ticks,
+)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .node import Network, Node
 
 MAX_SCHEDULE_ENTRIES = 16
+MAX_TX_QUEUES = 1 << 16  # an SCR register holds a queue index in bits [15:0]
 MGMT_IDX = -1  # the management queue, last in NicPort's queue index space
 
 REG_WINDOW_US = 0x000
@@ -69,7 +76,12 @@ class ScheduleEntry:
 
 class ScheduleTable:
     """A committed schedule plus derived ns-resolution slot ends and the
-    queues served round-robin in leftover window time."""
+    queues served round-robin in leftover window time.
+
+    ``leftover_bit[idx]`` is the bit of queue ``idx`` (MGMT_IDX indexes the
+    last entry) in a port's mask of backlogged leftover queues: bit ``k``
+    stands for ``leftover[k]``, and a scheduled queue has no bit.
+    """
 
     def __init__(self, window_us: int, entries: tuple[ScheduleEntry, ...], guardband_ns: int,
                  num_tx_queues: int):
@@ -84,6 +96,9 @@ class ScheduleTable:
             self.slots_ns.append((end, e.queue_idx))
         scheduled = {e.queue_idx for e in entries}
         self.leftover = (*(i for i in range(num_tx_queues) if i not in scheduled), MGMT_IDX)
+        self.leftover_bit = [0] * (num_tx_queues + 1)
+        for k, idx in enumerate(self.leftover):
+            self.leftover_bit[idx] = 1 << k
 
     def registers(self) -> dict[int, int]:
         """The table in the register layout of ``RegisterFile.shadow``."""
@@ -248,6 +263,7 @@ class NicPort:
         self.sim = sim
         self.num_tx_queues = num_tx_queues
         self.rate_bps = link.rate_bps
+        self.ser_ns = SerializationTicks(self.rate_bps)
         self.bucket = bucket
         self.queues = [TxQueue(i, queue_depth) for i in range(num_tx_queues)]
         self.mgmt_queue = TxQueue(MGMT_IDX, queue_depth)
@@ -260,7 +276,8 @@ class NicPort:
         self._pending_at_local = 0
         self.busy_until: SimTime = 0
         self._wake = None
-        self._rr_last: int | None = None
+        self._rr_last: int | None = None  # queue index last served round-robin
+        self._rr_mask = 0  # backlogged leftover queues, by active_table.leftover_bit
         self.trace: list[TxRecord] | None = None
         self.tx_frames = 0
         self.queued = 0  # frames in all queues, the management queue included
@@ -289,6 +306,7 @@ class NicPort:
         q.frames.append(frame)
         q.enqueued += 1
         self.queued += 1
+        self._rr_mask |= self.active_table.leftover_bit[idx]
         self.kick()
         return True
 
@@ -301,12 +319,19 @@ class NicPort:
         w = self.active_table.window_ns
         effective = ((local + w - 1) // w) * w if self.active_table.entries else local
         if effective <= local:
-            self.active_table, self._pending = table, None
+            self._activate(table)
             self.kick()
         else:
             self._pending, self._pending_at_local = table, effective
             when = self.clock.true_at_local(effective, self.sim.now)
             self.sim.at(when, self.kick, label=self._commit_label)
+
+    def _activate(self, table: ScheduleTable) -> None:
+        """Make ``table`` the active one and rebuild the backlog mask for it."""
+        self.active_table, self._pending = table, None
+        queues = self._all_queues
+        self._rr_mask = sum(table.leftover_bit[idx] for idx in table.leftover
+                            if queues[idx].frames)
 
     # -- scheduler -----------------------------------------------------
 
@@ -315,13 +340,15 @@ class NicPort:
         now = self.sim.now
         if self.busy_until > now:
             return
-        if not self.queued and self._pending is None and not self.active_table.entries:
-            self._clear_wake()  # where round-robin over empty queues ends anyway
-            return
-        local = self.clock.read_ns(now)
-        if self._pending is not None and local >= self._pending_at_local:
-            self.active_table, self._pending = self._pending, None
-        nxt = self._decide(local, now)
+        if self._pending is None and not self.active_table.entries:
+            # plain round robin decides on queue state alone: no clock read
+            local = None
+            nxt = self._rr_decide(None, None, None, now) if self._rr_mask else None
+        else:
+            local = self.clock.read_ns(now)
+            if self._pending is not None and local >= self._pending_at_local:
+                self._activate(self._pending)
+            nxt = self._decide(local, now)
         if isinstance(nxt, int):
             self._set_wake(nxt)
             return
@@ -344,8 +371,7 @@ class NicPort:
                 # stall on an empty slot, or idle when the head frame may not
                 # start inside the guardband or would overrun the slot
                 if (not q.frames or phase > end - table.guardband_ns
-                        or phase + serialization_ticks(q.frames[0].wire_bytes,
-                                                       self.rate_bps) > end):
+                        or phase + self.ser_ns[q.frames[0].wire_bytes] > end):
                     return self.clock.true_at_local(slot_end, now)
                 ready = self._token_ready(q.frames[0], now)
                 return q if ready is None else min(ready, self.clock.true_at_local(slot_end, now))
@@ -353,28 +379,35 @@ class NicPort:
         return self._rr_decide(window_end - table.guardband_ns, window_end, local, now)
 
     def _rr_decide(self, deadline_local: int | None, window_end_local: int | None,
-                   local: int, now: SimTime) -> TxQueue | SimTime | None:
-        """Round-robin over the table's leftover queues, one frame at a time."""
-        candidates = self.active_table.leftover
-        if self._rr_last in candidates:
-            i = candidates.index(self._rr_last) + 1
-            candidates = candidates[i:] + candidates[:i]
+                   local: int | None, now: SimTime) -> TxQueue | SimTime | None:
+        """Round-robin over the table's leftover queues, one frame at a time.
+
+        Visits the backlogged ones only: the set bits of the mask above the
+        last-served queue's bit, then the rest from the lowest, which is the
+        order of a scan of ``leftover`` rotated to start after that queue.
+        """
+        table = self.active_table
+        mask = self._rr_mask
+        last_bit = 0 if self._rr_last is None else table.leftover_bit[self._rr_last]
+        after = mask & -(last_bit << 1) if last_bit else 0
         token_wake: SimTime | None = None
-        for idx in candidates:
-            q = self._all_queues[idx]
-            if not q.frames:
-                continue
-            head = q.frames[0]
-            ser = serialization_ticks(head.wire_bytes, self.rate_bps)
-            if deadline_local is not None and local + ser > deadline_local:
-                continue
-            ready = self._token_ready(head, now)
-            if ready is not None:
-                if token_wake is None or ready < token_wake:
-                    token_wake = ready
-                continue
-            self._rr_last = idx
-            return q
+        for bits in (after, mask ^ after):
+            while bits:
+                low = bits & -bits
+                bits ^= low
+                idx = table.leftover[low.bit_length() - 1]
+                q = self._all_queues[idx]
+                head = q.frames[0]
+                if (deadline_local is not None
+                        and local + self.ser_ns[head.wire_bytes] > deadline_local):
+                    continue
+                ready = self._token_ready(head, now)
+                if ready is not None:
+                    if token_wake is None or ready < token_wake:
+                        token_wake = ready
+                    continue
+                self._rr_last = idx
+                return q
         if window_end_local is None:
             return token_wake
         window_end = self.clock.true_at_local(window_end_local, now)
@@ -387,18 +420,25 @@ class NicPort:
         ready = self.bucket.ready_time(frame.wire_bytes * 8, now)
         return None if ready <= now else ready
 
-    def _transmit(self, q: TxQueue, now: SimTime, tx_local: int) -> None:
+    def _transmit(self, q: TxQueue, now: SimTime, tx_local: int | None) -> None:
+        """Start sending ``q``'s head frame; ``tx_local`` is the clock reading
+        the decision took, or None when it took none."""
         frame = q.frames.popleft()
         q.dequeued += 1
         self.queued -= 1
+        if not q.frames:
+            self._rr_mask &= ~self.active_table.leftover_bit[q.index]
+        wire = frame.wire_bytes
         if self.bucket is not None and frame.meta.local_origin:
-            self.bucket.consume(frame.wire_bytes * 8, now)
-        ser = serialization_ticks(frame.wire_bytes, self.rate_bps)
-        if frame.ethertype == ETHERTYPE_PTP and self.network.ptp is not None:
+            self.bucket.consume(wire * 8, now)
+        ser = self.ser_ns[wire]
+        is_ptp = frame.ethertype == ETHERTYPE_PTP and self.network.ptp is not None
+        if tx_local is None and (is_ptp or self.trace is not None):
+            tx_local = self.clock.read_ns(now)
+        if is_ptp:
             self.network.ptp.on_tx_start(self.node_id, frame, tx_local)  # one-step timestamp
         if self.trace is not None:
-            self.trace.append(TxRecord(now, tx_local, q.index, frame.wire_bytes,
-                                       ser, frame.meta.flow_id))
+            self.trace.append(TxRecord(now, tx_local, q.index, wire, ser, frame.meta.flow_id))
         self.tx_frames += 1
         self.link.tx_frames += 1
         self.busy_until = now + ser

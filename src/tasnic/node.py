@@ -19,6 +19,7 @@ each frame that carries a flow id.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 from .clock import LocalClock
 from .engine import Simulator
@@ -80,6 +81,8 @@ class Node:
         self.mac = mac_of(abs_coords(node_id))
         self.clock = clock
         self.priority_map = priority_map
+        # TX queue of each pcp (a Frame's pcp is 0..7), classified once
+        self.queue_of_pcp = tuple(classify(pcp, priority_map) for pcp in range(8))
         self.counters = NodeCounters()
         self.bucket: TokenBucket | None = None
         self.ports: dict[PortKind, NicPort] = {}
@@ -139,7 +142,7 @@ class Node:
         if frame.ethertype == ETHERTYPE_PTP:
             port.enqueue(NicPort.MGMT_IDX, frame)
         else:
-            port.enqueue(classify(frame.pcp, self.priority_map), frame)
+            port.enqueue(self.queue_of_pcp[frame.pcp], frame)
 
     def _drop(self, frame: Frame, cause: str) -> None:
         self.counters.drop(cause)
@@ -256,7 +259,7 @@ class Network:
         """Deliver a frame that ``port`` sends from ``tx_start`` to ``tx_end`` to the
         link's far end, one propagation delay later."""
         self.sim.at(tx_end + port.link.prop_delay_ns,
-                    lambda: self._arrive(port, frame, tx_start), label=port.arrive_label)
+                    partial(self._arrive, port, frame, tx_start), port.arrive_label)
 
     def _arrive(self, port: NicPort, frame: Frame, tx_start: int) -> None:
         link = port.link

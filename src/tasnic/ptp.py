@@ -115,7 +115,9 @@ class PtpService:
         msg = PtpMessage.unpack(frame.payload)
         if msg.msg_type not in (MSG_SYNC, MSG_DELAY_REQ):
             return
-        frame.payload = pad_payload(PtpMessage(msg.msg_type, tx_local, msg.exchange_id).pack())
+        payload = pad_payload(PtpMessage(msg.msg_type, tx_local, msg.exchange_id).pack())
+        assert len(payload) == len(frame.payload)  # Frame.wire_bytes stays right
+        frame.payload = payload
         if msg.msg_type == MSG_DELAY_REQ:
             state = self.slaves.get(node_id)
             if state is not None and state.pending_id == msg.exchange_id:

@@ -28,7 +28,7 @@ from .fabric import (
     build_topology,
     tile_plus_two_nodes,
 )
-from .nic import ScheduleEntry, validate_schedule
+from .nic import MAX_TX_QUEUES, ScheduleEntry, validate_schedule
 from .node import HostSettings, NicSettings, PtpSettings
 from .qdisc import PriorityMap, validate_map
 from .runtime import MAX_CHUNK
@@ -310,8 +310,10 @@ def parse_scenario(doc: dict) -> Scenario:
         time_aware_queues=_ints(nic.get("time_aware_queues", [0, 1, 2]),
                                 "nic.time_aware_queues", errors),
         queue_depth=_int(nic.get("queue_depth", 1024), "nic.queue_depth", errors))
-    if sc.nic.num_tx_queues < 1:
-        errors.append(f"nic.num_tx_queues: {sc.nic.num_tx_queues} must be >= 1")
+    if not 1 <= sc.nic.num_tx_queues <= MAX_TX_QUEUES:
+        errors.append(f"nic.num_tx_queues: {sc.nic.num_tx_queues} must be in 1..{MAX_TX_QUEUES}")
+    if sc.nic.queue_depth < 1:
+        errors.append(f"nic.queue_depth: {sc.nic.queue_depth} must be >= 1")
     for q in sc.nic.time_aware_queues:
         if not 0 <= q < sc.nic.num_tx_queues:
             errors.append(f"nic.time_aware_queues: queue {q} does not exist")

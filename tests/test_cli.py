@@ -74,6 +74,11 @@ def test_validate_error_exit_one(tmp_path, capsys):
      "flows[0].offered_rate_bps: 9223372036854775808 is above 2**63 - 1"),
     ({"schedules": [{"node": "0.0.0.0", "port": "intra_h", "entries": [[0, 1e19]]}]},
      "schedules[0].entries[0][1]: 10000000000000000000 is above 2**63 - 1"),
+    ({"nic": {"queue_depth": 0}}, "nic.queue_depth: 0 must be >= 1"),
+    ({"nic": {"queue_depth": -3}}, "nic.queue_depth: -3 must be >= 1"),
+    ({"nic": {"num_tx_queues": 0}}, "nic.num_tx_queues: 0 must be in 1..65536"),
+    # validate parses only: no network, so no 70000 queues, is built
+    ({"nic": {"num_tx_queues": 70000}}, "nic.num_tx_queues: 70000 must be in 1..65536"),
 ], ids=["grid_G_r", "flow_item", "schedule_entry", "time_aware_queues",
         "drift_string", "drift_seeded_max", "drift_per_node",
         "duration_inf", "prop_delay_inf", "populated_empty", "populated_outside_grid",
@@ -81,7 +86,8 @@ def test_validate_error_exit_one(tmp_path, capsys):
         "duration_fraction", "rate_fraction", "seed_bool", "ptp_enabled_string",
         "trace_string", "backlogged_int", "grid_too_large", "node_id_fraction",
         "duration_string", "injection_cap_bool", "duration_above_int64", "rate_above_int64",
-        "offered_rate_above_int64", "slot_above_int64"])
+        "offered_rate_above_int64", "slot_above_int64", "queue_depth_zero",
+        "queue_depth_negative", "num_tx_queues_zero", "num_tx_queues_above_scr_range"])
 def test_malformed_scenario_is_a_validation_error(tmp_path, doc, message):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))

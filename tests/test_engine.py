@@ -111,3 +111,41 @@ def test_processed_timestamps_are_monotone(times):
     sim.run_until(10_000)
     assert seen == sorted(seen)
     assert len(seen) == len(times)
+
+
+def test_event_handle_exposes_its_fields_and_cancels_in_place():
+    sim = Simulator()
+    fired = []
+    first = sim.at(5, lambda: fired.append("first"), label="kind:first")
+    second = sim.at(5, lambda: fired.append("second"), "kind:second")
+    early = sim.at(3, lambda: fired.append("early"))
+    assert (first.fire_at, first.seq, first.label, first.cancelled) == (5, 0, "kind:first", False)
+    assert (second.seq, second.label, early.seq, early.label) == (1, "kind:second", 2, "")
+    second.cancel()
+    assert second.cancelled and not first.cancelled
+    stats = sim.run_until(10)
+    assert fired == ["early", "first"]
+    assert stats.events_processed == 2
+
+
+def test_step_skips_a_cancelled_head_and_keeps_fifo_order():
+    sim = Simulator()
+    fired = []
+    handles = [sim.at(7, lambda i=i: fired.append(i), label=f"e{i}") for i in range(4)]
+    handles[0].cancel()
+    handles[2].cancel()
+    assert sim.peek_time() == 7
+    assert sim.step() and sim.step()
+    assert not sim.step()
+    assert fired == [1, 3]
+    assert sim.events_processed == 2
+
+
+def test_cancelling_a_fired_event_changes_nothing():
+    sim = Simulator()
+    fired = []
+    handle = sim.at(1, lambda: fired.append("x"))
+    sim.run_until(1)
+    handle.cancel()
+    assert handle.cancelled and fired == ["x"]
+    assert sim.run_until(5).events_processed == 0

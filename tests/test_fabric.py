@@ -39,6 +39,21 @@ def test_encode_decode_round_trip(node_id):
     assert decode_id(encode_id(node_id)) == node_id
 
 
+@given(st.lists(node_ids, max_size=20))
+def test_node_ids_sort_and_hash_as_their_field_tuples(ids):
+    fields = [(n.grc, n.gcc, n.lrc, n.lcc) for n in ids]
+    assert [tuple(n) for n in sorted(ids)] == sorted(fields)
+    assert [hash(n) for n in ids] == [hash(f) for f in fields]
+
+
+@given(node_ids)
+def test_node_id_text_round_trip(node_id):
+    assert repr(node_id) == (f"NodeId(grc={node_id.grc}, gcc={node_id.gcc}, "
+                             f"lrc={node_id.lrc}, lcc={node_id.lcc})")
+    assert str(node_id) == f"{node_id.grc}.{node_id.gcc}.{node_id.lrc}.{node_id.lcc}"
+    assert NodeId.parse(str(node_id)) == node_id
+
+
 def test_abs_coords_examples():
     assert abs_coords(NodeId(0, 0, 0, 0)) == GridCoord(0, 0)
     assert abs_coords(NodeId(1, 2, 0, 1)) == GridCoord(2, 5)

@@ -1,5 +1,13 @@
 from tasnic.engine import TICKS_PER_S
 from tasnic.fabric import NodeId, build_topology
+from tasnic.frame import (
+    ETHERTYPE_PTP,
+    FCS_BYTES,
+    HEADER_BYTES,
+    Frame,
+    FrameMeta,
+    pad_payload,
+)
 from tasnic.node import HostSettings, Network, PtpSettings
 from tasnic.ptp import MSG_DELAY_REQ, MSG_DELAY_RESP, MSG_SYNC, PtpMessage
 
@@ -18,6 +26,16 @@ def test_message_codec_round_trip():
         msg = PtpMessage(msg_type, 123_456_789_012, 42)
         assert PtpMessage.unpack(msg.pack()) == msg
     assert len(PtpMessage(0, 0, 0).pack()) == 13
+
+
+def test_one_step_timestamp_keeps_the_wire_length():
+    net = sync_net({})
+    frame = Frame(dst_mac=bytes(6), src_mac=bytes(6), pcp=7, ethertype=ETHERTYPE_PTP,
+                  payload=pad_payload(PtpMessage(MSG_SYNC, 0, 9).pack()), meta=FrameMeta(hops=1))
+    before = frame.wire_bytes
+    net.ptp.on_tx_start(GM, frame, 123_456_789)
+    assert PtpMessage.unpack(frame.payload) == PtpMessage(MSG_SYNC, 123_456_789, 9)
+    assert frame.wire_bytes == before == HEADER_BYTES + len(frame.payload) + FCS_BYTES
 
 
 def test_exchanges_complete_every_interval():
