@@ -89,17 +89,11 @@ class Simulator:
             raise SchedulingError(f"negative delay {delay}")
         return self.at(self.now + delay, action, label)
 
-    def peek_time(self) -> SimTime | None:
-        """Time of the next live event, or None when the queue is empty."""
+    def step(self, limit: SimTime | None = None) -> bool:
+        """Process the next live event if it fires at or before ``limit`` (any
+        time when None); returns False, leaving it queued, when there is none."""
         heap = self._heap
-        while heap and heap[0][2] is None:
-            heapq.heappop(heap)
-        return heap[0][0] if heap else None
-
-    def step(self) -> bool:
-        """Process a single event; returns False when nothing is pending."""
-        heap = self._heap
-        while heap:
+        while heap and (limit is None or heap[0][0] <= limit):
             fire_at, seq, action, label = heapq.heappop(heap)
             if action is None:
                 continue

@@ -77,6 +77,7 @@ class Node:
     def __init__(self, network: "Network", node_id: NodeId, clock: LocalClock,
                  priority_map: PriorityMap):
         self.network = network
+        self.sim = network.sim
         self.node_id = node_id
         self.mac = mac_of(abs_coords(node_id))
         self.clock = clock
@@ -93,10 +94,6 @@ class Node:
         self._link_epoch = network.topology.link_epoch
         self._routes_epoch = self._link_epoch.value
         self._routes: dict[tuple[NodeId, PortKind | None], NicPort | None] = {}
-
-    @property
-    def sim(self) -> Simulator:
-        return self.network.sim
 
     # -- egress ------------------------------------------------------------
 
@@ -240,7 +237,7 @@ class Network:
                      pcp: int, local_origin: bool) -> Frame:
         meta = FrameMeta(final_dst=dst, ttl=DEFAULT_TTL, local_origin=local_origin,
                          route=[] if self.trace else None)
-        return Frame(dst_mac=mac_of(abs_coords(dst)), src_mac=src.mac, pcp=pcp,
+        return Frame(dst_mac=self.nodes[dst].mac, src_mac=src.mac, pcp=pcp,
                      ethertype=ethertype, payload=pad_payload(payload), meta=meta)
 
     def build_runtime_frame(self, src: Node, dst: NodeId, payload: bytes,

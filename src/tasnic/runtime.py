@@ -4,6 +4,11 @@
 0x88B5), each starting with an 18-byte fragment header; ``recv_msg`` blocks
 the calling application context until a matching message has been fully
 reassembled, realized by driving the event engine rather than busy-waiting.
+A message that fits one frame is delivered as its frame arrives, with no
+reassembly state and no deadline.  The fragments of a multi-frame message
+are reassembled in a buffer of ``total_len`` bytes; a partial message that
+is still incomplete ``reassembly_deadline_ns`` (1 s) after its first
+fragment arrived is dropped and counted in ``expired_partials``.
 ``set_conf``/``get_conf`` translate schedule configurations to and from the
 NIC's register file.
 
@@ -118,6 +123,7 @@ class NodeRuntime:
     def __init__(self, node: "Node",
                  reassembly_deadline_ns: SimTime = DEFAULT_REASSEMBLY_DEADLINE_NS):
         self.node = node
+        self._src_id = encode_id(node.node_id)
         self.reassembly_deadline_ns = reassembly_deadline_ns
         self._msg_counters: dict[int, int] = {}
         self._partials: dict[tuple[int, int], _Reassembly] = {}
@@ -134,80 +140,85 @@ class NodeRuntime:
         """Transfer ``data`` to the node with encoded id ``dst``; returns msg_id."""
         if len(data) < 1:
             raise MessageError("size must be >= 1")
+        node = self.node
+        network = node.network
         dst_node = decode_id(dst)
-        if not self.node.network.topology.has_node(dst_node):
+        if not network.topology.has_node(dst_node):
             raise AddressError(f"destination {dst_node} is not a populated node")
-        key = dst
-        msg_id = self._msg_counters.get(key, 0)
-        self._msg_counters[key] = (msg_id + 1) & 0xFFFF
-        frag_count = -(-len(data) // MAX_CHUNK)
-        now = self.node.sim.now
-        send_local = self.node.clock.read_ns(now)
-        src_id = encode_id(self.node.node_id)
+        msg_id = self._msg_counters.get(dst, 0)
+        self._msg_counters[dst] = (msg_id + 1) & 0xFFFF
+        size = len(data)
+        frag_count = -(-size // MAX_CHUNK)
+        now = node.sim.now
+        send_local = node.clock.read_ns(now)
+        src_id = self._src_id
         for idx in range(frag_count):
-            chunk = data[idx * MAX_CHUNK:(idx + 1) * MAX_CHUNK]
-            header = FragmentHeader(msg_id, idx, frag_count, len(data), src_id, dst)
-            frame = self.node.network.build_runtime_frame(
-                self.node, dst_node, header.pack() + chunk, pcp)
-            frame.meta.flow_id = flow_id
-            frame.meta.msg_id = msg_id
-            frame.meta.frag_index = idx
-            frame.meta.send_local_ts = send_local
-            frame.meta.send_true_ns = now
-            self.node.network.count_offered(frame)
-            self.node.send_frame(frame)
+            start = idx * MAX_CHUNK
+            header = _HEADER.pack(msg_id, idx, frag_count, size, src_id, dst)
+            frame = network.build_runtime_frame(
+                node, dst_node, header + data[start:start + MAX_CHUNK], pcp)
+            meta = frame.meta
+            meta.flow_id = flow_id
+            meta.msg_id = msg_id
+            meta.frag_index = idx
+            meta.send_local_ts = send_local
+            meta.send_true_ns = now
+            network.count_offered(frame)
+            node.send_frame(frame)
         return msg_id
 
     # -- receiving ---------------------------------------------------------
 
     def on_frame(self, frame: Frame) -> None:
         """Host side of the RX path, called after the processing delay."""
-        header = FragmentHeader.unpack(frame.payload)
-        key = (header.src_id, header.msg_id)
+        payload = frame.payload
+        msg_id, frag_index, frag_count, total_len, src_id, _ = _HEADER.unpack_from(payload)
+        key = (src_id, msg_id)
         part = self._partials.get(key)
         if part is None:
-            part = _Reassembly(header.frag_count, header.total_len,
-                               bytearray(header.total_len))
+            if frag_count == 1 and frag_index == 0:
+                # the whole message is in this frame: nothing to reassemble
+                data = payload[FRAGMENT_HEADER_BYTES:FRAGMENT_HEADER_BYTES + total_len]
+                if len(data) < total_len:
+                    data += bytes(total_len - len(data))
+                self._deliver(frame, src_id, data, frame.meta.hops)
+                return
+            part = _Reassembly(frag_count, total_len, bytearray(total_len))
             part.deadline_handle = self.node.sim.after(
                 self.reassembly_deadline_ns, lambda: self._expire(key),
                 label=self.node.reasm_deadline_label)
             self._partials[key] = part
-        if header.frag_count != part.frag_count or header.total_len != part.total_len:
+        if frag_count != part.frag_count or total_len != part.total_len:
             return  # inconsistent fragment; ignore
-        if header.frag_index in part.received or header.frag_index >= header.frag_count:
+        if frag_index in part.received or frag_index >= frag_count:
             return
-        start = header.frag_index * MAX_CHUNK
-        length = min(MAX_CHUNK, header.total_len - start)
-        chunk = frame.payload[FRAGMENT_HEADER_BYTES:FRAGMENT_HEADER_BYTES + length]
-        part.buffer[start:start + length] = chunk
-        part.received.add(header.frag_index)
+        start = frag_index * MAX_CHUNK
+        length = min(MAX_CHUNK, total_len - start)
+        chunk = payload[FRAGMENT_HEADER_BYTES:FRAGMENT_HEADER_BYTES + length]
+        part.buffer[start:start + len(chunk)] = chunk  # a short chunk leaves zeros
+        part.received.add(frag_index)
         part.max_hops = max(part.max_hops, frame.meta.hops)
         if len(part.received) == part.frag_count:
             part.deadline_handle.cancel()
             del self._partials[key]
-            now = self.node.sim.now
-            msg = Message(
-                src_id=header.src_id,
-                data=bytes(part.buffer),
-                send_local_ts=frame.meta.send_local_ts,
-                send_true_ns=frame.meta.send_true_ns,
-                deliver_local_ts=self.node.clock.read_ns(now),
-                deliver_true_ns=now,
-                flow_id=frame.meta.flow_id,
-                hops=part.max_hops,
-            )
-            self._complete(msg)
+            self._deliver(frame, src_id, bytes(part.buffer), part.max_hops)
 
     def _expire(self, key: tuple[int, int]) -> None:
         if key in self._partials:
             del self._partials[key]
             self.expired_partials += 1
 
-    def _complete(self, msg: Message) -> None:
+    def _deliver(self, frame: Frame, src_id: int, data: bytes, hops: int) -> None:
+        """Hand a complete message to the pending receive, the sink or the
+        completed list, stamped with this node's clock now."""
         self.messages_delivered += 1
+        meta = frame.meta
+        now = self.node.sim.now
+        msg = Message(src_id, data, meta.send_local_ts, meta.send_true_ns,
+                      self.node.clock.read_ns(now), now, meta.flow_id, hops)
         pending = self._pending_recv
         if (pending is not None and pending.result is None
-                and msg.src_id == pending.src_id and len(msg.data) == pending.size):
+                and src_id == pending.src_id and len(data) == pending.size):
             pending.result = msg
             return
         if self.message_sink is not None:
@@ -230,15 +241,13 @@ class NodeRuntime:
         self._pending_recv = pending
         try:
             while pending.result is None:
-                nxt = sim.peek_time()
-                if nxt is None or (deadline is not None and nxt > deadline):
+                if not sim.step(deadline):
                     if deadline is not None:
                         sim.run_until(deadline)
                         raise ReceiveTimeout(
                             f"no {size}-byte message from {decode_id(src)} within {timeout} ns")
                     raise ReceiveStalled(
                         "event queue drained with the receive still incomplete")
-                sim.step()
             return pending.result.data
         finally:
             self._pending_recv = None

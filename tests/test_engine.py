@@ -134,11 +134,28 @@ def test_step_skips_a_cancelled_head_and_keeps_fifo_order():
     handles = [sim.at(7, lambda i=i: fired.append(i), label=f"e{i}") for i in range(4)]
     handles[0].cancel()
     handles[2].cancel()
-    assert sim.peek_time() == 7
-    assert sim.step() and sim.step()
+    assert not sim.step(limit=6)
+    assert sim.step(limit=7) and sim.step()
     assert not sim.step()
     assert fired == [1, 3]
     assert sim.events_processed == 2
+
+
+def test_step_with_a_limit_leaves_later_events_queued():
+    sim = Simulator()
+    fired = []
+    sim.at(3, lambda: fired.append("cancelled")).cancel()
+    for i in range(3):
+        sim.at(5, lambda i=i: fired.append(i))
+    sim.at(9, lambda: fired.append("late"))
+    assert sim.step(limit=5)  # past the cancelled head at 3
+    assert (fired, sim.now) == ([0], 5)
+    assert sim.step(limit=5) and sim.step(limit=5)
+    assert not sim.step(limit=8)  # the next live event fires at 9
+    assert (fired, sim.now, sim.events_processed) == ([0, 1, 2], 5, 3)
+    assert sim.run_until(20).events_processed == 1
+    assert fired == [0, 1, 2, "late"]
+    assert not sim.step(limit=20) and not sim.step()
 
 
 def test_cancelling_a_fired_event_changes_nothing():

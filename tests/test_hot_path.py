@@ -1,8 +1,9 @@
-"""Call-count guard on the per-hop path.
+"""Call-count guard on the per-hop and per-message paths.
 
-A 1 ms round-robin run on 2x2 tiles runs under cProfile, and the test counts
-calls, never time, so it is deterministic.  Each assertion names Python-level
-work that one frame-hop once did and no longer does.
+A 1 ms round-robin run on 2x2 tiles runs under cProfile, and the tests count
+calls, never time, so they are deterministic.  Each assertion names
+Python-level work that one frame-hop or one one-frame message once did and
+no longer does.
 """
 
 import cProfile
@@ -31,7 +32,7 @@ def _profile():
     profile.enable()
     result = run_scenario(scenario)
     profile.disable()
-    return result, pstats.Stats(profile).stats
+    return result, pstats.Stats(profile).stats, profile.getstats()
 
 
 def _calls(stats, name, file_suffix=""):
@@ -44,8 +45,20 @@ def _calls_from(stats, name, caller):
                for (_, _, caller_func), count in entry[4].items() if caller_func == caller)
 
 
+def _generated_init_calls_from(entries, caller):
+    """Calls from ``caller`` into dataclass-generated ``__init__`` methods.
+
+    Counted per code object: pstats keys functions by (file, line, name), and
+    every generated method is ``<string>``, line 2, so it keeps only one."""
+    return sum(sub.callcount for entry in entries
+               if getattr(entry.code, "co_name", None) == caller
+               for sub in entry.calls or ()
+               if getattr(sub.code, "co_name", None) == "__init__"
+               and sub.code.co_filename == "<string>")
+
+
 def test_round_robin_hop_does_no_avoidable_python_calls():
-    result, stats = _profile()
+    result, stats, _ = _profile()
     net = result.network
     hops = sum(link.tx_frames for link in net.topology.links)
     assert hops > 500
@@ -54,8 +67,6 @@ def test_round_robin_hop_does_no_avoidable_python_calls():
     assert _calls(stats, "__eq__", "<string>") == 0
     assert _calls(stats, "__hash__", "<string>") == 0
     assert _calls(stats, "__hash__", "enum.py") == 0
-    # the engine pops each event once, without a peek_time round trip
-    assert _calls_from(stats, "peek_time", "run_until") == 0
     # serialization time: once per (port, wire size), the default guardband's
     # maximum-size frame included
     ports = [p for node in net.nodes.values() for p in node.ports.values()]
@@ -64,3 +75,18 @@ def test_round_robin_hop_does_no_avoidable_python_calls():
     # with PTP off, a round-robin decision reads no clock
     for caller in ("kick", "_decide", "_rr_decide", "_transmit", "enqueue"):
         assert _calls_from(stats, "read_ns", caller) == 0, caller
+
+
+def test_one_frame_message_does_no_per_message_setup():
+    result, stats, entries = _profile()
+    assert sum(node.runtime.messages_delivered for node in result.network.nodes.values()) > 100
+    # the node's own id is encoded once, and a destination MAC is the node's own
+    assert _calls_from(stats, "encode_id", "send_msg") == 0
+    for name in ("mac_of", "abs_coords"):
+        assert _calls_from(stats, name, "_build_frame") == 0, name
+    # the fragment header is packed and unpacked without a dataclass, and the
+    # Message is built in the shared delivery helper
+    for caller in ("on_frame", "send_msg"):
+        assert _generated_init_calls_from(entries, caller) == 0, caller
+    # no reassembly deadline is scheduled for a message that fits one frame
+    assert _calls_from(stats, "after", "on_frame") == 0

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tasnic.engine import Simulator
 from tasnic.fabric import NodeId, PortKind, build_topology, encode_id
 from tasnic.node import HostSettings, Network, PtpSettings
 from tasnic.runtime import (
@@ -123,6 +124,81 @@ def test_partial_message_expires_and_counts():
     net.sim.run_until(net.sim.now + 2_000_000_000)  # past the 1 s deadline
     assert runtime.expired_partials == 1
     assert runtime.messages_delivered == 0
+
+
+def _sink(net, node):
+    """Collect every message ``node`` completes, with the time it completed."""
+    got = []
+    net.nodes[node].runtime.message_sink = lambda msg: got.append((net.sim.now, msg))
+    return got
+
+
+def _crafted(net, msg_id, frag_index, frag_count, total_len, chunk):
+    header = FragmentHeader(msg_id, frag_index, frag_count, total_len, encode_id(A), encode_id(B))
+    return net.build_runtime_frame(net.nodes[A], B, header.pack() + chunk, pcp=0)
+
+
+@pytest.mark.parametrize("size", [1, 28, 29, MAX_CHUNK - 1, MAX_CHUNK, MAX_CHUNK + 1])
+def test_message_sizes_around_one_frame_arrive_whole(size):
+    # 28 B still pads the frame's payload to its minimum; 1483 B takes two frames
+    net = quiet_net(drift_by_node={A: -30.0, FAR: 50.0})
+    got = _sink(net, FAR)
+    data = random.Random(size).randbytes(size)
+    net.sim.run_until(1_000_000)  # far enough for the drifts to show
+    net.nodes[A].runtime.send_msg(data, encode_id(FAR), flow_id=3)
+    net.sim.run_until(10_000_000)
+    [(now, msg)] = got
+    assert (msg.src_id, msg.data, msg.flow_id, msg.hops) == (encode_id(A), data, 3, 2)
+    assert (msg.send_true_ns, msg.deliver_true_ns) == (1_000_000, now)
+    assert msg.send_local_ts == net.nodes[A].clock.read_ns(1_000_000)
+    assert msg.deliver_local_ts == net.nodes[FAR].clock.read_ns(now)
+    assert msg.deliver_local_ts != now  # the receiver's own clock, not true time
+
+
+@pytest.mark.parametrize("size, deadlines", [(MAX_CHUNK, 0), (MAX_CHUNK + 1, 1)])
+def test_only_a_multi_frame_message_schedules_a_reassembly_deadline(size, deadlines, monkeypatch):
+    labels = []
+    at = Simulator.at
+
+    def counted_at(sim, when, action, label=""):
+        labels.append(label)
+        return at(sim, when, action, label)
+
+    monkeypatch.setattr(Simulator, "at", counted_at)
+    net = quiet_net()
+    net.nodes[A].runtime.send_msg(bytes(size), encode_id(B))
+    assert net.nodes[B].runtime.recv_msg(size, encode_id(A), timeout=1_000_000) == bytes(size)
+    assert sum(label.startswith("reasm-deadline:") for label in labels) == deadlines
+
+
+def test_fragment_index_past_a_one_frame_count_leaves_a_partial_that_expires():
+    net = quiet_net()
+    runtime = net.nodes[B].runtime
+    runtime.on_frame(_crafted(net, 0, 1, 1, 100, bytes(100)))
+    net.sim.run_until(2_000_000_000)  # past the 1 s deadline
+    assert (runtime.expired_partials, runtime.messages_delivered) == (1, 0)
+
+
+def test_one_frame_message_under_the_key_of_a_partial_is_ignored():
+    net = quiet_net()
+    runtime = net.nodes[B].runtime
+    runtime.on_frame(_crafted(net, 0, 0, 3, 3 * MAX_CHUNK, bytes(MAX_CHUNK)))
+    runtime.on_frame(_crafted(net, 0, 0, 1, 100, bytes(100)))
+    assert runtime.messages_delivered == 0
+    net.sim.run_until(2_000_000_000)
+    assert (runtime.expired_partials, runtime.messages_delivered) == (1, 0)
+
+
+def test_a_short_chunk_is_zero_filled_to_the_message_length():
+    net = quiet_net()
+    got = _sink(net, B)
+    runtime = net.nodes[B].runtime
+    one, first, second = b"\x01" * 50, b"\x02" * 1000, b"\x03" * 518
+    runtime.on_frame(_crafted(net, 0, 0, 1, 100, one))
+    runtime.on_frame(_crafted(net, 1, 0, 2, 2000, first))
+    runtime.on_frame(_crafted(net, 1, 1, 2, 2000, second))
+    assert [msg.data for _, msg in got] == [
+        one + bytes(50), first + bytes(MAX_CHUNK - 1000) + second]
 
 
 def test_recv_timeout_raises():
