@@ -3,15 +3,19 @@
 
 Programs random slot tables over 2..4 queues on a single link with every
 queue backlogged and no host cap, then compares each queue's measured
-share of the link against its slot fraction of the window.
+share of the link against its slot fraction of the window.  Each case is
+``scenarios/proportional_shares.json`` with its own slot table, flows and
+seed.
 """
 
 import argparse
+import json
 import random
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
 
 from tasnic.frame import MAX_WIRE_BYTES
 from tasnic.harness import run_scenario
@@ -22,13 +26,17 @@ LINK_RATE = 10_000_000_000
 
 
 def main() -> int:
+    doc = json.loads((ROOT / "scenarios" / "proportional_shares.json").read_text())
+    schedule, template = doc["schedules"][0], doc["flows"][0]
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--cases", type=int, default=5)
-    parser.add_argument("--window-us", type=int, default=250)
-    parser.add_argument("--windows", type=int, default=120)
+    parser.add_argument("--window-us", type=int, default=schedule["window_us"])
+    parser.add_argument("--windows", type=int,
+                        default=doc["duration_ns"] // (schedule["window_us"] * 1000))
     args = parser.parse_args()
 
-    window = args.window_us
+    window = schedule["window_us"] = args.window_us
+    doc["duration_ns"] = args.windows * window * 1000
     print(f"{'case':>4} {'queue':>5} {'slot_us':>7} {'target':>8} {'measured':>9} {'error':>8}")
     worst = 0.0
     for case in range(args.cases):
@@ -36,21 +44,9 @@ def main() -> int:
         count = rng.randint(2, 4)
         queues = rng.sample(range(4), count)
         slots = [rng.randint(30, 55) for _ in range(count)]
-        doc = {
-            "grid": {"G_r": 1, "G_c": 1},
-            "host": {"injection_cap_bps": None},
-            "ptp": {"enabled": False},
-            "nic": {"time_aware_queues": [0, 1, 2, 3]},
-            "priority_map": {"num_classes": 4, "prio_to_tc": [0, 1, 2, 3],
-                             "tc_to_queue": [0, 1, 2, 3]},
-            "schedules": [{"node": "0.0.0.0", "port": "intra_h",
-                           "window_us": window,
-                           "entries": [[q, s] for q, s in zip(queues, slots)]}],
-            "flows": [{"src": "0.0.0.0", "dst": "0.0.0.1", "pcp": q,
-                       "backlogged": True} for q in queues],
-            "duration_ns": args.windows * window * 1000,
-            "seed": case,
-        }
+        schedule["entries"] = [[q, s] for q, s in zip(queues, slots)]
+        doc["flows"] = [dict(template, pcp=q) for q in queues]
+        doc["seed"] = case
         report = run_scenario(parse_scenario(doc)).report()
         for flow, slot in zip(report["flows"], slots):
             measured = flow["goodput_bps"] * MAX_WIRE_BYTES / MAX_CHUNK / LINK_RATE

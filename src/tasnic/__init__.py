@@ -19,7 +19,7 @@ from .fabric import (
 from .frame import Frame, crc32, serialization_ticks
 from .harness import RunResult, build_network, emit_report, run_scenario
 from .metrics import FlowRecorder
-from .nic import NicPort, ScheduleEntry, ScheduleTable, TokenBucket, TxQueue
+from .nic import NicPort, ScheduleTable, TokenBucket, TxQueue
 from .node import HostSettings, Network, NicSettings, Node, PtpSettings
 from .qdisc import PriorityMap, classify, validate_map
 from .routing import next_hop

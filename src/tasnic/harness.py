@@ -19,7 +19,7 @@ from .fabric import NodeId, encode_id
 from .frame import Frame, wire_bytes
 from .metrics import CSV_HEADER, FlowRecorder, csv_row
 from .node import Network
-from .runtime import FRAGMENT_HEADER_BYTES, Message, ScheduleConfig
+from .runtime import FRAGMENT_HEADER_BYTES, Message
 from .scenario import Scenario
 
 BACKLOG_OUTSTANDING = 16
@@ -199,9 +199,8 @@ def run_scenario(scenario: Scenario) -> RunResult:
     for node in net.nodes.values():
         node.runtime.message_sink = tap.message
 
-    for sched in scenario.schedules:
-        net.nodes[sched.node].runtime.set_conf(ScheduleConfig(
-            sched.port, sched.window_us, sched.entries, sched.guardband_ns))
+    for node_id, cfg in scenario.schedules:
+        net.nodes[node_id].runtime.set_conf(cfg)
 
     for fault in scenario.faults:
         link = net.topology.link_between(fault.a, fault.b)

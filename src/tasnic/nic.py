@@ -11,7 +11,10 @@ entries degenerates to plain round-robin over all queues with no window
 bookkeeping at all.
 
 Schedule updates are staged in shadow registers and applied atomically at
-the next window boundary after a successful commit.
+the next window boundary after a successful commit.  This module alone
+knows the register layout: ``schedule_registers`` turns a schedule's
+``(queue_idx, slot_us)`` entries into a register image, and
+``RegisterFile._commit`` reads them back out of the shadow.
 
 The management queue (sync-protocol frames) is ``NicPort.MGMT_IDX`` (-1):
 it sits after the TX queues in one index space and is served only in
@@ -68,22 +71,31 @@ def default_guardband_ns(rate_bps: int) -> int:
     return serialization_ticks(MAX_WIRE_BYTES, rate_bps)
 
 
-@dataclass(slots=True, frozen=True)
-class ScheduleEntry:
-    queue_idx: int
-    slot_us: int
+def schedule_registers(window_us: int, entries: tuple[tuple[int, int], ...],
+                       guardband_ns: int) -> dict[int, int]:
+    """A schedule in the register layout of ``RegisterFile.shadow``: every
+    register, with the SCR/TQCR pairs past ``entries`` zeroed."""
+    regs = {REG_WINDOW_US: window_us, REG_NUM_ENTRIES: len(entries),
+            REG_GUARDBAND_NS: guardband_ns}
+    for j in range(MAX_SCHEDULE_ENTRIES):
+        regs[REG_SCR_BASE + 8 * j] = regs[REG_TQCR_BASE + 8 * j] = 0
+    for j, (queue_idx, slot_us) in enumerate(entries):
+        regs[REG_SCR_BASE + 8 * j] = SCR_ENABLE | queue_idx
+        regs[REG_TQCR_BASE + 8 * j] = slot_us
+    return regs
 
 
 class ScheduleTable:
-    """A committed schedule plus derived ns-resolution slot ends and the
-    queues served round-robin in leftover window time.
+    """A committed schedule, ``entries`` as ``(queue_idx, slot_us)`` pairs,
+    plus derived ns-resolution slot ends and the queues served round-robin
+    in leftover window time.
 
     ``leftover_bit[idx]`` is the bit of queue ``idx`` (MGMT_IDX indexes the
     last entry) in a port's mask of backlogged leftover queues: bit ``k``
     stands for ``leftover[k]``, and a scheduled queue has no bit.
     """
 
-    def __init__(self, window_us: int, entries: tuple[ScheduleEntry, ...], guardband_ns: int,
+    def __init__(self, window_us: int, entries: tuple[tuple[int, int], ...], guardband_ns: int,
                  num_tx_queues: int):
         self.window_us = window_us
         self.entries = entries
@@ -91,28 +103,20 @@ class ScheduleTable:
         self.window_ns = window_us * 1_000
         self.slots_ns: list[tuple[int, int]] = []  # (slot end in the window, queue)
         end = 0
-        for e in entries:
-            end += e.slot_us * 1_000
-            self.slots_ns.append((end, e.queue_idx))
-        scheduled = {e.queue_idx for e in entries}
+        for queue_idx, slot_us in entries:
+            end += slot_us * 1_000
+            self.slots_ns.append((end, queue_idx))
+        scheduled = {queue_idx for queue_idx, _ in entries}
         self.leftover = (*(i for i in range(num_tx_queues) if i not in scheduled), MGMT_IDX)
         self.leftover_bit = [0] * (num_tx_queues + 1)
         for k, idx in enumerate(self.leftover):
             self.leftover_bit[idx] = 1 << k
 
     def registers(self) -> dict[int, int]:
-        """The table in the register layout of ``RegisterFile.shadow``."""
-        regs = {REG_WINDOW_US: self.window_us, REG_NUM_ENTRIES: len(self.entries),
-                REG_GUARDBAND_NS: self.guardband_ns}
-        for j in range(MAX_SCHEDULE_ENTRIES):
-            regs[REG_SCR_BASE + 8 * j] = regs[REG_TQCR_BASE + 8 * j] = 0
-        for j, e in enumerate(self.entries):
-            regs[REG_SCR_BASE + 8 * j] = SCR_ENABLE | e.queue_idx
-            regs[REG_TQCR_BASE + 8 * j] = e.slot_us
-        return regs
+        return schedule_registers(self.window_us, self.entries, self.guardband_ns)
 
 
-def validate_schedule(window_us: int, entries: tuple[ScheduleEntry, ...],
+def validate_schedule(window_us: int, entries: tuple[tuple[int, int], ...],
                       guardband_ns: int, num_tx_queues: int) -> list[str]:
     errors: list[str] = []
     if window_us < 1:
@@ -123,15 +127,15 @@ def validate_schedule(window_us: int, entries: tuple[ScheduleEntry, ...],
         errors.append(f"{len(entries)} entries exceed the maximum of {MAX_SCHEDULE_ENTRIES}")
     seen: set[int] = set()
     total = 0
-    for j, e in enumerate(entries):
-        if e.slot_us < 1:
-            errors.append(f"entry {j}: slot_us={e.slot_us} below the microsecond granularity")
-        if not 0 <= e.queue_idx < num_tx_queues:
-            errors.append(f"entry {j}: queue {e.queue_idx} does not exist")
-        elif e.queue_idx in seen:
-            errors.append(f"entry {j}: queue {e.queue_idx} referenced twice")
-        seen.add(e.queue_idx)
-        total += e.slot_us
+    for j, (queue_idx, slot_us) in enumerate(entries):
+        if slot_us < 1:
+            errors.append(f"entry {j}: slot_us={slot_us} below the microsecond granularity")
+        if not 0 <= queue_idx < num_tx_queues:
+            errors.append(f"entry {j}: queue {queue_idx} does not exist")
+        elif queue_idx in seen:
+            errors.append(f"entry {j}: queue {queue_idx} referenced twice")
+        seen.add(queue_idx)
+        total += slot_us
     if window_us >= 1 and total > window_us:
         errors.append(f"slots sum to {total} us, exceeding the {window_us} us window")
     return errors
@@ -140,7 +144,7 @@ def validate_schedule(window_us: int, entries: tuple[ScheduleEntry, ...],
 @dataclass(slots=True)
 class TxQueue:
     index: int
-    depth: int = 1024
+    depth: int
     frames: deque = field(default_factory=deque)
     enqueued: int = 0
     dequeued: int = 0
@@ -233,7 +237,7 @@ class RegisterFile:
             scr = self.shadow[REG_SCR_BASE + 8 * j]
             if not scr & SCR_ENABLE:
                 continue
-            entries.append(ScheduleEntry(scr & 0xFFFF, self.shadow[REG_TQCR_BASE + 8 * j]))
+            entries.append((scr & 0xFFFF, self.shadow[REG_TQCR_BASE + 8 * j]))
         entries = tuple(entries)
         window = self.shadow[REG_WINDOW_US]
         guard = self.shadow[REG_GUARDBAND_NS]
@@ -280,7 +284,6 @@ class NicPort:
         self._rr_mask = 0  # backlogged leftover queues, by active_table.leftover_bit
         self.trace: list[TxRecord] | None = None
         self.tx_frames = 0
-        self.queued = 0  # frames in all queues, the management queue included
         self._txdone_label = f"txdone:{node_id}:{kind.value}"
         self._wake_label = f"wake:{node_id}:{kind.value}"
         self._commit_label = f"commit:{node_id}:{kind.value}"
@@ -305,7 +308,6 @@ class NicPort:
             return False
         q.frames.append(frame)
         q.enqueued += 1
-        self.queued += 1
         self._rr_mask |= self.active_table.leftover_bit[idx]
         self.kick()
         return True
@@ -425,7 +427,6 @@ class NicPort:
         the decision took, or None when it took none."""
         frame = q.frames.popleft()
         q.dequeued += 1
-        self.queued -= 1
         if not q.frames:
             self._rr_mask &= ~self.active_table.leftover_bit[q.index]
         wire = frame.wire_bytes

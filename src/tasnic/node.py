@@ -39,6 +39,8 @@ from .qdisc import PriorityMap, classify, validate_map
 from .routing import DEFAULT_TTL, next_hop
 from .runtime import NodeRuntime
 
+ROUTE_TRACE_CAP = 10_000  # route records a traced run keeps for routes.jsonl
+
 
 @dataclass(slots=True)
 class NicSettings:
@@ -225,7 +227,6 @@ class Network:
         self.frames_delivered = 0
         self.drops_by_cause: dict[str, int] = {}
         self.route_traces: list[dict] = []
-        self.route_trace_cap = 10_000
 
     def start(self) -> None:
         if self.ptp is not None:
@@ -291,7 +292,7 @@ class Network:
             self.flows.delivered(frame)
 
     def record_route(self, frame: Frame) -> None:
-        if len(self.route_traces) >= self.route_trace_cap:
+        if len(self.route_traces) >= ROUTE_TRACE_CAP:
             return
         self.route_traces.append({
             "flow": frame.meta.flow_id,

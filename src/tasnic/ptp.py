@@ -67,8 +67,7 @@ class SlaveSync:
 class PtpService:
     """Drives the periodic exchanges and owns per-slave servo state."""
 
-    def __init__(self, network: "Network", grandmaster: NodeId,
-                 interval_ms: int = 250):
+    def __init__(self, network: "Network", grandmaster: NodeId, interval_ms: int):
         self.network = network
         self.grandmaster = grandmaster
         self.interval_ns = interval_ms * TICKS_PER_MS

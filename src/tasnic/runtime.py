@@ -7,10 +7,11 @@ reassembled, realized by driving the event engine rather than busy-waiting.
 A message that fits one frame is delivered as its frame arrives, with no
 reassembly state and no deadline.  The fragments of a multi-frame message
 are reassembled in a buffer of ``total_len`` bytes; a partial message that
-is still incomplete ``reassembly_deadline_ns`` (1 s) after its first
+is still incomplete ``REASSEMBLY_DEADLINE_NS`` (1 s) after its first
 fragment arrived is dropped and counted in ``expired_partials``.
-``set_conf``/``get_conf`` translate schedule configurations to and from the
-NIC's register file.
+``set_conf`` writes a ``ScheduleConfig`` into a port's register file as the
+image ``nic.schedule_registers`` lays out and commits it; ``get_conf`` reads
+the committed table back as the same value.
 
 Fragment header layout (big-endian): msg_id u16, frag_index u16,
 frag_count u16, total_len u32, src_id u32, dst_id u32.  Each fragment
@@ -26,16 +27,7 @@ from typing import TYPE_CHECKING, Callable
 from .engine import TICKS_PER_S, SimTime
 from .fabric import AddressError, PortKind, decode_id, encode_id
 from .frame import MAX_PAYLOAD, Frame
-from .nic import (
-    REG_COMMIT,
-    REG_GUARDBAND_NS,
-    REG_NUM_ENTRIES,
-    REG_SCR_BASE,
-    REG_TQCR_BASE,
-    REG_WINDOW_US,
-    SCR_ENABLE,
-    default_guardband_ns,
-)
+from .nic import REG_COMMIT, default_guardband_ns, schedule_registers
 
 if TYPE_CHECKING:  # pragma: no cover
     from .node import Node
@@ -43,7 +35,7 @@ if TYPE_CHECKING:  # pragma: no cover
 _HEADER = struct.Struct(">HHHIII")
 FRAGMENT_HEADER_BYTES = _HEADER.size  # 18
 MAX_CHUNK = MAX_PAYLOAD - FRAGMENT_HEADER_BYTES  # 1482 usable bytes per frame
-DEFAULT_REASSEMBLY_DEADLINE_NS = TICKS_PER_S
+REASSEMBLY_DEADLINE_NS = TICKS_PER_S
 
 
 class MessageError(Exception):
@@ -94,6 +86,9 @@ class Message:
 
 @dataclass(slots=True)
 class ScheduleConfig:
+    """A port's schedule, from the scenario file through ``set_conf`` to
+    ``get_conf``."""
+
     port: PortKind
     window_us: int
     entries: tuple[tuple[int, int], ...]  # (queue_idx, slot_us)
@@ -120,11 +115,9 @@ class _PendingRecv:
 class NodeRuntime:
     """Messaging endpoint for one node's single application context."""
 
-    def __init__(self, node: "Node",
-                 reassembly_deadline_ns: SimTime = DEFAULT_REASSEMBLY_DEADLINE_NS):
+    def __init__(self, node: "Node"):
         self.node = node
         self._src_id = encode_id(node.node_id)
-        self.reassembly_deadline_ns = reassembly_deadline_ns
         self._msg_counters: dict[int, int] = {}
         self._partials: dict[tuple[int, int], _Reassembly] = {}
         self._completed: list[Message] = []
@@ -185,7 +178,7 @@ class NodeRuntime:
                 return
             part = _Reassembly(frag_count, total_len, bytearray(total_len))
             part.deadline_handle = self.node.sim.after(
-                self.reassembly_deadline_ns, lambda: self._expire(key),
+                REASSEMBLY_DEADLINE_NS, lambda: self._expire(key),
                 label=self.node.reasm_deadline_label)
             self._partials[key] = part
         if frag_count != part.frag_count or total_len != part.total_len:
@@ -262,12 +255,8 @@ class NodeRuntime:
         guard = cfg.guardband_ns
         if guard is None:
             guard = default_guardband_ns(port.rate_bps)
-        port.regs.write(REG_WINDOW_US, cfg.window_us)
-        port.regs.write(REG_GUARDBAND_NS, guard)
-        port.regs.write(REG_NUM_ENTRIES, len(cfg.entries))
-        for j, (queue_idx, slot_us) in enumerate(cfg.entries):
-            port.regs.write(REG_SCR_BASE + 8 * j, SCR_ENABLE | queue_idx)
-            port.regs.write(REG_TQCR_BASE + 8 * j, slot_us)
+        for offset, value in schedule_registers(cfg.window_us, cfg.entries, guard).items():
+            port.regs.write(offset, value)
         port.regs.write(REG_COMMIT, 1)
         if not port.regs.read(REG_COMMIT) & 1:
             raise ConfigError("; ".join(port.regs.last_commit_errors))
@@ -278,9 +267,4 @@ class NodeRuntime:
         if port is None:
             raise ConfigError(f"node {self.node.node_id} has no connected {port_kind.value} port")
         table = port.committed_table
-        return ScheduleConfig(
-            port=port_kind,
-            window_us=table.window_us,
-            entries=tuple((e.queue_idx, e.slot_us) for e in table.entries),
-            guardband_ns=table.guardband_ns,
-        )
+        return ScheduleConfig(port_kind, table.window_us, table.entries, table.guardband_ns)

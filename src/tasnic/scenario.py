@@ -28,10 +28,10 @@ from .fabric import (
     build_topology,
     tile_plus_two_nodes,
 )
-from .nic import MAX_TX_QUEUES, ScheduleEntry, validate_schedule
+from .nic import MAX_TX_QUEUES, validate_schedule
 from .node import HostSettings, NicSettings, PtpSettings
 from .qdisc import PriorityMap, validate_map
-from .runtime import MAX_CHUNK
+from .runtime import MAX_CHUNK, ScheduleConfig
 
 
 class ScenarioError(Exception):
@@ -122,15 +122,6 @@ class GridSpec:
 
 
 @dataclass(slots=True)
-class ScheduleSpec:
-    node: NodeId
-    port: PortKind
-    window_us: int
-    entries: tuple[tuple[int, int], ...]  # (queue_idx, slot_us)
-    guardband_ns: int | None = None
-
-
-@dataclass(slots=True)
 class FaultSpec:
     a: NodeId
     b: NodeId
@@ -160,7 +151,7 @@ class Scenario:
     drift_spec: object = None  # None (seeded 10 ppm), number, or mapping
     nic: NicSettings = field(default_factory=NicSettings)
     priority_map: PriorityMap = field(default_factory=PriorityMap)
-    schedules: list[ScheduleSpec] = field(default_factory=list)
+    schedules: list[tuple[NodeId, ScheduleConfig]] = field(default_factory=list)
     faults: list[FaultSpec] = field(default_factory=list)
     flows: list[FlowSpec] = field(default_factory=list)
     duration_ns: int = 1_000_000_000
@@ -198,10 +189,10 @@ class Scenario:
             "priority_map": {"num_classes": self.priority_map.num_classes,
                              "prio_to_tc": list(self.priority_map.prio_to_tc),
                              "tc_to_queue": list(self.priority_map.tc_to_queue)},
-            "schedules": [{"node": str(s.node), "port": s.port.value,
-                           "window_us": s.window_us,
-                           "entries": [list(e) for e in s.entries],
-                           "guardband_ns": s.guardband_ns} for s in self.schedules],
+            "schedules": [{"node": str(node), "port": cfg.port.value,
+                           "window_us": cfg.window_us,
+                           "entries": [list(e) for e in cfg.entries],
+                           "guardband_ns": cfg.guardband_ns} for node, cfg in self.schedules],
             "faults": [{"a": str(f.a), "b": str(f.b), "time_ns": f.time_ns,
                         "state": "up" if f.up else "down"} for f in self.faults],
             "flows": [{"src": str(f.src), "dst": str(f.dst), "pcp": f.pcp,
@@ -366,12 +357,10 @@ def parse_scenario(doc: dict) -> Scenario:
         window = _int64(s.get("window_us", 100), f"{path}.window_us", errors)
         guard = s.get("guardband_ns")
         guard_val = _int64(guard, f"{path}.guardband_ns", errors) if guard is not None else None
-        table_entries = tuple(ScheduleEntry(q, slot) for q, slot in entries)
-        for e in validate_schedule(window, table_entries,
-                                   guard_val if guard_val is not None else 0,
+        for e in validate_schedule(window, entries, guard_val if guard_val is not None else 0,
                                    sc.nic.num_tx_queues):
             errors.append(f"{path} (node {node} port {port.value}): {e}")
-        sc.schedules.append(ScheduleSpec(node, port, window, entries, guard_val))
+        sc.schedules.append((node, ScheduleConfig(port, window, entries, guard_val)))
 
     for i, f in enumerate(_expect(doc.get("faults", []), list, "faults", errors)):
         path = f"faults[{i}]"

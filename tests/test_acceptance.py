@@ -4,9 +4,11 @@ Run with ``pytest -s tests/test_acceptance.py`` to see the per-criterion
 summary lines.
 """
 
+import json
 import math
 import random
 import time
+from pathlib import Path
 
 import pytest
 
@@ -19,23 +21,30 @@ from tasnic.node import HostSettings, Network, PtpSettings
 from tasnic.routing import next_hop
 from tasnic.scenario import parse_scenario
 
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 W_EXT = "0.0.1.1"   # single node west of the full tile
 E_EXT = "0.2.0.0"   # single node east of it
 
 
-def partition_doc(duration_ns, seed=1):
-    return {
-        "grid": {"preset": "tile_plus_two"},
-        "ptp": {"drift_ppm": {"seeded_max_ppm": 10}},
-        "schedules": [{"node": W_EXT, "port": "external", "window_us": 100,
-                       "entries": [[2, 90]]}],
-        "flows": [
-            {"src": W_EXT, "dst": E_EXT, "pcp": 2, "backlogged": True},
-            {"src": W_EXT, "dst": E_EXT, "pcp": 0, "backlogged": True},
-        ],
-        "duration_ns": duration_ns,
-        "seed": seed,
-    }
+def partition_doc(duration_ns, seed=1, faults=()):
+    """``bandwidth_partition.json`` with the run's duration, seed and faults."""
+    doc = json.loads((SCENARIOS / "bandwidth_partition.json").read_text())
+    doc.update(duration_ns=duration_ns, seed=seed, faults=list(faults))
+    return doc
+
+
+def shares_doc(seed):
+    """``proportional_shares.json`` with case ``seed``'s random slot table, one
+    backlogged flow per scheduled queue; returns the document and the slots."""
+    doc = json.loads((SCENARIOS / "proportional_shares.json").read_text())
+    rng = random.Random(seed)
+    count = rng.randint(2, 4)
+    queues = rng.sample(range(4), count)
+    slots = [rng.randint(30, 55) for _ in range(count)]
+    doc["schedules"][0]["entries"] = [[q, s] for q, s in zip(queues, slots)]
+    doc["flows"] = [dict(doc["flows"][0], pcp=q) for q in queues]
+    doc["seed"] = seed
+    return doc, slots
 
 
 def test_criterion_1_bandwidth_partition():
@@ -56,28 +65,11 @@ def test_criterion_1_bandwidth_partition():
 
 def test_criterion_2_proportional_shares():
     link_rate = 10_000_000_000
-    window = 250
     worst = 0.0
     for seed in range(5):
-        rng = random.Random(seed)
-        count = rng.randint(2, 4)
-        queues = rng.sample(range(4), count)
-        slots = [rng.randint(30, 55) for _ in range(count)]
-        doc = {
-            "grid": {"G_r": 1, "G_c": 1},
-            "host": {"injection_cap_bps": None},
-            "ptp": {"enabled": False},
-            "nic": {"time_aware_queues": [0, 1, 2, 3]},
-            "priority_map": {"num_classes": 4, "prio_to_tc": [0, 1, 2, 3],
-                             "tc_to_queue": [0, 1, 2, 3]},
-            "schedules": [{"node": "0.0.0.0", "port": "intra_h",
-                           "window_us": window,
-                           "entries": [[q, s] for q, s in zip(queues, slots)]}],
-            "flows": [{"src": "0.0.0.0", "dst": "0.0.0.1", "pcp": q,
-                       "backlogged": True} for q in queues],
-            "duration_ns": 120 * window * 1000,   # > 100 whole windows
-            "seed": seed,
-        }
+        doc, slots = shares_doc(seed)
+        window = doc["schedules"][0]["window_us"]
+        assert doc["duration_ns"] > 100 * window * 1000   # > 100 whole windows
         res = run_scenario(parse_scenario(doc))
         for flow, slot in zip(res.report()["flows"], slots):
             wire_bps = flow["goodput_bps"] * 1522 / 1482
@@ -242,9 +234,8 @@ def test_criterion_7_crc_and_fragmentation():
 
 
 def test_criterion_8_determinism(tmp_path):
-    doc = partition_doc(20_000_000, seed=42)
-    doc["faults"] = [{"a": "0.1.0.1", "b": "0.1.1.1",
-                      "time_ns": 10_000_000, "state": "down"}]
+    doc = partition_doc(20_000_000, seed=42, faults=[
+        {"a": "0.1.0.1", "b": "0.1.1.1", "time_ns": 10_000_000, "state": "down"}])
     for fmt in ("json", "csv"):
         out_a = tmp_path / f"a_{fmt}"
         out_b = tmp_path / f"b_{fmt}"

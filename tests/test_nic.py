@@ -75,8 +75,7 @@ def test_register_write_commit_activates_schedule():
     port.regs.write(REG_TQCR_BASE, 90)
     port.regs.write(REG_COMMIT, 1)
     assert port.regs.read(REG_COMMIT) & 1
-    assert port.active_table.entries[0].queue_idx == 0
-    assert port.active_table.entries[0].slot_us == 90
+    assert port.active_table.entries[0] == (0, 90)
     assert port.regs.read(REG_TQCR_BASE) == 90
     assert port.regs.read(REG_SCR_BASE) == (SCR_ENABLE | 0)
 
@@ -101,6 +100,14 @@ def test_shadow_reads_show_staged_values():
     assert port.regs.read(SHADOW_OFFSET + REG_WINDOW_US) == 200
 
 
+def test_shadow_holds_the_committed_table_after_a_shorter_schedule():
+    net, port = two_node_net()
+    program(net, [(0, 30), (1, 20), (2, 10)])
+    program(net, [(3, 40)])
+    committed = port.committed_table.registers()
+    assert {off: port.regs.read(SHADOW_OFFSET + off) for off in committed} == committed
+
+
 def test_unknown_offset_is_a_register_error():
     net, port = two_node_net()
     with pytest.raises(RegisterError):
@@ -112,14 +119,14 @@ def test_unknown_offset_is_a_register_error():
 def test_commit_applies_at_window_boundary():
     net, port = two_node_net()
     program(net, [(0, 90)], window_us=100)
-    assert port.active_table.entries[0].queue_idx == 0
+    assert port.active_table.entries[0] == (0, 90)
     net.sim.run_until(30_000)
     program(net, [(1, 50)], window_us=100)
-    assert port.committed_table.entries[0].queue_idx == 1
+    assert port.committed_table.entries[0] == (1, 50)
     net.sim.run_until(99_999)
-    assert port.active_table.entries[0].queue_idx == 0   # still the old table
+    assert port.active_table.entries[0] == (0, 90)   # still the old table
     net.sim.run_until(100_001)
-    assert port.active_table.entries[0].queue_idx == 1
+    assert port.active_table.entries[0] == (1, 50)
 
 
 # -- scheduler behavior ------------------------------------------------------
@@ -334,32 +341,13 @@ def test_guardband_default_is_max_frame_time():
 # -- idle-port exit --------------------------------------------------------------
 
 
-@pytest.mark.parametrize("entries", [[], [(0, 30), (1, 20)]])
-def test_queued_counter_is_the_sum_of_queue_lengths(entries):
-    net, port = two_node_net(queue_depth=6)
-    if entries:
-        program(net, entries)
-    rng = random.Random(11)
-    t = 0
-    for _ in range(400):
-        for _ in range(rng.randint(0, 4)):
-            idx = rng.choice([NicPort.MGMT_IDX, *range(port.num_tx_queues)])
-            port.enqueue(idx, make_frame(net, payload_len=rng.randint(46, 1500)))
-        t += rng.randint(0, 3_000)
-        net.sim.run_until(t)
-        assert port.queued == sum(len(q.frames) for q in (*port.queues, port.mgmt_queue))
-    assert port.tx_frames > 0
-    assert port.mgmt_queue.dequeued > 0
-    assert net.drops_by_cause["queue_overflow"] > 0
-
-
 def test_scheduled_port_with_empty_queues_still_wakes_at_the_slot_end():
     net, port = two_node_net()
     fired = []
     net.sim.trace_hook = lambda t, seq, label: fired.append((t, label))
     program(net, [(0, 90)])
     net.sim.run_until(100_000)
-    assert port.queued == 0
+    assert not any(q.frames for q in (*port.queues, port.mgmt_queue))
     # the empty slot stalls the port until its end, then the leftover time
     # runs to the window end
     assert fired == [(90_000, "wake:0.0.0.0:intra_h"), (100_000, "wake:0.0.0.0:intra_h")]
@@ -468,7 +456,8 @@ def test_round_robin_matches_a_rotated_scan_of_the_leftover_queues(
         net.sim.run_until(t)
         assert port._rr_mask == _backlog_mask(port)
     net.sim.run_until(t + 10_000_000)
-    assert port.queued == 0 and port._rr_mask == 0
+    assert not any(q.frames for q in (*port.queues, port.mgmt_queue))
+    assert port._rr_mask == 0
     assert decisions or not port.trace
     assert len(port.trace) + net.drops_by_cause.get("queue_overflow", 0) == sum(
         len(idxs) for _, idxs in steps)

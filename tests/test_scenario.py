@@ -5,7 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tasnic.fabric import NodeId
-from tasnic.harness import build_network
+from tasnic.harness import build_network, run_scenario
+from tasnic.nic import MAX_SCHEDULE_ENTRIES, default_guardband_ns
+from tasnic.runtime import ScheduleConfig
 from tasnic.scenario import INT64_MAX, ScenarioError, load_scenario, parse_scenario
 
 
@@ -87,6 +89,34 @@ def test_fault_must_reference_an_existing_link():
     with pytest.raises(ScenarioError) as err:
         parse_scenario(doc)
     assert any("no link" in e for e in err.value.errors)
+
+
+@st.composite
+def schedule_documents(draw):
+    """A schedule of 1..16 entries on distinct queues whose slots fit the window."""
+    count = draw(st.integers(1, MAX_SCHEDULE_ENTRIES))
+    queues = draw(st.permutations(range(MAX_SCHEDULE_ENTRIES)))[:count]
+    slots = draw(st.lists(st.integers(1, 60), min_size=count, max_size=count))
+    return {"node": draw(st.sampled_from(["0.0.0.0", "0.0.0.1", "0.0.1.0", "0.0.1.1"])),
+            "port": draw(st.sampled_from(["intra_h", "intra_v"])),
+            "window_us": sum(slots) + draw(st.integers(0, 100)),
+            "entries": [[q, slot] for q, slot in zip(queues, slots)],
+            "guardband_ns": draw(st.none() | st.integers(0, 5_000))}
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(schedule_documents())
+def test_a_schedule_is_one_value_from_scenario_to_get_conf(schedule):
+    sc = parse_scenario(minimal_doc(
+        ptp={"enabled": False}, nic={"num_tx_queues": MAX_SCHEDULE_ENTRIES},
+        schedules=[schedule], duration_ns=1_000))
+    [(node_id, cfg)] = sc.schedules
+    assert isinstance(cfg, ScheduleConfig)
+    got = run_scenario(sc).network.nodes[node_id].runtime.get_conf(cfg.port)
+    guard = cfg.guardband_ns
+    if guard is None:
+        guard = default_guardband_ns(sc.rate_bps)
+    assert got == ScheduleConfig(cfg.port, cfg.window_us, cfg.entries, guard)
 
 
 def test_tile_plus_two_preset_builds_six_nodes():
