@@ -87,16 +87,11 @@ def schedule_registers(window_us: int, entries: tuple[tuple[int, int], ...],
 
 class ScheduleTable:
     """A committed schedule, ``entries`` as ``(queue_idx, slot_us)`` pairs,
-    plus derived ns-resolution slot ends and the queues served round-robin
-    in leftover window time.
+    plus derived ns-resolution slot ends and ``unscheduled``, which clears
+    the scheduled queues' bits from a port's backlog mask to leave those
+    served round-robin in leftover window time."""
 
-    ``leftover_bit[idx]`` is the bit of queue ``idx`` (MGMT_IDX indexes the
-    last entry) in a port's mask of backlogged leftover queues: bit ``k``
-    stands for ``leftover[k]``, and a scheduled queue has no bit.
-    """
-
-    def __init__(self, window_us: int, entries: tuple[tuple[int, int], ...], guardband_ns: int,
-                 num_tx_queues: int):
+    def __init__(self, window_us: int, entries: tuple[tuple[int, int], ...], guardband_ns: int):
         self.window_us = window_us
         self.entries = entries
         self.guardband_ns = guardband_ns
@@ -106,11 +101,7 @@ class ScheduleTable:
         for queue_idx, slot_us in entries:
             end += slot_us * 1_000
             self.slots_ns.append((end, queue_idx))
-        scheduled = {queue_idx for queue_idx, _ in entries}
-        self.leftover = (*(i for i in range(num_tx_queues) if i not in scheduled), MGMT_IDX)
-        self.leftover_bit = [0] * (num_tx_queues + 1)
-        for k, idx in enumerate(self.leftover):
-            self.leftover_bit[idx] = 1 << k
+        self.unscheduled = ~sum(1 << queue_idx for queue_idx, _ in entries)
 
     def registers(self) -> dict[int, int]:
         return schedule_registers(self.window_us, self.entries, self.guardband_ns)
@@ -145,6 +136,7 @@ def validate_schedule(window_us: int, entries: tuple[tuple[int, int], ...],
 class TxQueue:
     index: int
     depth: int
+    pos: int  # bit position in the port's backlog mask
     frames: deque = field(default_factory=deque)
     enqueued: int = 0
     dequeued: int = 0
@@ -248,11 +240,16 @@ class RegisterFile:
             return
         self.last_commit_ok = True
         self.last_commit_errors = []
-        self._port.arm_table(ScheduleTable(window, entries, guard, self._port.num_tx_queues))
+        self._port.arm_table(ScheduleTable(window, entries, guard))
 
 
 class NicPort:
-    """Egress state machine for one data port."""
+    """Egress state machine for one data port.
+
+    ``_queues`` holds the queues by bit position: the index of a TX queue,
+    created by its first enqueue, and ``num_tx_queues`` for the management
+    queue, created with the port.
+    """
 
     MGMT_IDX = MGMT_IDX
 
@@ -269,19 +266,18 @@ class NicPort:
         self.rate_bps = link.rate_bps
         self.ser_ns = SerializationTicks(self.rate_bps)
         self.bucket = bucket
-        self.queues = [TxQueue(i, queue_depth) for i in range(num_tx_queues)]
-        self.mgmt_queue = TxQueue(MGMT_IDX, queue_depth)
-        self._all_queues = [*self.queues, self.mgmt_queue]  # indexed by queue_idx
-        self.active_table = ScheduleTable(100, (), default_guardband_ns(self.rate_bps),
-                                          num_tx_queues)
+        self.queue_depth = queue_depth
+        self.mgmt_queue = TxQueue(MGMT_IDX, queue_depth, num_tx_queues)
+        self._queues = {num_tx_queues: self.mgmt_queue}  # by bit position
+        self.active_table = ScheduleTable(100, (), default_guardband_ns(self.rate_bps))
         self.committed_table = self.active_table
         self.regs = RegisterFile(self)
         self._pending: ScheduleTable | None = None
         self._pending_at_local = 0
         self.busy_until: SimTime = 0
         self._wake = None
-        self._rr_last: int | None = None  # queue index last served round-robin
-        self._rr_mask = 0  # backlogged leftover queues, by active_table.leftover_bit
+        self._rr_last = 0  # the bit of the queue last served round-robin, 0 before any
+        self._rr_mask = 0  # the bits of the backlogged queues
         self.trace: list[TxRecord] | None = None
         self.tx_frames = 0
         self._txdone_label = f"txdone:{node_id}:{kind.value}"
@@ -299,16 +295,24 @@ class NicPort:
 
     # -- queue access -------------------------------------------------
 
+    @property
+    def queues(self) -> list[TxQueue]:
+        """The TX queues created so far, in index order."""
+        return [self._queues[i] for i in sorted(self._queues) if i != self.num_tx_queues]
+
     def enqueue(self, idx: int, frame: Frame) -> bool:
         """Admit a frame to queue ``idx`` (or MGMT_IDX); False when tail-dropped."""
-        q = self._all_queues[idx]
+        pos = self.num_tx_queues if idx == MGMT_IDX else idx
+        q = self._queues.get(pos)
+        if q is None:
+            q = self._queues[pos] = TxQueue(idx, self.queue_depth, pos)
         if len(q.frames) >= q.depth:
             q.drops += 1
             self.network.count_drop(frame, "queue_overflow")
             return False
         q.frames.append(frame)
         q.enqueued += 1
-        self._rr_mask |= self.active_table.leftover_bit[idx]
+        self._rr_mask |= 1 << pos
         self.kick()
         return True
 
@@ -321,19 +325,12 @@ class NicPort:
         w = self.active_table.window_ns
         effective = ((local + w - 1) // w) * w if self.active_table.entries else local
         if effective <= local:
-            self._activate(table)
+            self.active_table, self._pending = table, None
             self.kick()
         else:
             self._pending, self._pending_at_local = table, effective
             when = self.clock.true_at_local(effective, self.sim.now)
             self.sim.at(when, self.kick, label=self._commit_label)
-
-    def _activate(self, table: ScheduleTable) -> None:
-        """Make ``table`` the active one and rebuild the backlog mask for it."""
-        self.active_table, self._pending = table, None
-        queues = self._all_queues
-        self._rr_mask = sum(table.leftover_bit[idx] for idx in table.leftover
-                            if queues[idx].frames)
 
     # -- scheduler -----------------------------------------------------
 
@@ -349,7 +346,7 @@ class NicPort:
         else:
             local = self.clock.read_ns(now)
             if self._pending is not None and local >= self._pending_at_local:
-                self._activate(self._pending)
+                self.active_table, self._pending = self._pending, None
             nxt = self._decide(local, now)
         if isinstance(nxt, int):
             self._set_wake(nxt)
@@ -368,11 +365,11 @@ class NicPort:
         window_start = local - phase
         for end, qidx in table.slots_ns:
             if phase < end:
-                q = self.queues[qidx]
+                q = self._queues.get(qidx)
                 slot_end = window_start + end
                 # stall on an empty slot, or idle when the head frame may not
                 # start inside the guardband or would overrun the slot
-                if (not q.frames or phase > end - table.guardband_ns
+                if (q is None or not q.frames or phase > end - table.guardband_ns
                         or phase + self.ser_ns[q.frames[0].wire_bytes] > end):
                     return self.clock.true_at_local(slot_end, now)
                 ready = self._token_ready(q.frames[0], now)
@@ -382,23 +379,21 @@ class NicPort:
 
     def _rr_decide(self, deadline_local: int | None, window_end_local: int | None,
                    local: int | None, now: SimTime) -> TxQueue | SimTime | None:
-        """Round-robin over the table's leftover queues, one frame at a time.
+        """Round-robin over the table's unscheduled queues, one frame at a time.
 
-        Visits the backlogged ones only: the set bits of the mask above the
-        last-served queue's bit, then the rest from the lowest, which is the
-        order of a scan of ``leftover`` rotated to start after that queue.
+        Visits the backlogged ones only: the set bits of the filtered mask
+        above the last-served queue's bit (none when the table schedules
+        that queue), then the rest from the lowest.
         """
-        table = self.active_table
-        mask = self._rr_mask
-        last_bit = 0 if self._rr_last is None else table.leftover_bit[self._rr_last]
-        after = mask & -(last_bit << 1) if last_bit else 0
+        unscheduled = self.active_table.unscheduled
+        mask = self._rr_mask & unscheduled
+        after = mask & -((self._rr_last & unscheduled) << 1)
         token_wake: SimTime | None = None
         for bits in (after, mask ^ after):
             while bits:
                 low = bits & -bits
                 bits ^= low
-                idx = table.leftover[low.bit_length() - 1]
-                q = self._all_queues[idx]
+                q = self._queues[low.bit_length() - 1]
                 head = q.frames[0]
                 if (deadline_local is not None
                         and local + self.ser_ns[head.wire_bytes] > deadline_local):
@@ -408,7 +403,7 @@ class NicPort:
                     if token_wake is None or ready < token_wake:
                         token_wake = ready
                     continue
-                self._rr_last = idx
+                self._rr_last = low
                 return q
         if window_end_local is None:
             return token_wake
@@ -428,7 +423,7 @@ class NicPort:
         frame = q.frames.popleft()
         q.dequeued += 1
         if not q.frames:
-            self._rr_mask &= ~self.active_table.leftover_bit[q.index]
+            self._rr_mask &= ~(1 << q.pos)
         wire = frame.wire_bytes
         if self.bucket is not None and frame.meta.local_origin:
             self.bucket.consume(wire * 8, now)

@@ -9,9 +9,10 @@ reassembly state and no deadline.  The fragments of a multi-frame message
 are reassembled in a buffer of ``total_len`` bytes; a partial message that
 is still incomplete ``REASSEMBLY_DEADLINE_NS`` (1 s) after its first
 fragment arrived is dropped and counted in ``expired_partials``.
-``set_conf`` writes a ``ScheduleConfig`` into a port's register file as the
-image ``nic.schedule_registers`` lays out and commits it; ``get_conf`` reads
-the committed table back as the same value.
+``set_conf`` checks a ``ScheduleConfig`` with ``nic.validate_schedule``,
+raising ``ConfigError`` before any register write, then writes it into a
+port's register file as the image ``nic.schedule_registers`` lays out and
+commits it; ``get_conf`` reads the committed table back as the same value.
 
 Fragment header layout (big-endian): msg_id u16, frag_index u16,
 frag_count u16, total_len u32, src_id u32, dst_id u32.  Each fragment
@@ -27,7 +28,7 @@ from typing import TYPE_CHECKING, Callable
 from .engine import TICKS_PER_S, SimTime
 from .fabric import AddressError, PortKind, decode_id, encode_id
 from .frame import MAX_PAYLOAD, Frame
-from .nic import REG_COMMIT, default_guardband_ns, schedule_registers
+from .nic import REG_COMMIT, default_guardband_ns, schedule_registers, validate_schedule
 
 if TYPE_CHECKING:  # pragma: no cover
     from .node import Node
@@ -255,6 +256,11 @@ class NodeRuntime:
         guard = cfg.guardband_ns
         if guard is None:
             guard = default_guardband_ns(port.rate_bps)
+        # checked before any write: an SCR keeps 16 bits of a queue index,
+        # and the register map has room for MAX_SCHEDULE_ENTRIES entries
+        errors = validate_schedule(cfg.window_us, cfg.entries, guard, port.num_tx_queues)
+        if errors:
+            raise ConfigError("; ".join(errors))
         for offset, value in schedule_registers(cfg.window_us, cfg.entries, guard).items():
             port.regs.write(offset, value)
         port.regs.write(REG_COMMIT, 1)

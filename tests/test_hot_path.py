@@ -10,7 +10,8 @@ import cProfile
 import pstats
 
 from tasnic.frame import MAX_WIRE_BYTES, wire_bytes
-from tasnic.harness import run_scenario
+from tasnic.harness import build_network, run_scenario
+from tasnic.nic import TxQueue
 from tasnic.runtime import FRAGMENT_HEADER_BYTES
 from tasnic.scenario import parse_scenario
 
@@ -57,6 +58,10 @@ def _generated_init_calls_from(entries, caller):
                and sub.code.co_filename == "<string>")
 
 
+def _calls_of(entries, code):
+    return sum(entry.callcount for entry in entries if entry.code is code)
+
+
 def test_round_robin_hop_does_no_avoidable_python_calls():
     result, stats, _ = _profile()
     net = result.network
@@ -90,3 +95,20 @@ def test_one_frame_message_does_no_per_message_setup():
         assert _generated_init_calls_from(entries, caller) == 0, caller
     # no reassembly deadline is scheduled for a message that fits one frame
     assert _calls_from(stats, "after", "on_frame") == 0
+
+
+def test_tx_queues_are_created_by_their_first_enqueue():
+    init = TxQueue.__init__.__code__
+    profile = cProfile.Profile()
+    profile.enable()
+    net = build_network(parse_scenario(DOC))
+    profile.disable()
+    ports = [p for node in net.nodes.values() for p in node.ports.values()]
+    # building a port creates its management queue and no TX queue
+    assert _calls_of(profile.getstats(), init) == len(ports)
+    # a run adds at most one TX queue per (port, queue) that saw an enqueue
+    result, _, entries = _profile()
+    used = sum(1 for node in result.network.nodes.values() for p in node.ports.values()
+               for q in p.queues if q.enqueued)
+    assert used > 0
+    assert _calls_of(entries, init) <= len(ports) + used

@@ -1,4 +1,6 @@
 import random
+import time
+import tracemalloc
 
 import pytest
 from hypothesis import Phase, given, settings
@@ -377,17 +379,23 @@ def test_idle_round_robin_port_reads_no_clock_and_sets_no_wake(monkeypatch):
 
 
 def _rotated_scan(port, deadline_local, window_end_local, local, now):
-    """Reference round robin: a scan of the active table's ``leftover`` rotated
-    to start after the last-served queue, skipping empty queues."""
-    queues = [*port.queues, port.mgmt_queue]  # indexed by queue index, MGMT_IDX last
-    candidates = port.active_table.leftover
-    if port._rr_last in candidates:
-        i = candidates.index(port._rr_last) + 1
-        candidates = candidates[i:] + candidates[:i]
+    """Reference round robin: a scan of the active table's unscheduled TX
+    queues in index order, then the management queue, rotated to start after
+    the last-served queue, skipping empty queues and queues never created."""
+    by_index = {q.index: q for q in (*port.queues, port.mgmt_queue)}
+    scheduled = {idx for idx, _ in port.active_table.entries}
+    candidates = [*(i for i in range(port.num_tx_queues) if i not in scheduled),
+                  NicPort.MGMT_IDX]
+    if port._rr_last:
+        pos = port._rr_last.bit_length() - 1
+        last = NicPort.MGMT_IDX if pos == port.num_tx_queues else pos
+        if last not in scheduled:
+            i = candidates.index(last) + 1
+            candidates = candidates[i:] + candidates[:i]
     token_wake = None
     for idx in candidates:
-        q = queues[idx]
-        if not q.frames:
+        q = by_index.get(idx)
+        if q is None or not q.frames:
             continue
         head = q.frames[0]
         ser = serialization_ticks(head.wire_bytes, port.rate_bps)
@@ -409,15 +417,17 @@ def _outcome(decision):
 
 
 def _backlog_mask(port):
-    queues = [*port.queues, port.mgmt_queue]
-    return sum(1 << k for k, idx in enumerate(port.active_table.leftover) if queues[idx].frames)
+    """Bit ``idx`` for each backlogged TX queue ``idx``, bit ``num_tx_queues``
+    for a backlogged management queue."""
+    return sum(1 << (port.num_tx_queues if q.index == NicPort.MGMT_IDX else q.index)
+               for q in (*port.queues, port.mgmt_queue) if q.frames)
 
 
-# no shrinking: each example builds ports of up to 2048 queues, and a failing
-# example is printed as drawn
+# no shrinking: each reference decision scans up to 65,536 queues, and a
+# failing example is printed as drawn
 @settings(derandomize=True, max_examples=30, deadline=None,
           phases=(Phase.explicit, Phase.generate))
-@given(num_tx_queues=st.sampled_from([8, 2048]),
+@given(num_tx_queues=st.sampled_from([8, 2048, 65536]),
        first=st.sampled_from([[], [(0, 30), (1, 20)]]),
        second=st.sampled_from([[], [(2, 40)], [(1, 10), (5, 50)]]),
        cap_bps=st.sampled_from([None, 1_000_000_000]),
@@ -429,7 +439,7 @@ def test_round_robin_matches_a_rotated_scan_of_the_leftover_queues(
         program(net, first)
     ids = [NicPort.MGMT_IDX, *range(8)]
     if num_tx_queues > 8:
-        ids += [700, 2046, 2047]
+        ids += [700, num_tx_queues - 2, num_tx_queues - 1]
     step = st.tuples(st.integers(0, 3_000), st.lists(st.sampled_from(ids), max_size=4))
     steps = data.draw(st.lists(step, min_size=4, max_size=30))
     commit_step = data.draw(st.integers(0, len(steps) - 1))
@@ -461,6 +471,47 @@ def test_round_robin_matches_a_rotated_scan_of_the_leftover_queues(
     assert decisions or not port.trace
     assert len(port.trace) + net.drops_by_cause.get("queue_overflow", 0) == sum(
         len(idxs) for _, idxs in steps)
+
+
+def test_round_robin_restarts_at_the_lowest_queue_when_the_last_served_is_scheduled():
+    net, port = two_node_net()
+    port.enqueue(3, make_frame(net))  # plain round robin serves queue 3 at once
+    program(net, [(3, 10)])  # activates at once and schedules queue 3
+    port.enqueue(5, make_frame(net))
+    port.enqueue(1, make_frame(net))
+    net.sim.run_until(50_000)
+    # queue 3's empty slot stalls the port until 10 us; leftover time then
+    # starts from the lowest backlogged queue, not from the one above 3
+    assert [(rec.queue_idx, rec.true_start) for rec in port.trace] == [
+        (3, 0), (1, 10_000), (5, 10_000 + port.trace[1].ser_ns)]
+
+
+# -- queues created on first enqueue --------------------------------------------
+
+
+def _build_grid(num_tx_queues):
+    return Network(build_topology(4, 4), nic=NicSettings(num_tx_queues=num_tx_queues))
+
+
+def _traced_peak(num_tx_queues):
+    tracemalloc.start()
+    try:
+        _build_grid(num_tx_queues)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_grid_at_65536_tx_queues_builds_like_one_at_8():
+    # a TX queue exists from its first frame, so an idle port's memory does
+    # not grow with the queue count
+    start = time.perf_counter()
+    net = _build_grid(65536)
+    assert time.perf_counter() - start < 1.0
+    ports = [p for node in net.nodes.values() for p in node.ports.values()]
+    assert len(ports) == 192
+    assert all(p.queues == [] for p in ports)
+    assert _traced_peak(65536) <= 1.1 * _traced_peak(8)
 
 
 # -- forwarding glue -----------------------------------------------------------

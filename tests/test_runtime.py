@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 
 from tasnic.engine import Simulator
 from tasnic.fabric import NodeId, PortKind, build_topology, encode_id
-from tasnic.node import HostSettings, Network, PtpSettings
+from tasnic.nic import SHADOW_OFFSET
+from tasnic.node import HostSettings, Network, NicSettings, PtpSettings
 from tasnic.runtime import (
     FRAGMENT_HEADER_BYTES,
     MAX_CHUNK,
@@ -238,6 +239,23 @@ def test_set_conf_surfaces_commit_errors():
     with pytest.raises(ConfigError):
         net.nodes[A].runtime.set_conf(
             ScheduleConfig(PortKind.INTRA_H, 100, ((0, 70), (1, 50))))
+
+
+@pytest.mark.parametrize("entries, message", [
+    (((65536, 10),), "queue 65536 does not exist"),
+    (tuple((q, 1) for q in range(17)), "17 entries exceed the maximum of 16"),
+], ids=["queue_above_scr_range", "seventeen_entries"])
+def test_set_conf_rejects_a_schedule_the_registers_cannot_hold(entries, message):
+    # an SCR keeps 16 bits of a queue index, and the map has 16 SCR/TQCR pairs
+    net = quiet_net(nic=NicSettings(num_tx_queues=32))
+    port = net.nodes[A].ports[PortKind.INTRA_H]
+    net.nodes[A].runtime.set_conf(ScheduleConfig(PortKind.INTRA_H, 100, ((3, 40),)))
+    committed = port.committed_table
+    with pytest.raises(ConfigError, match=message):
+        net.nodes[A].runtime.set_conf(ScheduleConfig(PortKind.INTRA_H, 100, entries))
+    assert port.committed_table is committed
+    regs = committed.registers()
+    assert {off: port.regs.read(SHADOW_OFFSET + off) for off in regs} == regs  # nothing written
 
 
 def test_get_conf_default_is_empty_round_robin():
