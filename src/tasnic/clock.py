@@ -9,23 +9,23 @@ to model the hardware timestamping resolution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .engine import SimTime
 
 
-@dataclass(slots=True)
 class LocalClock:
-    drift_ppm: float = 0.0        # oscillator rate error, fixed for the run
-    quantum_ns: int = 8           # hardware timestamp granularity
-    rate_adj_ppm: float = 0.0     # servo rate correction
-    offset_ns: int = 0            # cumulative step corrections applied so far
-    last_true_ns: SimTime = 0
-    last_local_ns: float = 0.0    # exact local time at last_true_ns
-    rate: float = field(init=False, repr=False, compare=False)  # kept by set_rate_adj
+    __slots__ = ("drift_ppm", "quantum_ns", "rate_adj_ppm", "offset_ns",
+                 "last_true_ns", "last_local_ns", "rate")
 
-    def __post_init__(self) -> None:
-        self._update_rate()
+    def __init__(self, drift_ppm: float = 0.0, quantum_ns: int = 8,
+                 rate_adj_ppm: float = 0.0, offset_ns: int = 0,
+                 last_true_ns: SimTime = 0, last_local_ns: float = 0.0):
+        self.drift_ppm = drift_ppm        # oscillator rate error, fixed for the run
+        self.quantum_ns = quantum_ns      # hardware timestamp granularity
+        self.rate_adj_ppm = rate_adj_ppm  # servo rate correction
+        self.offset_ns = offset_ns        # cumulative step corrections applied so far
+        self.last_true_ns = last_true_ns
+        self.last_local_ns = last_local_ns  # exact local time at last_true_ns
+        self._update_rate()  # sets rate, kept by set_rate_adj
 
     def _update_rate(self) -> None:
         self.rate = 1.0 + (self.drift_ppm + self.rate_adj_ppm) * 1e-6
@@ -89,12 +89,15 @@ def ptp_offset_estimate(t1: int, t2: int, t3: int, t4: int) -> int:
     return num // 2 if num >= 0 else -((-num) // 2)
 
 
-@dataclass(slots=True)
 class ServoState:
     """History needed by the two-sample drift estimator."""
 
-    last_apply_local_ns: int | None = None
-    max_rate_adj_ppm: float = 200.0
+    __slots__ = ("last_apply_local_ns", "max_rate_adj_ppm")
+
+    def __init__(self, last_apply_local_ns: int | None = None,
+                 max_rate_adj_ppm: float = 200.0):
+        self.last_apply_local_ns = last_apply_local_ns
+        self.max_rate_adj_ppm = max_rate_adj_ppm
 
 
 def apply_servo(clock: LocalClock, offset_est_ns: int, true_now: SimTime, state: ServoState) -> None:

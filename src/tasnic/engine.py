@@ -12,8 +12,7 @@ from __future__ import annotations
 import hashlib
 import heapq
 import random
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 SimTime = int  # integer nanoseconds of true time
 
@@ -55,8 +54,7 @@ class EventHandle(list):
         self[2] = None
 
 
-@dataclass(slots=True, frozen=True)
-class RunStats:
+class RunStats(NamedTuple):
     events_processed: int
     final_time: SimTime
 

@@ -17,7 +17,6 @@ plus two single nodes on the horizontal axis" is expressed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, NamedTuple
 
@@ -68,8 +67,7 @@ class NodeId(NamedTuple):
         return NodeId(*(int(p) for p in parts))
 
 
-@dataclass(slots=True, frozen=True)
-class GridCoord:
+class GridCoord(NamedTuple):
     rc: int  # absolute row
     cc: int  # absolute column
 
@@ -133,19 +131,26 @@ class LinkEpoch:
         self.value = 0
 
 
-@dataclass(slots=True)
 class Link:
     """Full-duplex point-to-point segment between two data ports."""
 
-    a: tuple[NodeId, PortKind]
-    b: tuple[NodeId, PortKind]
-    rate_bps: int = DEFAULT_LINK_RATE_BPS
-    prop_delay_ns: int = DEFAULT_PROP_DELAY_NS
-    up: bool = True
-    up_since: SimTime = 0  # last down-to-up change; consulted for in-flight drops
-    drops: int = 0
-    tx_frames: int = 0
-    epoch: LinkEpoch = field(default_factory=LinkEpoch, repr=False, compare=False)
+    __slots__ = ("a", "b", "rate_bps", "prop_delay_ns", "up", "up_since", "drops",
+                 "tx_frames", "epoch")
+
+    def __init__(self, a: tuple[NodeId, PortKind], b: tuple[NodeId, PortKind],
+                 rate_bps: int = DEFAULT_LINK_RATE_BPS,
+                 prop_delay_ns: int = DEFAULT_PROP_DELAY_NS, up: bool = True,
+                 up_since: SimTime = 0, drops: int = 0, tx_frames: int = 0,
+                 epoch: LinkEpoch | None = None):
+        self.a = a
+        self.b = b
+        self.rate_bps = rate_bps
+        self.prop_delay_ns = prop_delay_ns
+        self.up = up
+        self.up_since = up_since  # last down-to-up change; consulted for in-flight drops
+        self.drops = drops
+        self.tx_frames = tx_frames
+        self.epoch = LinkEpoch() if epoch is None else epoch
 
     def other_end(self, node_id: NodeId) -> tuple[NodeId, PortKind]:
         if node_id == self.a[0]:

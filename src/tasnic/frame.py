@@ -13,7 +13,6 @@ for the L3 headers the fabric's software routing reads.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field
 
 from .fabric import NodeId
 
@@ -58,39 +57,48 @@ class SerializationTicks(dict):
         return ticks
 
 
-@dataclass(slots=True)
 class FrameMeta:
-    final_dst: NodeId | None = None   # L3-analog destination read by routing
-    ttl: int = 64
-    local_origin: bool = False        # counts against the host injection cap
-    flow_id: int | None = None
-    msg_id: int | None = None
-    frag_index: int | None = None
-    send_local_ts: int | None = None  # sender clock at send_msg time
-    send_true_ns: int | None = None
-    hops: int = 0
-    route: list[tuple[NodeId, str]] | None = None
+    __slots__ = ("final_dst", "ttl", "local_origin", "flow_id", "msg_id", "frag_index",
+                 "send_local_ts", "send_true_ns", "hops", "route")
+
+    def __init__(self, final_dst: NodeId | None = None, ttl: int = 64,
+                 local_origin: bool = False, flow_id: int | None = None,
+                 msg_id: int | None = None, frag_index: int | None = None,
+                 send_local_ts: int | None = None, send_true_ns: int | None = None,
+                 hops: int = 0, route: list[tuple[NodeId, str]] | None = None):
+        self.final_dst = final_dst          # L3-analog destination read by routing
+        self.ttl = ttl
+        self.local_origin = local_origin    # counts against the host injection cap
+        self.flow_id = flow_id
+        self.msg_id = msg_id
+        self.frag_index = frag_index
+        self.send_local_ts = send_local_ts  # sender clock at send_msg time
+        self.send_true_ns = send_true_ns
+        self.hops = hops
+        self.route = route
 
 
-@dataclass(slots=True)
 class Frame:
-    dst_mac: bytes
-    src_mac: bytes
-    pcp: int
-    ethertype: int
-    payload: bytes
-    vid: int = 0
-    fcs: int | None = None
-    meta: FrameMeta = field(default_factory=FrameMeta)
-    # set by __post_init__; a payload rewritten in flight keeps its length
-    wire_bytes: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("dst_mac", "src_mac", "pcp", "ethertype", "payload", "vid", "fcs", "meta",
+                 "wire_bytes")
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.pcp <= 7:
-            raise ValueError(f"pcp {self.pcp} out of range")
-        if not MIN_PAYLOAD <= len(self.payload) <= MAX_PAYLOAD:
-            raise ValueError(f"payload of {len(self.payload)} bytes is not in 46..1500")
-        self.wire_bytes = HEADER_BYTES + len(self.payload) + FCS_BYTES
+    def __init__(self, dst_mac: bytes, src_mac: bytes, pcp: int, ethertype: int,
+                 payload: bytes, vid: int = 0, fcs: int | None = None,
+                 meta: FrameMeta | None = None):
+        if not 0 <= pcp <= 7:
+            raise ValueError(f"pcp {pcp} out of range")
+        if not MIN_PAYLOAD <= len(payload) <= MAX_PAYLOAD:
+            raise ValueError(f"payload of {len(payload)} bytes is not in 46..1500")
+        self.dst_mac = dst_mac
+        self.src_mac = src_mac
+        self.pcp = pcp
+        self.ethertype = ethertype
+        self.payload = payload
+        self.vid = vid
+        self.fcs = fcs
+        self.meta = FrameMeta() if meta is None else meta
+        # a payload rewritten in flight keeps its length
+        self.wire_bytes = HEADER_BYTES + len(payload) + FCS_BYTES
 
     def tci(self) -> int:
         return (self.pcp << 13) | (self.vid & 0x0FFF)

@@ -11,7 +11,6 @@ produce byte-identical output.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
 
 from .engine import TICKS_PER_MS, RngStreams, Simulator
@@ -31,20 +30,26 @@ def _payload(size: int) -> bytes:
     return (_PATTERN * reps)[:size]
 
 
-@dataclass(slots=True)
 class _FlowGen:
-    network: Network
-    flow_id: int
-    src: NodeId
-    dst_encoded: int
-    pcp: int
-    stop_ns: int
-    payload: bytes
-    backlogged: bool
-    rate_bps: int | None = None
-    emitted: int = 0
-    active: bool = False
-    _t0: int = 0
+    __slots__ = ("network", "flow_id", "src", "dst_encoded", "pcp", "stop_ns", "payload",
+                 "backlogged", "rate_bps", "emitted", "active", "_t0")
+
+    def __init__(self, network: Network, flow_id: int, src: NodeId, dst_encoded: int,
+                 pcp: int, stop_ns: int, payload: bytes, backlogged: bool,
+                 rate_bps: int | None = None, emitted: int = 0, active: bool = False,
+                 _t0: int = 0):
+        self.network = network
+        self.flow_id = flow_id
+        self.src = src
+        self.dst_encoded = dst_encoded
+        self.pcp = pcp
+        self.stop_ns = stop_ns
+        self.payload = payload
+        self.backlogged = backlogged
+        self.rate_bps = rate_bps
+        self.emitted = emitted
+        self.active = active
+        self._t0 = _t0
 
     def begin(self) -> None:
         self.active = True
@@ -104,19 +109,24 @@ class _FlowTap:
             self.recorders[msg.flow_id].on_message(msg)
 
 
-@dataclass(slots=True)
 class PtpSlaveReport:
-    samples: int = 0
-    max_abs_offset_ns: float = 0.0
+    __slots__ = ("samples", "max_abs_offset_ns")
+
+    def __init__(self, samples: int = 0, max_abs_offset_ns: float = 0.0):
+        self.samples = samples
+        self.max_abs_offset_ns = max_abs_offset_ns
 
 
-@dataclass(slots=True)
 class RunResult:
-    scenario: Scenario
-    network: Network
-    recorders: list[FlowRecorder]
-    ptp_offsets: dict[NodeId, PtpSlaveReport]
-    events_processed: int
+    __slots__ = ("scenario", "network", "recorders", "ptp_offsets", "events_processed")
+
+    def __init__(self, scenario: Scenario, network: Network, recorders: list[FlowRecorder],
+                 ptp_offsets: dict[NodeId, PtpSlaveReport], events_processed: int):
+        self.scenario = scenario
+        self.network = network
+        self.recorders = recorders
+        self.ptp_offsets = ptp_offsets
+        self.events_processed = events_processed
 
     def report(self) -> dict:
         net = self.network

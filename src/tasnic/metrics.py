@@ -10,7 +10,6 @@ nearest-rank method on integer nanoseconds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 from .runtime import Message
 
@@ -24,27 +23,35 @@ def percentile(sorted_values: list[int], q: float) -> int:
     return sorted_values[rank - 1]
 
 
-@dataclass(slots=True)
 class DeliveredMessage:
-    send_true_ns: int
-    deliver_true_ns: int
-    latency_ns: int
-    hops: int
+    __slots__ = ("send_true_ns", "deliver_true_ns", "latency_ns", "hops")
+
+    def __init__(self, send_true_ns: int, deliver_true_ns: int, latency_ns: int, hops: int):
+        self.send_true_ns = send_true_ns
+        self.deliver_true_ns = deliver_true_ns
+        self.latency_ns = latency_ns
+        self.hops = hops
 
 
-@dataclass(slots=True)
 class FlowRecorder:
-    flow_id: int
-    src: str
-    dst: str
-    pcp: int
-    start_ns: int
-    stop_ns: int
-    offered_frames: int = 0
-    delivered_frames: int = 0
-    bytes_delivered: int = 0
-    drops: dict[str, int] = field(default_factory=dict)
-    messages: list[DeliveredMessage] = field(default_factory=list)
+    __slots__ = ("flow_id", "src", "dst", "pcp", "start_ns", "stop_ns", "offered_frames",
+                 "delivered_frames", "bytes_delivered", "drops", "messages")
+
+    def __init__(self, flow_id: int, src: str, dst: str, pcp: int, start_ns: int,
+                 stop_ns: int, offered_frames: int = 0, delivered_frames: int = 0,
+                 bytes_delivered: int = 0, drops: dict[str, int] | None = None,
+                 messages: list[DeliveredMessage] | None = None):
+        self.flow_id = flow_id
+        self.src = src
+        self.dst = dst
+        self.pcp = pcp
+        self.start_ns = start_ns
+        self.stop_ns = stop_ns
+        self.offered_frames = offered_frames
+        self.delivered_frames = delivered_frames
+        self.bytes_delivered = bytes_delivered
+        self.drops = {} if drops is None else drops
+        self.messages = [] if messages is None else messages
 
     def on_offered(self) -> None:
         self.offered_frames += 1

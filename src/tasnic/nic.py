@@ -31,8 +31,7 @@ are not host-fed and bypass it.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .clock import LocalClock
 from .engine import SimTime, Simulator
@@ -60,6 +59,7 @@ REG_SCR_BASE = 0x010   # + 8*j, bits [15:0] queue index, bit 31 enable
 REG_TQCR_BASE = 0x014  # + 8*j, slot length in microseconds
 SHADOW_OFFSET = 0x100
 SCR_ENABLE = 1 << 31
+REG_MAX = 0xFFFFFFFF  # every register is 32 bits wide
 
 
 class RegisterError(Exception):
@@ -114,6 +114,9 @@ def validate_schedule(window_us: int, entries: tuple[tuple[int, int], ...],
         errors.append(f"window_us={window_us} must be >= 1")
     if guardband_ns < 0:
         errors.append(f"guardband_ns={guardband_ns} must be >= 0")
+    for name, value in (("window_us", window_us), ("guardband_ns", guardband_ns)):
+        if value > REG_MAX:
+            errors.append(f"{name}={value} does not fit a 32-bit register")
     if len(entries) > MAX_SCHEDULE_ENTRIES:
         errors.append(f"{len(entries)} entries exceed the maximum of {MAX_SCHEDULE_ENTRIES}")
     seen: set[int] = set()
@@ -121,6 +124,8 @@ def validate_schedule(window_us: int, entries: tuple[tuple[int, int], ...],
     for j, (queue_idx, slot_us) in enumerate(entries):
         if slot_us < 1:
             errors.append(f"entry {j}: slot_us={slot_us} below the microsecond granularity")
+        elif slot_us > REG_MAX:
+            errors.append(f"entry {j}: slot_us={slot_us} does not fit a 32-bit register")
         if not 0 <= queue_idx < num_tx_queues:
             errors.append(f"entry {j}: queue {queue_idx} does not exist")
         elif queue_idx in seen:
@@ -132,15 +137,18 @@ def validate_schedule(window_us: int, entries: tuple[tuple[int, int], ...],
     return errors
 
 
-@dataclass(slots=True)
 class TxQueue:
-    index: int
-    depth: int
-    pos: int  # bit position in the port's backlog mask
-    frames: deque = field(default_factory=deque)
-    enqueued: int = 0
-    dequeued: int = 0
-    drops: int = 0
+    __slots__ = ("index", "depth", "pos", "frames", "enqueued", "dequeued", "drops")
+
+    def __init__(self, index: int, depth: int, pos: int, frames: deque | None = None,
+                 enqueued: int = 0, dequeued: int = 0, drops: int = 0):
+        self.index = index
+        self.depth = depth
+        self.pos = pos  # bit position in the port's backlog mask
+        self.frames = deque() if frames is None else frames
+        self.enqueued = enqueued
+        self.dequeued = dequeued
+        self.drops = drops
 
 
 class TokenBucket:
@@ -178,8 +186,7 @@ class TokenBucket:
         self.tokens -= bits
 
 
-@dataclass(slots=True, frozen=True)
-class TxRecord:
+class TxRecord(NamedTuple):
     true_start: SimTime
     local_start: int
     queue_idx: int
@@ -198,7 +205,7 @@ class RegisterFile:
         self.last_commit_errors: list[str] = []
 
     def write(self, offset: int, value: int) -> None:
-        value &= 0xFFFFFFFF
+        value &= REG_MAX
         if offset == REG_COMMIT:
             if value & 1:
                 self._commit()

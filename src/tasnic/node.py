@@ -18,7 +18,6 @@ each frame that carries a flow id.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import partial
 
 from .clock import LocalClock
@@ -42,34 +41,48 @@ from .runtime import NodeRuntime
 ROUTE_TRACE_CAP = 10_000  # route records a traced run keeps for routes.jsonl
 
 
-@dataclass(slots=True)
 class NicSettings:
-    num_tx_queues: int = 8
-    time_aware_queues: tuple[int, ...] = (0, 1, 2)
-    queue_depth: int = 1024
+    __slots__ = ("num_tx_queues", "time_aware_queues", "queue_depth")
+
+    def __init__(self, num_tx_queues: int = 8, time_aware_queues: tuple[int, ...] = (0, 1, 2),
+                 queue_depth: int = 1024):
+        self.num_tx_queues = num_tx_queues
+        self.time_aware_queues = time_aware_queues
+        self.queue_depth = queue_depth
 
 
-@dataclass(slots=True)
 class HostSettings:
-    injection_cap_bps: int | None = 2_250_000_000
-    processing_delay_ns: int = 10_000
+    __slots__ = ("injection_cap_bps", "processing_delay_ns")
+
+    def __init__(self, injection_cap_bps: int | None = 2_250_000_000,
+                 processing_delay_ns: int = 10_000):
+        self.injection_cap_bps = injection_cap_bps
+        self.processing_delay_ns = processing_delay_ns
 
 
-@dataclass(slots=True)
 class PtpSettings:
-    enabled: bool = True
-    grandmaster: NodeId | None = None  # None: lowest populated id
-    interval_ms: int = 250
-    quantization_ns: int = 8
-    convergence_rounds: int = 10
+    __slots__ = ("enabled", "grandmaster", "interval_ms", "quantization_ns",
+                 "convergence_rounds")
+
+    def __init__(self, enabled: bool = True, grandmaster: NodeId | None = None,
+                 interval_ms: int = 250, quantization_ns: int = 8,
+                 convergence_rounds: int = 10):
+        self.enabled = enabled
+        self.grandmaster = grandmaster  # None: lowest populated id
+        self.interval_ms = interval_ms
+        self.quantization_ns = quantization_ns
+        self.convergence_rounds = convergence_rounds
 
 
-@dataclass(slots=True)
 class NodeCounters:
-    rx_frames: int = 0
-    delivered_local: int = 0
-    forwarded: int = 0
-    drops: dict[str, int] = field(default_factory=dict)
+    __slots__ = ("rx_frames", "delivered_local", "forwarded", "drops")
+
+    def __init__(self, rx_frames: int = 0, delivered_local: int = 0, forwarded: int = 0,
+                 drops: dict[str, int] | None = None):
+        self.rx_frames = rx_frames
+        self.delivered_local = delivered_local
+        self.forwarded = forwarded
+        self.drops = {} if drops is None else drops
 
     def drop(self, cause: str) -> None:
         self.drops[cause] = self.drops.get(cause, 0) + 1

@@ -16,8 +16,7 @@ from queueing behind each other.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .clock import ServoState, apply_servo, ptp_offset_estimate
 from .engine import TICKS_PER_MS
@@ -34,8 +33,7 @@ MSG_DELAY_RESP = 2
 _WIRE = struct.Struct(">BQI")  # msg_type u8, origin_timestamp u64, exchange_id u32
 
 
-@dataclass(slots=True, frozen=True)
-class PtpMessage:
+class PtpMessage(NamedTuple):
     msg_type: int
     origin_timestamp: int
     exchange_id: int
@@ -48,20 +46,26 @@ class PtpMessage:
         return PtpMessage(*_WIRE.unpack(payload[:_WIRE.size]))
 
 
-@dataclass(slots=True)
 class _Exchange:
-    t1: int | None = None
-    t2: int | None = None
-    t3: int | None = None
+    __slots__ = ("t1", "t2", "t3")
+
+    def __init__(self, t1: int | None = None, t2: int | None = None, t3: int | None = None):
+        self.t1 = t1
+        self.t2 = t2
+        self.t3 = t3
 
 
-@dataclass(slots=True)
 class SlaveSync:
-    servo: ServoState = field(default_factory=ServoState)
-    pending_id: int | None = None
-    pending: _Exchange = field(default_factory=_Exchange)
-    estimates: list[tuple[int, int]] = field(default_factory=list)  # (true_ns, est_ns)
-    rounds_completed: int = 0
+    __slots__ = ("servo", "pending_id", "pending", "estimates", "rounds_completed")
+
+    def __init__(self, servo: ServoState | None = None, pending_id: int | None = None,
+                 pending: _Exchange | None = None,
+                 estimates: list[tuple[int, int]] | None = None, rounds_completed: int = 0):
+        self.servo = ServoState() if servo is None else servo
+        self.pending_id = pending_id
+        self.pending = _Exchange() if pending is None else pending
+        self.estimates = [] if estimates is None else estimates  # (true_ns, est_ns)
+        self.rounds_completed = rounds_completed
 
 
 class PtpService:

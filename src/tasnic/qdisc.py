@@ -8,11 +8,10 @@ lowest and is also where untagged traffic lands.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(slots=True, frozen=True)
-class PriorityMap:
+class PriorityMap(NamedTuple):
     num_classes: int = 3
     prio_to_tc: tuple[int, ...] = (0, 1, 2)
     tc_to_queue: tuple[int, ...] = (0, 1, 2)

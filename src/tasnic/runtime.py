@@ -22,8 +22,7 @@ carries up to ``MAX_CHUNK`` (1482) data bytes, the maximum payload minus the hea
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .engine import TICKS_PER_S, SimTime
 from .fabric import AddressError, PortKind, decode_id, encode_id
@@ -55,8 +54,7 @@ class ConfigError(Exception):
     """Schedule configuration rejected by the register commit."""
 
 
-@dataclass(slots=True, frozen=True)
-class FragmentHeader:
+class FragmentHeader(NamedTuple):
     msg_id: int
     frag_index: int
     frag_count: int
@@ -73,20 +71,24 @@ class FragmentHeader:
         return FragmentHeader(*_HEADER.unpack(payload[:_HEADER.size]))
 
 
-@dataclass(slots=True)
 class Message:
-    src_id: int
-    data: bytes
-    send_local_ts: int | None
-    send_true_ns: int | None
-    deliver_local_ts: int
-    deliver_true_ns: int
-    flow_id: int | None
-    hops: int
+    __slots__ = ("src_id", "data", "send_local_ts", "send_true_ns", "deliver_local_ts",
+                 "deliver_true_ns", "flow_id", "hops")
+
+    def __init__(self, src_id: int, data: bytes, send_local_ts: int | None,
+                 send_true_ns: int | None, deliver_local_ts: int, deliver_true_ns: int,
+                 flow_id: int | None, hops: int):
+        self.src_id = src_id
+        self.data = data
+        self.send_local_ts = send_local_ts
+        self.send_true_ns = send_true_ns
+        self.deliver_local_ts = deliver_local_ts
+        self.deliver_true_ns = deliver_true_ns
+        self.flow_id = flow_id
+        self.hops = hops
 
 
-@dataclass(slots=True)
-class ScheduleConfig:
+class ScheduleConfig(NamedTuple):
     """A port's schedule, from the scenario file through ``set_conf`` to
     ``get_conf``."""
 
@@ -96,21 +98,28 @@ class ScheduleConfig:
     guardband_ns: int | None = None       # None picks the port default
 
 
-@dataclass(slots=True)
 class _Reassembly:
-    frag_count: int
-    total_len: int
-    buffer: bytearray
-    received: set[int] = field(default_factory=set)
-    max_hops: int = 0
-    deadline_handle: object = None
+    __slots__ = ("frag_count", "total_len", "buffer", "received", "max_hops",
+                 "deadline_handle")
+
+    def __init__(self, frag_count: int, total_len: int, buffer: bytearray,
+                 received: set[int] | None = None, max_hops: int = 0,
+                 deadline_handle: object = None):
+        self.frag_count = frag_count
+        self.total_len = total_len
+        self.buffer = buffer
+        self.received = set() if received is None else received
+        self.max_hops = max_hops
+        self.deadline_handle = deadline_handle
 
 
-@dataclass(slots=True)
 class _PendingRecv:
-    src_id: int
-    size: int
-    result: Message | None = None
+    __slots__ = ("src_id", "size", "result")
+
+    def __init__(self, src_id: int, size: int, result: Message | None = None):
+        self.src_id = src_id
+        self.size = size
+        self.result = result
 
 
 class NodeRuntime:

@@ -14,7 +14,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from .fabric import (
@@ -113,50 +112,69 @@ def _drift(spec, path: str, errors: list[str]):
     return spec
 
 
-@dataclass(slots=True)
 class GridSpec:
-    g_r: int = 1
-    g_c: int = 1
-    populated: list[NodeId] | None = None
-    preset: str | None = None
+    __slots__ = ("g_r", "g_c", "populated", "preset")
+
+    def __init__(self, g_r: int = 1, g_c: int = 1, populated: list[NodeId] | None = None,
+                 preset: str | None = None):
+        self.g_r = g_r
+        self.g_c = g_c
+        self.populated = populated
+        self.preset = preset
 
 
-@dataclass(slots=True)
 class FaultSpec:
-    a: NodeId
-    b: NodeId
-    time_ns: int
-    up: bool
+    __slots__ = ("a", "b", "time_ns", "up")
+
+    def __init__(self, a: NodeId, b: NodeId, time_ns: int, up: bool):
+        self.a = a
+        self.b = b
+        self.time_ns = time_ns
+        self.up = up
 
 
-@dataclass(slots=True)
 class FlowSpec:
-    src: NodeId
-    dst: NodeId
-    pcp: int = 0
-    start: int = 0
-    stop: int | None = None  # None runs to the scenario end
-    backlogged: bool = False
-    offered_rate_bps: int | None = None
-    frame_payload_bytes: int = MAX_CHUNK
+    __slots__ = ("src", "dst", "pcp", "start", "stop", "backlogged", "offered_rate_bps",
+                 "frame_payload_bytes")
+
+    def __init__(self, src: NodeId, dst: NodeId, pcp: int = 0, start: int = 0,
+                 stop: int | None = None, backlogged: bool = False,
+                 offered_rate_bps: int | None = None, frame_payload_bytes: int = MAX_CHUNK):
+        self.src = src
+        self.dst = dst
+        self.pcp = pcp
+        self.start = start
+        self.stop = stop  # None runs to the scenario end
+        self.backlogged = backlogged
+        self.offered_rate_bps = offered_rate_bps
+        self.frame_payload_bytes = frame_payload_bytes
 
 
-@dataclass(slots=True)
 class Scenario:
-    grid: GridSpec = field(default_factory=GridSpec)
-    rate_bps: int = DEFAULT_LINK_RATE_BPS
-    prop_delay_ns: int = DEFAULT_PROP_DELAY_NS
-    host: HostSettings = field(default_factory=HostSettings)
-    ptp: PtpSettings = field(default_factory=PtpSettings)
-    drift_spec: object = None  # None (seeded 10 ppm), number, or mapping
-    nic: NicSettings = field(default_factory=NicSettings)
-    priority_map: PriorityMap = field(default_factory=PriorityMap)
-    schedules: list[tuple[NodeId, ScheduleConfig]] = field(default_factory=list)
-    faults: list[FaultSpec] = field(default_factory=list)
-    flows: list[FlowSpec] = field(default_factory=list)
-    duration_ns: int = 1_000_000_000
-    seed: int = 0
-    trace: bool = False
+    __slots__ = ("grid", "rate_bps", "prop_delay_ns", "host", "ptp", "drift_spec", "nic",
+                 "priority_map", "schedules", "faults", "flows", "duration_ns", "seed", "trace")
+
+    def __init__(self, grid: GridSpec | None = None, rate_bps: int = DEFAULT_LINK_RATE_BPS,
+                 prop_delay_ns: int = DEFAULT_PROP_DELAY_NS, host: HostSettings | None = None,
+                 ptp: PtpSettings | None = None, drift_spec: object = None,
+                 nic: NicSettings | None = None, priority_map: PriorityMap | None = None,
+                 schedules: list[tuple[NodeId, ScheduleConfig]] | None = None,
+                 faults: list[FaultSpec] | None = None, flows: list[FlowSpec] | None = None,
+                 duration_ns: int = 1_000_000_000, seed: int = 0, trace: bool = False):
+        self.grid = GridSpec() if grid is None else grid
+        self.rate_bps = rate_bps
+        self.prop_delay_ns = prop_delay_ns
+        self.host = HostSettings() if host is None else host
+        self.ptp = PtpSettings() if ptp is None else ptp
+        self.drift_spec = drift_spec  # None (seeded 10 ppm), number, or mapping
+        self.nic = NicSettings() if nic is None else nic
+        self.priority_map = PriorityMap() if priority_map is None else priority_map
+        self.schedules = [] if schedules is None else schedules
+        self.faults = [] if faults is None else faults
+        self.flows = [] if flows is None else flows
+        self.duration_ns = duration_ns
+        self.seed = seed
+        self.trace = trace
 
     def build_fabric(self) -> Topology:
         if self.grid.preset == "tile_plus_two":

@@ -79,6 +79,14 @@ def test_validate_error_exit_one(tmp_path, capsys):
     ({"nic": {"num_tx_queues": 0}}, "nic.num_tx_queues: 0 must be in 1..65536"),
     # validate parses only: no network, so no 70000 queues, is built
     ({"nic": {"num_tx_queues": 70000}}, "nic.num_tx_queues: 70000 must be in 1..65536"),
+    ({"schedules": [{"node": "0.0.0.0", "port": "intra_h", "window_us": 2**32 + 100,
+                     "entries": [[0, 10]]}]},
+     "schedules[0] (node 0.0.0.0 port intra_h): window_us=4294967396 does not fit a 32-bit"
+     " register"),
+    ({"schedules": [{"node": "0.0.0.0", "port": "intra_h", "guardband_ns": 2**32,
+                     "entries": [[0, 10]]}]},
+     "schedules[0] (node 0.0.0.0 port intra_h): guardband_ns=4294967296 does not fit a 32-bit"
+     " register"),
 ], ids=["grid_G_r", "flow_item", "schedule_entry", "time_aware_queues",
         "drift_string", "drift_seeded_max", "drift_per_node",
         "duration_inf", "prop_delay_inf", "populated_empty", "populated_outside_grid",
@@ -87,7 +95,8 @@ def test_validate_error_exit_one(tmp_path, capsys):
         "trace_string", "backlogged_int", "grid_too_large", "node_id_fraction",
         "duration_string", "injection_cap_bool", "duration_above_int64", "rate_above_int64",
         "offered_rate_above_int64", "slot_above_int64", "queue_depth_zero",
-        "queue_depth_negative", "num_tx_queues_zero", "num_tx_queues_above_scr_range"])
+        "queue_depth_negative", "num_tx_queues_zero", "num_tx_queues_above_scr_range",
+        "window_above_u32", "guardband_above_u32"])
 def test_malformed_scenario_is_a_validation_error(tmp_path, doc, message):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
@@ -149,7 +158,7 @@ def test_sweep_jobs_capped_at_scenario_count(tmp_path, monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr("tasnic.cli.ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", FakePool)
     write_scenario(tmp_path, name="one.json")
     write_scenario(tmp_path, name="two.json", seed=5)
     out = tmp_path / "out"

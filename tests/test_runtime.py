@@ -258,6 +258,24 @@ def test_set_conf_rejects_a_schedule_the_registers_cannot_hold(entries, message)
     assert {off: port.regs.read(SHADOW_OFFSET + off) for off in regs} == regs  # nothing written
 
 
+@pytest.mark.parametrize("window_us, entries, guardband_ns, message", [
+    (2**32 + 100, ((0, 2**32 + 10),), None, "window_us=4294967396 does not fit"),
+    (100, ((0, 2**32 + 10),), None, "entry 0: slot_us=4294967306 does not fit"),
+    (100, ((0, 10),), 2**32, "guardband_ns=4294967296 does not fit"),
+], ids=["window", "slot", "guardband"])
+def test_set_conf_rejects_a_value_wider_than_its_register(window_us, entries, guardband_ns,
+                                                         message):
+    # a register keeps the low 32 bits: 2**32 + 100 would commit as a 100 us window
+    net = quiet_net()
+    port = net.nodes[A].ports[PortKind.INTRA_H]
+    committed = port.committed_table
+    with pytest.raises(ConfigError, match=message):
+        net.nodes[A].runtime.set_conf(
+            ScheduleConfig(PortKind.INTRA_H, window_us, entries, guardband_ns))
+    assert port.committed_table is committed
+    assert net.nodes[A].runtime.get_conf(PortKind.INTRA_H).window_us == committed.window_us
+
+
 def test_get_conf_default_is_empty_round_robin():
     net = quiet_net()
     cfg = net.nodes[A].runtime.get_conf(PortKind.EXTERNAL)
