@@ -16,15 +16,13 @@ class LocalClock:
     __slots__ = ("drift_ppm", "quantum_ns", "rate_adj_ppm", "offset_ns",
                  "last_true_ns", "last_local_ns", "rate")
 
-    def __init__(self, drift_ppm: float = 0.0, quantum_ns: int = 8,
-                 rate_adj_ppm: float = 0.0, offset_ns: int = 0,
-                 last_true_ns: SimTime = 0, last_local_ns: float = 0.0):
+    def __init__(self, drift_ppm: float, quantum_ns: int):
         self.drift_ppm = drift_ppm        # oscillator rate error, fixed for the run
         self.quantum_ns = quantum_ns      # hardware timestamp granularity
-        self.rate_adj_ppm = rate_adj_ppm  # servo rate correction
-        self.offset_ns = offset_ns        # cumulative step corrections applied so far
-        self.last_true_ns = last_true_ns
-        self.last_local_ns = last_local_ns  # exact local time at last_true_ns
+        self.rate_adj_ppm = 0.0           # servo rate correction
+        self.offset_ns = 0                # cumulative step corrections applied so far
+        self.last_true_ns: SimTime = 0
+        self.last_local_ns = 0.0          # exact local time at last_true_ns
         self._update_rate()  # sets rate, kept by set_rate_adj
 
     def _update_rate(self) -> None:
@@ -89,15 +87,16 @@ def ptp_offset_estimate(t1: int, t2: int, t3: int, t4: int) -> int:
     return num // 2 if num >= 0 else -((-num) // 2)
 
 
+MAX_RATE_ADJ_PPM = 200.0  # bound on the servo's rate correction
+
+
 class ServoState:
     """History needed by the two-sample drift estimator."""
 
-    __slots__ = ("last_apply_local_ns", "max_rate_adj_ppm")
+    __slots__ = ("last_apply_local_ns",)
 
-    def __init__(self, last_apply_local_ns: int | None = None,
-                 max_rate_adj_ppm: float = 200.0):
-        self.last_apply_local_ns = last_apply_local_ns
-        self.max_rate_adj_ppm = max_rate_adj_ppm
+    def __init__(self) -> None:
+        self.last_apply_local_ns: int | None = None
 
 
 def apply_servo(clock: LocalClock, offset_est_ns: int, true_now: SimTime, state: ServoState) -> None:
@@ -114,7 +113,6 @@ def apply_servo(clock: LocalClock, offset_est_ns: int, true_now: SimTime, state:
         if interval > 0:
             drift_ppm = offset_est_ns * 1e6 / interval
             adj = clock.rate_adj_ppm - drift_ppm
-            bound = state.max_rate_adj_ppm
-            clock.set_rate_adj(min(max(adj, -bound), bound), true_now)
+            clock.set_rate_adj(min(max(adj, -MAX_RATE_ADJ_PPM), MAX_RATE_ADJ_PPM), true_now)
     clock.step(-offset_est_ns, true_now)
     state.last_apply_local_ns = clock.read_ns(true_now)

@@ -138,19 +138,16 @@ class Link:
                  "tx_frames", "epoch")
 
     def __init__(self, a: tuple[NodeId, PortKind], b: tuple[NodeId, PortKind],
-                 rate_bps: int = DEFAULT_LINK_RATE_BPS,
-                 prop_delay_ns: int = DEFAULT_PROP_DELAY_NS, up: bool = True,
-                 up_since: SimTime = 0, drops: int = 0, tx_frames: int = 0,
-                 epoch: LinkEpoch | None = None):
+                 rate_bps: int, prop_delay_ns: int, epoch: LinkEpoch):
         self.a = a
         self.b = b
         self.rate_bps = rate_bps
         self.prop_delay_ns = prop_delay_ns
-        self.up = up
-        self.up_since = up_since  # last down-to-up change; consulted for in-flight drops
-        self.drops = drops
-        self.tx_frames = tx_frames
-        self.epoch = LinkEpoch() if epoch is None else epoch
+        self.up = True
+        self.up_since: SimTime = 0  # last down-to-up change; consulted for in-flight drops
+        self.drops = 0
+        self.tx_frames = 0
+        self.epoch = epoch
 
     def other_end(self, node_id: NodeId) -> tuple[NodeId, PortKind]:
         if node_id == self.a[0]:
@@ -210,7 +207,7 @@ class Topology:
     def _wire(self, a: NodeId, pa: PortKind, b: NodeId, pb: PortKind) -> None:
         if not (self.has_node(a) and self.has_node(b)):
             return
-        link = Link((a, pa), (b, pb), self._rate, self._prop, epoch=self.link_epoch)
+        link = Link((a, pa), (b, pb), self._rate, self._prop, self.link_epoch)
         self.ports[a][pa] = link
         self.ports[b][pb] = link
         self.links.append(link)

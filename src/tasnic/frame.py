@@ -15,6 +15,7 @@ from __future__ import annotations
 import zlib
 
 from .fabric import NodeId
+from .routing import DEFAULT_TTL
 
 TPID = 0x8100
 ETHERTYPE_RUNTIME = 0x88B5
@@ -61,30 +62,27 @@ class FrameMeta:
     __slots__ = ("final_dst", "ttl", "local_origin", "flow_id", "msg_id", "frag_index",
                  "send_local_ts", "send_true_ns", "hops", "route")
 
-    def __init__(self, final_dst: NodeId | None = None, ttl: int = 64,
-                 local_origin: bool = False, flow_id: int | None = None,
-                 msg_id: int | None = None, frag_index: int | None = None,
-                 send_local_ts: int | None = None, send_true_ns: int | None = None,
-                 hops: int = 0, route: list[tuple[NodeId, str]] | None = None):
+    def __init__(self, final_dst: NodeId | None = None, ttl: int = DEFAULT_TTL,
+                 local_origin: bool = False, hops: int = 0,
+                 route: list[tuple[NodeId, str]] | None = None):
         self.final_dst = final_dst          # L3-analog destination read by routing
         self.ttl = ttl
         self.local_origin = local_origin    # counts against the host injection cap
-        self.flow_id = flow_id
-        self.msg_id = msg_id
-        self.frag_index = frag_index
-        self.send_local_ts = send_local_ts  # sender clock at send_msg time
-        self.send_true_ns = send_true_ns
+        self.flow_id: int | None = None
+        self.msg_id: int | None = None
+        self.frag_index: int | None = None
+        self.send_local_ts: int | None = None  # sender clock at send_msg time
+        self.send_true_ns: int | None = None
         self.hops = hops
         self.route = route
 
 
 class Frame:
-    __slots__ = ("dst_mac", "src_mac", "pcp", "ethertype", "payload", "vid", "fcs", "meta",
+    __slots__ = ("dst_mac", "src_mac", "pcp", "ethertype", "payload", "fcs", "meta",
                  "wire_bytes")
 
     def __init__(self, dst_mac: bytes, src_mac: bytes, pcp: int, ethertype: int,
-                 payload: bytes, vid: int = 0, fcs: int | None = None,
-                 meta: FrameMeta | None = None):
+                 payload: bytes, meta: FrameMeta | None = None):
         if not 0 <= pcp <= 7:
             raise ValueError(f"pcp {pcp} out of range")
         if not MIN_PAYLOAD <= len(payload) <= MAX_PAYLOAD:
@@ -94,14 +92,14 @@ class Frame:
         self.pcp = pcp
         self.ethertype = ethertype
         self.payload = payload
-        self.vid = vid
-        self.fcs = fcs
+        self.fcs: int | None = None
         self.meta = FrameMeta() if meta is None else meta
         # a payload rewritten in flight keeps its length
         self.wire_bytes = HEADER_BYTES + len(payload) + FCS_BYTES
 
     def tci(self) -> int:
-        return (self.pcp << 13) | (self.vid & 0x0FFF)
+        """802.1Q tag control: the pcp, with DEI and VLAN id 0."""
+        return self.pcp << 13
 
     def covered_bytes(self) -> bytes:
         """The bytes the FCS covers: full header plus payload."""

@@ -36,8 +36,7 @@ class _FlowGen:
 
     def __init__(self, network: Network, flow_id: int, src: NodeId, dst_encoded: int,
                  pcp: int, stop_ns: int, payload: bytes, backlogged: bool,
-                 rate_bps: int | None = None, emitted: int = 0, active: bool = False,
-                 _t0: int = 0):
+                 rate_bps: int | None):
         self.network = network
         self.flow_id = flow_id
         self.src = src
@@ -47,9 +46,9 @@ class _FlowGen:
         self.payload = payload
         self.backlogged = backlogged
         self.rate_bps = rate_bps
-        self.emitted = emitted
-        self.active = active
-        self._t0 = _t0
+        self.emitted = 0
+        self.active = False
+        self._t0 = 0
 
     def begin(self) -> None:
         self.active = True
@@ -112,9 +111,9 @@ class _FlowTap:
 class PtpSlaveReport:
     __slots__ = ("samples", "max_abs_offset_ns")
 
-    def __init__(self, samples: int = 0, max_abs_offset_ns: float = 0.0):
-        self.samples = samples
-        self.max_abs_offset_ns = max_abs_offset_ns
+    def __init__(self) -> None:
+        self.samples = 0
+        self.max_abs_offset_ns = 0.0
 
 
 class RunResult:

@@ -38,20 +38,18 @@ class FlowRecorder:
                  "delivered_frames", "bytes_delivered", "drops", "messages")
 
     def __init__(self, flow_id: int, src: str, dst: str, pcp: int, start_ns: int,
-                 stop_ns: int, offered_frames: int = 0, delivered_frames: int = 0,
-                 bytes_delivered: int = 0, drops: dict[str, int] | None = None,
-                 messages: list[DeliveredMessage] | None = None):
+                 stop_ns: int):
         self.flow_id = flow_id
         self.src = src
         self.dst = dst
         self.pcp = pcp
         self.start_ns = start_ns
         self.stop_ns = stop_ns
-        self.offered_frames = offered_frames
-        self.delivered_frames = delivered_frames
-        self.bytes_delivered = bytes_delivered
-        self.drops = {} if drops is None else drops
-        self.messages = [] if messages is None else messages
+        self.offered_frames = 0
+        self.delivered_frames = 0
+        self.bytes_delivered = 0
+        self.drops: dict[str, int] = {}
+        self.messages: list[DeliveredMessage] = []
 
     def on_offered(self) -> None:
         self.offered_frames += 1

@@ -50,6 +50,7 @@ if TYPE_CHECKING:  # pragma: no cover
 MAX_SCHEDULE_ENTRIES = 16
 MAX_TX_QUEUES = 1 << 16  # an SCR register holds a queue index in bits [15:0]
 MGMT_IDX = -1  # the management queue, last in NicPort's queue index space
+DEFAULT_WINDOW_US = 100  # window of a scenario schedule that omits it, and of an idle port
 
 REG_WINDOW_US = 0x000
 REG_NUM_ENTRIES = 0x004
@@ -140,15 +141,14 @@ def validate_schedule(window_us: int, entries: tuple[tuple[int, int], ...],
 class TxQueue:
     __slots__ = ("index", "depth", "pos", "frames", "enqueued", "dequeued", "drops")
 
-    def __init__(self, index: int, depth: int, pos: int, frames: deque | None = None,
-                 enqueued: int = 0, dequeued: int = 0, drops: int = 0):
+    def __init__(self, index: int, depth: int, pos: int):
         self.index = index
         self.depth = depth
         self.pos = pos  # bit position in the port's backlog mask
-        self.frames = deque() if frames is None else frames
-        self.enqueued = enqueued
-        self.dequeued = dequeued
-        self.drops = drops
+        self.frames: deque[Frame] = deque()
+        self.enqueued = 0
+        self.dequeued = 0
+        self.drops = 0
 
 
 class TokenBucket:
@@ -276,7 +276,8 @@ class NicPort:
         self.queue_depth = queue_depth
         self.mgmt_queue = TxQueue(MGMT_IDX, queue_depth, num_tx_queues)
         self._queues = {num_tx_queues: self.mgmt_queue}  # by bit position
-        self.active_table = ScheduleTable(100, (), default_guardband_ns(self.rate_bps))
+        self.active_table = ScheduleTable(DEFAULT_WINDOW_US, (),
+                                          default_guardband_ns(self.rate_bps))
         self.committed_table = self.active_table
         self.regs = RegisterFile(self)
         self._pending: ScheduleTable | None = None

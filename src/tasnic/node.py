@@ -35,7 +35,7 @@ from .frame import ETHERTYPE_PTP, ETHERTYPE_RUNTIME, MAX_WIRE_BYTES, Frame, Fram
 from .nic import NicPort, TokenBucket
 from .ptp import PtpService
 from .qdisc import PriorityMap, classify, validate_map
-from .routing import DEFAULT_TTL, next_hop
+from .routing import next_hop
 from .runtime import NodeRuntime
 
 ROUTE_TRACE_CAP = 10_000  # route records a traced run keeps for routes.jsonl
@@ -77,12 +77,11 @@ class PtpSettings:
 class NodeCounters:
     __slots__ = ("rx_frames", "delivered_local", "forwarded", "drops")
 
-    def __init__(self, rx_frames: int = 0, delivered_local: int = 0, forwarded: int = 0,
-                 drops: dict[str, int] | None = None):
-        self.rx_frames = rx_frames
-        self.delivered_local = delivered_local
-        self.forwarded = forwarded
-        self.drops = {} if drops is None else drops
+    def __init__(self) -> None:
+        self.rx_frames = 0
+        self.delivered_local = 0
+        self.forwarded = 0
+        self.drops: dict[str, int] = {}
 
     def drop(self, cause: str) -> None:
         self.drops[cause] = self.drops.get(cause, 0) + 1
@@ -96,7 +95,6 @@ class Node:
         self.node_id = node_id
         self.mac = mac_of(abs_coords(node_id))
         self.clock = clock
-        self.priority_map = priority_map
         # TX queue of each pcp (a Frame's pcp is 0..7), classified once
         self.queue_of_pcp = tuple(classify(pcp, priority_map) for pcp in range(8))
         self.counters = NodeCounters()
@@ -249,7 +247,7 @@ class Network:
 
     def _build_frame(self, src: Node, dst: NodeId, ethertype: int, payload: bytes,
                      pcp: int, local_origin: bool) -> Frame:
-        meta = FrameMeta(final_dst=dst, ttl=DEFAULT_TTL, local_origin=local_origin,
+        meta = FrameMeta(final_dst=dst, local_origin=local_origin,
                          route=[] if self.trace else None)
         return Frame(dst_mac=self.nodes[dst].mac, src_mac=src.mac, pcp=pcp,
                      ethertype=ethertype, payload=pad_payload(payload), meta=meta)

@@ -49,23 +49,21 @@ class PtpMessage(NamedTuple):
 class _Exchange:
     __slots__ = ("t1", "t2", "t3")
 
-    def __init__(self, t1: int | None = None, t2: int | None = None, t3: int | None = None):
-        self.t1 = t1
-        self.t2 = t2
-        self.t3 = t3
+    def __init__(self) -> None:
+        self.t1: int | None = None
+        self.t2: int | None = None
+        self.t3: int | None = None
 
 
 class SlaveSync:
     __slots__ = ("servo", "pending_id", "pending", "estimates", "rounds_completed")
 
-    def __init__(self, servo: ServoState | None = None, pending_id: int | None = None,
-                 pending: _Exchange | None = None,
-                 estimates: list[tuple[int, int]] | None = None, rounds_completed: int = 0):
-        self.servo = ServoState() if servo is None else servo
-        self.pending_id = pending_id
-        self.pending = _Exchange() if pending is None else pending
-        self.estimates = [] if estimates is None else estimates  # (true_ns, est_ns)
-        self.rounds_completed = rounds_completed
+    def __init__(self) -> None:
+        self.servo = ServoState()
+        self.pending_id: int | None = None
+        self.pending = _Exchange()
+        self.estimates: list[tuple[int, int]] = []  # (true_ns, est_ns)
+        self.rounds_completed = 0
 
 
 class PtpService:

@@ -24,8 +24,8 @@ from __future__ import annotations
 import struct
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
-from .engine import TICKS_PER_S, SimTime
-from .fabric import AddressError, PortKind, decode_id, encode_id
+from .engine import TICKS_PER_S, EventHandle, SimTime
+from .fabric import AddressError, NodeId, PortKind, decode_id, encode_id
 from .frame import MAX_PAYLOAD, Frame
 from .nic import REG_COMMIT, default_guardband_ns, schedule_registers, validate_schedule
 
@@ -102,24 +102,32 @@ class _Reassembly:
     __slots__ = ("frag_count", "total_len", "buffer", "received", "max_hops",
                  "deadline_handle")
 
-    def __init__(self, frag_count: int, total_len: int, buffer: bytearray,
-                 received: set[int] | None = None, max_hops: int = 0,
-                 deadline_handle: object = None):
+    def __init__(self, frag_count: int, total_len: int):
         self.frag_count = frag_count
         self.total_len = total_len
-        self.buffer = buffer
-        self.received = set() if received is None else received
-        self.max_hops = max_hops
-        self.deadline_handle = deadline_handle
+        self.buffer = bytearray(total_len)
+        self.received: set[int] = set()
+        self.max_hops = 0
+        self.deadline_handle: EventHandle | None = None
 
 
 class _PendingRecv:
     __slots__ = ("src_id", "size", "result")
 
-    def __init__(self, src_id: int, size: int, result: Message | None = None):
+    def __init__(self, src_id: int, size: int):
         self.src_id = src_id
         self.size = size
-        self.result = result
+        self.result: Message | None = None
+
+
+class _Destination:
+    """A checked destination of ``send_msg`` and the msg_id its next message takes."""
+
+    __slots__ = ("node_id", "next_msg_id")
+
+    def __init__(self, node_id: NodeId):
+        self.node_id = node_id
+        self.next_msg_id = 0
 
 
 class NodeRuntime:
@@ -128,7 +136,7 @@ class NodeRuntime:
     def __init__(self, node: "Node"):
         self.node = node
         self._src_id = encode_id(node.node_id)
-        self._msg_counters: dict[int, int] = {}
+        self._destinations: dict[int, _Destination] = {}  # by encoded id
         self._partials: dict[tuple[int, int], _Reassembly] = {}
         self._completed: list[Message] = []
         self._pending_recv: _PendingRecv | None = None
@@ -145,11 +153,15 @@ class NodeRuntime:
             raise MessageError("size must be >= 1")
         node = self.node
         network = node.network
-        dst_node = decode_id(dst)
-        if not network.topology.has_node(dst_node):
-            raise AddressError(f"destination {dst_node} is not a populated node")
-        msg_id = self._msg_counters.get(dst, 0)
-        self._msg_counters[dst] = (msg_id + 1) & 0xFFFF
+        dest = self._destinations.get(dst)
+        if dest is None:
+            dst_node = decode_id(dst)
+            if not network.topology.has_node(dst_node):
+                raise AddressError(f"destination {dst_node} is not a populated node")
+            dest = self._destinations[dst] = _Destination(dst_node)
+        dst_node = dest.node_id
+        msg_id = dest.next_msg_id
+        dest.next_msg_id = (msg_id + 1) & 0xFFFF
         size = len(data)
         frag_count = -(-size // MAX_CHUNK)
         now = node.sim.now
@@ -186,7 +198,7 @@ class NodeRuntime:
                     data += bytes(total_len - len(data))
                 self._deliver(frame, src_id, data, frame.meta.hops)
                 return
-            part = _Reassembly(frag_count, total_len, bytearray(total_len))
+            part = _Reassembly(frag_count, total_len)
             part.deadline_handle = self.node.sim.after(
                 REASSEMBLY_DEADLINE_NS, lambda: self._expire(key),
                 label=self.node.reasm_deadline_label)

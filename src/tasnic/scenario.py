@@ -27,7 +27,7 @@ from .fabric import (
     build_topology,
     tile_plus_two_nodes,
 )
-from .nic import MAX_TX_QUEUES, validate_schedule
+from .nic import DEFAULT_WINDOW_US, MAX_TX_QUEUES, validate_schedule
 from .node import HostSettings, NicSettings, PtpSettings
 from .qdisc import PriorityMap, validate_map
 from .runtime import MAX_CHUNK, ScheduleConfig
@@ -137,9 +137,8 @@ class FlowSpec:
     __slots__ = ("src", "dst", "pcp", "start", "stop", "backlogged", "offered_rate_bps",
                  "frame_payload_bytes")
 
-    def __init__(self, src: NodeId, dst: NodeId, pcp: int = 0, start: int = 0,
-                 stop: int | None = None, backlogged: bool = False,
-                 offered_rate_bps: int | None = None, frame_payload_bytes: int = MAX_CHUNK):
+    def __init__(self, src: NodeId, dst: NodeId, pcp: int, start: int, stop: int | None,
+                 backlogged: bool, offered_rate_bps: int | None, frame_payload_bytes: int):
         self.src = src
         self.dst = dst
         self.pcp = pcp
@@ -154,27 +153,21 @@ class Scenario:
     __slots__ = ("grid", "rate_bps", "prop_delay_ns", "host", "ptp", "drift_spec", "nic",
                  "priority_map", "schedules", "faults", "flows", "duration_ns", "seed", "trace")
 
-    def __init__(self, grid: GridSpec | None = None, rate_bps: int = DEFAULT_LINK_RATE_BPS,
-                 prop_delay_ns: int = DEFAULT_PROP_DELAY_NS, host: HostSettings | None = None,
-                 ptp: PtpSettings | None = None, drift_spec: object = None,
-                 nic: NicSettings | None = None, priority_map: PriorityMap | None = None,
-                 schedules: list[tuple[NodeId, ScheduleConfig]] | None = None,
-                 faults: list[FaultSpec] | None = None, flows: list[FlowSpec] | None = None,
-                 duration_ns: int = 1_000_000_000, seed: int = 0, trace: bool = False):
-        self.grid = GridSpec() if grid is None else grid
-        self.rate_bps = rate_bps
-        self.prop_delay_ns = prop_delay_ns
-        self.host = HostSettings() if host is None else host
-        self.ptp = PtpSettings() if ptp is None else ptp
-        self.drift_spec = drift_spec  # None (seeded 10 ppm), number, or mapping
-        self.nic = NicSettings() if nic is None else nic
-        self.priority_map = PriorityMap() if priority_map is None else priority_map
-        self.schedules = [] if schedules is None else schedules
-        self.faults = [] if faults is None else faults
-        self.flows = [] if flows is None else flows
-        self.duration_ns = duration_ns
-        self.seed = seed
-        self.trace = trace
+    def __init__(self) -> None:
+        self.grid = GridSpec()
+        self.rate_bps = DEFAULT_LINK_RATE_BPS
+        self.prop_delay_ns = DEFAULT_PROP_DELAY_NS
+        self.host = HostSettings()
+        self.ptp = PtpSettings()
+        self.drift_spec: object = None  # None (seeded 10 ppm), number, or mapping
+        self.nic = NicSettings()
+        self.priority_map = PriorityMap()
+        self.schedules: list[tuple[NodeId, ScheduleConfig]] = []
+        self.faults: list[FaultSpec] = []
+        self.flows: list[FlowSpec] = []
+        self.duration_ns = 1_000_000_000
+        self.seed = 0
+        self.trace = False
 
     def build_fabric(self) -> Topology:
         if self.grid.preset == "tile_plus_two":
@@ -240,7 +233,9 @@ class Scenario:
 
 
 def parse_scenario(doc: dict) -> Scenario:
-    """Validate a decoded scenario document; raises ScenarioError."""
+    """Validate a decoded scenario document; raises ScenarioError.
+
+    A field the document leaves out keeps its value in ``Scenario()``."""
     errors: list[str] = []
     sc = Scenario()
 
@@ -250,8 +245,8 @@ def parse_scenario(doc: dict) -> Scenario:
     elif grid.get("preset"):
         errors.append(f"grid.preset: unknown preset {grid['preset']!r}")
     else:
-        g_r = _int(grid.get("G_r", 1), "grid.G_r", errors)
-        g_c = _int(grid.get("G_c", 1), "grid.G_c", errors)
+        g_r = _int(grid.get("G_r", sc.grid.g_r), "grid.G_r", errors)
+        g_c = _int(grid.get("G_c", sc.grid.g_c), "grid.G_c", errors)
         if not (1 <= g_r <= MAX_GRID_DIM and 1 <= g_c <= MAX_GRID_DIM):
             errors.append(f"grid: dimensions {g_r}x{g_c} must be in 1..{MAX_GRID_DIM}")
             g_r, g_c = (min(max(d, 1), MAX_GRID_DIM) for d in (g_r, g_c))
@@ -272,8 +267,8 @@ def parse_scenario(doc: dict) -> Scenario:
         sc.grid = GridSpec(g_r, g_c, populated, None)
 
     link = _expect(doc.get("link", {}), dict, "link", errors)
-    sc.rate_bps = _int64(link.get("rate_bps", DEFAULT_LINK_RATE_BPS), "link.rate_bps", errors)
-    sc.prop_delay_ns = _int64(link.get("prop_delay_ns", DEFAULT_PROP_DELAY_NS),
+    sc.rate_bps = _int64(link.get("rate_bps", sc.rate_bps), "link.rate_bps", errors)
+    sc.prop_delay_ns = _int64(link.get("prop_delay_ns", sc.prop_delay_ns),
                               "link.prop_delay_ns", errors)
     if sc.rate_bps <= 0:
         errors.append(f"link.rate_bps: {sc.rate_bps} must be > 0")
@@ -281,12 +276,12 @@ def parse_scenario(doc: dict) -> Scenario:
         errors.append(f"link.prop_delay_ns: {sc.prop_delay_ns} must be >= 0")
 
     host = _expect(doc.get("host", {}), dict, "host", errors)
-    cap = host.get("injection_cap_bps", 2_250_000_000)
+    cap = host.get("injection_cap_bps", sc.host.injection_cap_bps)
     if cap is not None:
         cap = _int64(cap, "host.injection_cap_bps", errors) or None  # 0: uncapped
     sc.host = HostSettings(
         injection_cap_bps=cap,
-        processing_delay_ns=_int64(host.get("processing_delay_ns", 10_000),
+        processing_delay_ns=_int64(host.get("processing_delay_ns", sc.host.processing_delay_ns),
                                    "host.processing_delay_ns", errors))
     if sc.host.injection_cap_bps is not None and sc.host.injection_cap_bps < 0:
         errors.append(f"host.injection_cap_bps: {sc.host.injection_cap_bps} must be >= 0"
@@ -299,11 +294,12 @@ def parse_scenario(doc: dict) -> Scenario:
     if ptp.get("grandmaster") is not None:
         gm = _parse_node(ptp["grandmaster"], "ptp.grandmaster", errors)
     sc.ptp = PtpSettings(
-        enabled=_bool(ptp.get("enabled", True), "ptp.enabled", errors),
+        enabled=_bool(ptp.get("enabled", sc.ptp.enabled), "ptp.enabled", errors),
         grandmaster=gm,
-        interval_ms=_int64(ptp.get("interval_ms", 250), "ptp.interval_ms", errors),
-        quantization_ns=_int64(ptp.get("quantization_ns", 8), "ptp.quantization_ns", errors),
-        convergence_rounds=_int(ptp.get("convergence_rounds", 10),
+        interval_ms=_int64(ptp.get("interval_ms", sc.ptp.interval_ms), "ptp.interval_ms", errors),
+        quantization_ns=_int64(ptp.get("quantization_ns", sc.ptp.quantization_ns),
+                               "ptp.quantization_ns", errors),
+        convergence_rounds=_int(ptp.get("convergence_rounds", sc.ptp.convergence_rounds),
                                 "ptp.convergence_rounds", errors))
     sc.drift_spec = _drift(ptp.get("drift_ppm"), "ptp.drift_ppm", errors)
     if sc.ptp.interval_ms < 1:
@@ -315,10 +311,11 @@ def parse_scenario(doc: dict) -> Scenario:
 
     nic = _expect(doc.get("nic", {}), dict, "nic", errors)
     sc.nic = NicSettings(
-        num_tx_queues=_int(nic.get("num_tx_queues", 8), "nic.num_tx_queues", errors),
-        time_aware_queues=_ints(nic.get("time_aware_queues", [0, 1, 2]),
+        num_tx_queues=_int(nic.get("num_tx_queues", sc.nic.num_tx_queues),
+                           "nic.num_tx_queues", errors),
+        time_aware_queues=_ints(nic.get("time_aware_queues", list(sc.nic.time_aware_queues)),
                                 "nic.time_aware_queues", errors),
-        queue_depth=_int(nic.get("queue_depth", 1024), "nic.queue_depth", errors))
+        queue_depth=_int(nic.get("queue_depth", sc.nic.queue_depth), "nic.queue_depth", errors))
     if not 1 <= sc.nic.num_tx_queues <= MAX_TX_QUEUES:
         errors.append(f"nic.num_tx_queues: {sc.nic.num_tx_queues} must be in 1..{MAX_TX_QUEUES}")
     if sc.nic.queue_depth < 1:
@@ -329,17 +326,20 @@ def parse_scenario(doc: dict) -> Scenario:
 
     pm = _expect(doc.get("priority_map", {}), dict, "priority_map", errors)
     sc.priority_map = PriorityMap(
-        num_classes=_int(pm.get("num_classes", 3), "priority_map.num_classes", errors),
-        prio_to_tc=_ints(pm.get("prio_to_tc", [0, 1, 2]), "priority_map.prio_to_tc", errors),
-        tc_to_queue=_ints(pm.get("tc_to_queue", [0, 1, 2]), "priority_map.tc_to_queue", errors))
+        num_classes=_int(pm.get("num_classes", sc.priority_map.num_classes),
+                         "priority_map.num_classes", errors),
+        prio_to_tc=_ints(pm.get("prio_to_tc", list(sc.priority_map.prio_to_tc)),
+                         "priority_map.prio_to_tc", errors),
+        tc_to_queue=_ints(pm.get("tc_to_queue", list(sc.priority_map.tc_to_queue)),
+                          "priority_map.tc_to_queue", errors))
     for e in validate_map(sc.priority_map, sc.nic.num_tx_queues, sc.nic.time_aware_queues):
         errors.append(f"priority_map: {e}")
 
-    sc.duration_ns = _int64(doc.get("duration_ns", 1_000_000_000), "duration_ns", errors)
+    sc.duration_ns = _int64(doc.get("duration_ns", sc.duration_ns), "duration_ns", errors)
     if sc.duration_ns < 1:
         errors.append(f"duration_ns: {sc.duration_ns} must be >= 1")
-    sc.seed = _int(doc.get("seed", 0), "seed", errors)
-    sc.trace = _bool(doc.get("trace", False), "trace", errors)
+    sc.seed = _int(doc.get("seed", sc.seed), "seed", errors)
+    sc.trace = _bool(doc.get("trace", sc.trace), "trace", errors)
 
     if errors:
         raise ScenarioError(errors)
@@ -372,7 +372,7 @@ def parse_scenario(doc: dict) -> Scenario:
                 raise _malformed(e, "[queue, slot_us]", f"{path}.entries[{j}]", errors)
             _int64(entries[-1][1], f"{path}.entries[{j}][1]", errors)
         entries = tuple(entries)
-        window = _int64(s.get("window_us", 100), f"{path}.window_us", errors)
+        window = _int64(s.get("window_us", DEFAULT_WINDOW_US), f"{path}.window_us", errors)
         guard = s.get("guardband_ns")
         guard_val = _int64(guard, f"{path}.guardband_ns", errors) if guard is not None else None
         for e in validate_schedule(window, entries, guard_val if guard_val is not None else 0,

@@ -74,6 +74,10 @@ def test_one_frame_message_does_no_per_message_setup():
     assert sum(node.runtime.messages_delivered for node in result.network.nodes.values()) > 100
     # the node's own id is encoded once, and a destination MAC is the node's own
     assert _calls_from(stats, "encode_id", "send_msg") == 0
+    # each destination is decoded and checked by its first message only
+    destinations = {flow["dst"] for flow in DOC["flows"]}
+    for name in ("decode_id", "has_node"):
+        assert _calls_from(stats, name, "send_msg") == len(destinations) == 4, name
     for name in ("mac_of", "abs_coords"):
         assert _calls_from(stats, name, "_build_frame") == 0, name
     # the fragment header is packed and unpacked by the struct alone: no

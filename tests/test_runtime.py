@@ -75,6 +75,19 @@ def test_unknown_destination_rejected():
         net.nodes[A].runtime.send_msg(b"hello", encode_id(NodeId(5, 5, 0, 0)))
 
 
+def test_an_unpopulated_destination_is_rejected_every_time_and_takes_no_msg_id():
+    from tasnic.fabric import AddressError
+    net = quiet_net()
+    runtime = net.nodes[A].runtime
+    absent = encode_id(NodeId(5, 5, 0, 0))
+    for _ in range(2):
+        with pytest.raises(AddressError):
+            runtime.send_msg(b"hello", absent)
+    assert net.frames_offered == 0
+    assert absent not in runtime._destinations
+    assert [runtime.send_msg(b"hi", encode_id(B)) for _ in range(2)] == [0, 1]
+
+
 def test_round_trip_identity_multi_fragment():
     net = quiet_net()
     rng = random.Random(99)

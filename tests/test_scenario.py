@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 from tasnic.fabric import NodeId
 from tasnic.harness import build_network, run_scenario
 from tasnic.nic import MAX_SCHEDULE_ENTRIES, default_guardband_ns
+from tasnic.node import Network
 from tasnic.runtime import ScheduleConfig
-from tasnic.scenario import INT64_MAX, ScenarioError, load_scenario, parse_scenario
+from tasnic.scenario import INT64_MAX, Scenario, ScenarioError, load_scenario, parse_scenario
 
 
 def minimal_doc(**overrides):
@@ -33,6 +34,25 @@ def test_minimal_scenario_fills_defaults():
     assert sc.priority_map.num_classes == 3
     assert sc.seed == 0
     assert len(sc.flows) == 1
+
+
+def test_an_empty_document_is_the_default_scenario():
+    assert parse_scenario({}).canonical_dict() == Scenario().canonical_dict()
+
+
+def test_a_network_built_without_settings_runs_the_scenario_defaults():
+    scenario = parse_scenario({})
+    bare = Network(scenario.build_fabric())
+
+    def effective(net):
+        node = net.nodes[NodeId(0, 0, 0, 0)]
+        port = next(iter(node.ports.values()))
+        return (port.num_tx_queues, port.queue_depth, node.bucket.rate_bps,
+                node.clock.quantum_ns)
+
+    assert effective(bare) == effective(build_network(scenario))
+    assert effective(bare) == (scenario.nic.num_tx_queues, scenario.nic.queue_depth,
+                               scenario.host.injection_cap_bps, scenario.ptp.quantization_ns)
 
 
 def test_integral_float_is_an_integer():

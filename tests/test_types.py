@@ -3,9 +3,12 @@
 Values are NamedTuples and state is plain ``__slots__`` classes, so
 importing the package generates no code: nothing under ``src/tasnic``
 uses ``dataclasses``, and the CLI's import pulls in neither it, ``inspect``
-nor the process pool that only ``sweep --jobs`` uses.
+nor the process pool that only ``sweep --jobs`` uses.  A constructor takes
+only what some caller passes, and a default only where some call leaves
+it out.
 """
 
+import ast
 import os
 import re
 import subprocess
@@ -23,7 +26,9 @@ from tasnic.qdisc import PriorityMap
 from tasnic.runtime import FragmentHeader, ScheduleConfig
 from tasnic.scenario import Scenario
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
+CALLER_TREES = ("src", "tests", "scripts", "bench")
 
 
 def test_cli_import_loads_no_code_generation_or_process_pool():
@@ -84,3 +89,67 @@ def test_state_classes_never_share_containers():
     assert q1.frames is not q2.frames
     q1.frames.append(object())
     assert not q2.frames
+
+
+def _constructors() -> dict[str, tuple[list[str], set[str]]]:
+    """Class name -> (``__init__`` parameters after self, those with a default)."""
+    found: dict[str, tuple[list[str], set[str]]] = {}
+    for path in sorted((SRC / "tasnic").glob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for fn in cls.body:
+                if isinstance(fn, ast.FunctionDef) and fn.name == "__init__":
+                    args = fn.args
+                    positional = [a.arg for a in args.posonlyargs + args.args][1:]
+                    defaulted = set(positional[len(positional) - len(args.defaults):]
+                                    if args.defaults else ())
+                    defaulted |= {a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                                  if d is not None}
+                    assert cls.name not in found, f"two classes named {cls.name}"
+                    found[cls.name] = (positional + [a.arg for a in args.kwonlyargs],
+                                       defaulted)
+    return found
+
+
+def _passed_at_each_call(constructors) -> dict[str, list[set[str]]]:
+    """Class name -> the parameters each ``Name(...)`` or ``x.Name(...)`` call passes;
+    an unpacked ``*args`` or ``**kwargs`` counts as passing every parameter it can reach."""
+    calls: dict[str, list[set[str]]] = {name: [] for name in constructors}
+    for tree in CALLER_TREES:
+        for path in sorted((ROOT / tree).rglob("*.py")):
+            for call in ast.walk(ast.parse(path.read_text())):
+                if not isinstance(call, ast.Call):
+                    continue
+                func = call.func
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                if name not in calls:
+                    continue
+                params = constructors[name][0]
+                passed: set[str] = set()
+                for i, arg in enumerate(call.args):
+                    if isinstance(arg, ast.Starred):
+                        passed.update(params[i:])
+                        break
+                    passed.update(params[i:i + 1])
+                for kw in call.keywords:
+                    passed.update(params if kw.arg is None else (kw.arg,))
+                calls[name].append(passed)
+    return calls
+
+
+def test_every_constructor_parameter_is_passed_by_some_call():
+    constructors = _constructors()
+    calls = _passed_at_each_call(constructors)
+    unpassed = [f"{name}.{param}" for name, (params, _) in constructors.items()
+                for param in params if not any(param in passed for passed in calls[name])]
+    assert unpassed == []
+
+
+def test_every_constructor_default_is_left_out_by_some_call():
+    constructors = _constructors()
+    calls = _passed_at_each_call(constructors)
+    always_passed = [f"{name}.{param}" for name, (_, defaulted) in constructors.items()
+                     for param in sorted(defaulted)
+                     if calls[name] and all(param in passed for passed in calls[name])]
+    assert always_passed == []
