@@ -20,10 +20,18 @@ from .frame import Frame, crc32, serialization_ticks
 from .harness import RunResult, build_network, emit_report, run_scenario
 from .metrics import FlowRecorder
 from .nic import NicPort, ScheduleTable, TokenBucket, TxQueue
-from .node import HostSettings, Network, NicSettings, Node, PtpSettings
+from .node import Network, Node
 from .qdisc import PriorityMap, classify, validate_map
 from .routing import next_hop
 from .runtime import FragmentHeader, NodeRuntime, ScheduleConfig
-from .scenario import Scenario, ScenarioError, load_scenario, parse_scenario
+from .scenario import (
+    HostSettings,
+    NicSettings,
+    PtpSettings,
+    Scenario,
+    ScenarioError,
+    load_scenario,
+    parse_scenario,
+)
 
 __version__ = "0.1.0"

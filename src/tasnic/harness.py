@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .engine import TICKS_PER_MS, RngStreams, Simulator
+from .engine import TICKS_PER_MS
 from .fabric import NodeId, encode_id
 from .frame import Frame, wire_bytes
 from .metrics import CSV_HEADER, FlowRecorder, csv_row
@@ -177,14 +177,7 @@ class RunResult:
 
 
 def build_network(scenario: Scenario) -> Network:
-    topo = scenario.build_fabric()
-    sim = Simulator()
-    return Network(
-        topo, sim,
-        nic=scenario.nic, host=scenario.host, ptp=scenario.ptp,
-        priority_map=scenario.priority_map,
-        drift_by_node=scenario.resolve_drift(topo, RngStreams(scenario.seed)),
-        trace=scenario.trace)
+    return Network(scenario)
 
 
 def run_scenario(scenario: Scenario) -> RunResult:

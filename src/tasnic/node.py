@@ -8,9 +8,10 @@ whole path; routing reads ``FrameMeta.final_dst``.
 Each Node keeps a route table: the egress port per ``(final_dst, ingress)``,
 filled from ``next_hop`` on a miss and dropped when the topology's link
 epoch has moved since it was filled.
-The Network owns the shared pieces: the event engine, the topology and its
-link state, the sync service, frame delivery across links, and global
-offered/delivered/drop accounting.  Frames are observed in one way: the
+The Network is built from a parsed Scenario alone and owns the shared
+pieces: the event engine, the topology and its link state, the sync
+service, frame delivery across links, and global offered/delivered/drop
+accounting.  Frames are observed in one way: the
 optional flow observer ``Network.flows`` gets ``offered``, ``dequeued``
 (transmission start), ``dropped`` (with the cause) and ``delivered`` for
 each frame that carries a flow id.
@@ -19,15 +20,15 @@ each frame that carries a flow id.
 from __future__ import annotations
 
 from functools import partial
+from typing import TYPE_CHECKING
 
 from .clock import LocalClock
-from .engine import Simulator
+from .engine import RngStreams, Simulator
 from .fabric import (
     DATA_PORT_KINDS,
     Link,
     NodeId,
     PortKind,
-    Topology,
     abs_coords,
     mac_of,
 )
@@ -38,40 +39,10 @@ from .qdisc import PriorityMap, classify, validate_map
 from .routing import next_hop
 from .runtime import NodeRuntime
 
+if TYPE_CHECKING:
+    from .scenario import Scenario
+
 ROUTE_TRACE_CAP = 10_000  # route records a traced run keeps for routes.jsonl
-
-
-class NicSettings:
-    __slots__ = ("num_tx_queues", "time_aware_queues", "queue_depth")
-
-    def __init__(self, num_tx_queues: int = 8, time_aware_queues: tuple[int, ...] = (0, 1, 2),
-                 queue_depth: int = 1024):
-        self.num_tx_queues = num_tx_queues
-        self.time_aware_queues = time_aware_queues
-        self.queue_depth = queue_depth
-
-
-class HostSettings:
-    __slots__ = ("injection_cap_bps", "processing_delay_ns")
-
-    def __init__(self, injection_cap_bps: int | None = 2_250_000_000,
-                 processing_delay_ns: int = 10_000):
-        self.injection_cap_bps = injection_cap_bps
-        self.processing_delay_ns = processing_delay_ns
-
-
-class PtpSettings:
-    __slots__ = ("enabled", "grandmaster", "interval_ms", "quantization_ns",
-                 "convergence_rounds")
-
-    def __init__(self, enabled: bool = True, grandmaster: NodeId | None = None,
-                 interval_ms: int = 250, quantization_ns: int = 8,
-                 convergence_rounds: int = 10):
-        self.enabled = enabled
-        self.grandmaster = grandmaster  # None: lowest populated id
-        self.interval_ms = interval_ms
-        self.quantization_ns = quantization_ns
-        self.convergence_rounds = convergence_rounds
 
 
 class NodeCounters:
@@ -185,28 +156,22 @@ class Node:
 class Network:
     """One simulation instance: engine + fabric + nodes + sync service."""
 
-    def __init__(self, topology: Topology, sim: Simulator | None = None,
-                 nic: NicSettings | None = None, host: HostSettings | None = None,
-                 ptp: PtpSettings | None = None, priority_map: PriorityMap | None = None,
-                 drift_by_node: dict[NodeId, float] | None = None, trace: bool = False):
-        self.topology = topology
-        self.sim = sim if sim is not None else Simulator()
-        self.nic = nic if nic is not None else NicSettings()
-        self.host = host if host is not None else HostSettings()
-        self.ptp_settings = ptp if ptp is not None else PtpSettings()
-        self.priority_map = priority_map if priority_map is not None else PriorityMap()
-        self.trace = trace  # record each port's transmissions and each frame's route
-        map_errors = validate_map(self.priority_map, self.nic.num_tx_queues,
-                                  self.nic.time_aware_queues)
+    def __init__(self, scenario: Scenario):
+        self.topology = topology = scenario.build_fabric()
+        self.sim = Simulator()
+        self.host = scenario.host
+        self.trace = scenario.trace  # record each port's transmissions and each frame's route
+        nic = scenario.nic
+        map_errors = validate_map(scenario.priority_map, nic.num_tx_queues, nic.time_aware_queues)
         if map_errors:
             raise ValueError("invalid priority map: " + "; ".join(map_errors))
 
-        drift_by_node = drift_by_node or {}
+        drift_by_node = scenario.resolve_drift(topology, RngStreams(scenario.seed))
         self.nodes: dict[NodeId, Node] = {}
         for node_id in topology.nodes:
-            clock = LocalClock(drift_ppm=drift_by_node.get(node_id, 0.0),
-                               quantum_ns=self.ptp_settings.quantization_ns)
-            node = Node(self, node_id, clock, self.priority_map)
+            clock = LocalClock(drift_ppm=drift_by_node[node_id],
+                               quantum_ns=scenario.ptp.quantization_ns)
+            node = Node(self, node_id, clock, scenario.priority_map)
             if self.host.injection_cap_bps:
                 node.bucket = TokenBucket(self.host.injection_cap_bps, MAX_WIRE_BYTES * 8)
             for kind in DATA_PORT_KINDS:
@@ -215,8 +180,8 @@ class Network:
                     continue
                 node.ports[kind] = NicPort(
                     self, node_id, kind, link, clock, self.sim,
-                    self.nic.num_tx_queues, self.nic.queue_depth, node.bucket)
-                if trace:
+                    nic.num_tx_queues, nic.queue_depth, node.bucket)
+                if self.trace:
                     node.ports[kind].trace = []
             self.nodes[node_id] = node
         for node in self.nodes.values():
@@ -225,13 +190,13 @@ class Network:
                 port.attach_peer(self.nodes[peer_id], peer_kind)
 
         self.ptp: PtpService | None = None
-        if self.ptp_settings.enabled:
-            gm = self.ptp_settings.grandmaster
+        if scenario.ptp.enabled:
+            gm = scenario.ptp.grandmaster
             if gm is None:
                 gm = min(topology.nodes)
             if not topology.has_node(gm):
                 raise ValueError(f"grandmaster {gm} is not a populated node")
-            self.ptp = PtpService(self, gm, self.ptp_settings.interval_ms)
+            self.ptp = PtpService(self, gm, scenario.ptp.interval_ms)
 
         self.flows = None  # the flow observer (module docstring), if any
         self.frames_offered = 0

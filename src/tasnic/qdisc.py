@@ -17,9 +17,6 @@ class PriorityMap(NamedTuple):
     tc_to_queue: tuple[int, ...] = (0, 1, 2)
 
 
-IDENTITY_3CLASS = PriorityMap()
-
-
 def classify(pcp: int, pmap: PriorityMap) -> int:
     """Total, deterministic pcp -> queue mapping (out-of-range pcp clamps)."""
     prio = min(max(pcp, 0), pmap.num_classes - 1)

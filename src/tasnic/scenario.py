@@ -1,5 +1,9 @@
 """Scenario files: schema, validation, defaults and the provenance digest.
 
+A parsed ``Scenario`` holds its settings as values (``GridSpec``,
+``HostSettings``, ``PtpSettings``, ``NicSettings``, ``FaultSpec``,
+``FlowSpec``) and is the only configuration a ``Network`` is built from.
+
 JSON is the reference encoding.  Node ids appear either as 4-element
 arrays [Grc, Gcc, Lrc, Lcc] or dotted strings "Grc.Gcc.Lrc.Lcc".  The
 ``grid`` section takes explicit dimensions (plus an optional ``populated``
@@ -15,6 +19,7 @@ import hashlib
 import json
 import math
 from pathlib import Path
+from typing import NamedTuple
 
 from .fabric import (
     AddressError,
@@ -28,7 +33,6 @@ from .fabric import (
     tile_plus_two_nodes,
 )
 from .nic import DEFAULT_WINDOW_US, MAX_TX_QUEUES, validate_schedule
-from .node import HostSettings, NicSettings, PtpSettings
 from .qdisc import PriorityMap, validate_map
 from .runtime import MAX_CHUNK, ScheduleConfig
 
@@ -94,59 +98,77 @@ def _ints(value, path: str, errors: list[str]) -> tuple[int, ...]:
 
 
 def _number(value) -> bool:
+    """A finite JSON number; never a bool or a string."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
     try:
-        return math.isfinite(float(value))
-    except (TypeError, ValueError, OverflowError):
+        return math.isfinite(value)
+    except OverflowError:
         return False
 
 
-def _drift(spec, path: str, errors: list[str]):
-    """``spec`` unchanged once ``Scenario.resolve_drift`` can read it as numbers."""
+def _drift(spec, topo: Topology, path: str, errors: list[str]):
+    """``spec`` unchanged once ``Scenario.resolve_drift`` can read all of it: a
+    number, ``{"seeded_max_ppm": x}``, or ``default`` and populated node ids."""
+    if spec is None or _number(spec):
+        return spec
     if not isinstance(spec, dict):
-        if spec is None or (isinstance(spec, (int, float)) and _number(spec)):
-            return spec
         raise _malformed(spec, "a number or an object", path, errors)
     for key, value in spec.items():
         if not _number(value):
             raise _malformed(value, "a number", f"{path}.{key}", errors)
+    seeded = "seeded_max_ppm" in spec
+    node_ids = {str(n) for n in topo.nodes}
+    for key in spec:
+        if seeded and key != "seeded_max_ppm":
+            errors.append(f"{path}: {key!r} cannot stand beside 'seeded_max_ppm'")
+        elif not seeded and key != "default" and key not in node_ids:
+            errors.append(f"{path}: {key!r} is neither 'default' nor a populated node id")
     return spec
 
 
-class GridSpec:
-    __slots__ = ("g_r", "g_c", "populated", "preset")
-
-    def __init__(self, g_r: int = 1, g_c: int = 1, populated: list[NodeId] | None = None,
-                 preset: str | None = None):
-        self.g_r = g_r
-        self.g_c = g_c
-        self.populated = populated
-        self.preset = preset
+class GridSpec(NamedTuple):
+    g_r: int = 1
+    g_c: int = 1
+    populated: tuple[NodeId, ...] | None = None  # None: every position of the grid
+    preset: str | None = None
 
 
-class FaultSpec:
-    __slots__ = ("a", "b", "time_ns", "up")
-
-    def __init__(self, a: NodeId, b: NodeId, time_ns: int, up: bool):
-        self.a = a
-        self.b = b
-        self.time_ns = time_ns
-        self.up = up
+class HostSettings(NamedTuple):
+    injection_cap_bps: int | None = 2_250_000_000  # None: uncapped
+    processing_delay_ns: int = 10_000
 
 
-class FlowSpec:
-    __slots__ = ("src", "dst", "pcp", "start", "stop", "backlogged", "offered_rate_bps",
-                 "frame_payload_bytes")
+class PtpSettings(NamedTuple):
+    enabled: bool = True
+    grandmaster: NodeId | None = None  # None: lowest populated id
+    interval_ms: int = 250
+    quantization_ns: int = 8
+    convergence_rounds: int = 10
 
-    def __init__(self, src: NodeId, dst: NodeId, pcp: int, start: int, stop: int | None,
-                 backlogged: bool, offered_rate_bps: int | None, frame_payload_bytes: int):
-        self.src = src
-        self.dst = dst
-        self.pcp = pcp
-        self.start = start
-        self.stop = stop  # None runs to the scenario end
-        self.backlogged = backlogged
-        self.offered_rate_bps = offered_rate_bps
-        self.frame_payload_bytes = frame_payload_bytes
+
+class NicSettings(NamedTuple):
+    num_tx_queues: int = 8
+    time_aware_queues: tuple[int, ...] = (0, 1, 2)
+    queue_depth: int = 1024
+
+
+class FaultSpec(NamedTuple):
+    a: NodeId
+    b: NodeId
+    time_ns: int
+    up: bool
+
+
+class FlowSpec(NamedTuple):
+    src: NodeId
+    dst: NodeId
+    pcp: int
+    start: int
+    stop: int | None  # None runs to the scenario end
+    backlogged: bool
+    offered_rate_bps: int | None
+    frame_payload_bytes: int
 
 
 class Scenario:
@@ -186,31 +208,20 @@ class Scenario:
                 "preset": self.grid.preset,
             },
             "link": {"rate_bps": self.rate_bps, "prop_delay_ns": self.prop_delay_ns},
-            "host": {"injection_cap_bps": self.host.injection_cap_bps,
-                     "processing_delay_ns": self.host.processing_delay_ns},
-            "ptp": {"enabled": self.ptp.enabled,
-                    "grandmaster": str(self.ptp.grandmaster) if self.ptp.grandmaster else None,
-                    "interval_ms": self.ptp.interval_ms,
-                    "quantization_ns": self.ptp.quantization_ns,
-                    "convergence_rounds": self.ptp.convergence_rounds,
+            "host": self.host._asdict(),
+            "ptp": {**self.ptp._asdict(),
+                    "grandmaster": (str(self.ptp.grandmaster)
+                                    if self.ptp.grandmaster is not None else None),
                     "drift_ppm": self.drift_spec},
-            "nic": {"num_tx_queues": self.nic.num_tx_queues,
-                    "time_aware_queues": list(self.nic.time_aware_queues),
-                    "queue_depth": self.nic.queue_depth},
-            "priority_map": {"num_classes": self.priority_map.num_classes,
-                             "prio_to_tc": list(self.priority_map.prio_to_tc),
-                             "tc_to_queue": list(self.priority_map.tc_to_queue)},
+            "nic": self.nic._asdict(),
+            "priority_map": self.priority_map._asdict(),
             "schedules": [{"node": str(node), "port": cfg.port.value,
                            "window_us": cfg.window_us,
                            "entries": [list(e) for e in cfg.entries],
                            "guardband_ns": cfg.guardband_ns} for node, cfg in self.schedules],
             "faults": [{"a": str(f.a), "b": str(f.b), "time_ns": f.time_ns,
                         "state": "up" if f.up else "down"} for f in self.faults],
-            "flows": [{"src": str(f.src), "dst": str(f.dst), "pcp": f.pcp,
-                       "start": f.start, "stop": f.stop,
-                       "backlogged": f.backlogged,
-                       "offered_rate_bps": f.offered_rate_bps,
-                       "frame_payload_bytes": f.frame_payload_bytes} for f in self.flows],
+            "flows": [{**f._asdict(), "src": str(f.src), "dst": str(f.dst)} for f in self.flows],
             "duration_ns": self.duration_ns,
             "seed": self.seed,
             "trace": self.trace,
@@ -261,9 +272,13 @@ def parse_scenario(doc: dict) -> Scenario:
                         and n.lcc in (0, 1)):
                     errors.append(f"grid.populated[{i}]: {n} is outside the {g_r}x{g_c} grid")
                     continue
+                if n in populated:
+                    errors.append(f"grid.populated[{i}]: {n} is already listed")
+                    continue
                 populated.append(n)
             if not grid["populated"]:
                 errors.append("grid.populated: must name at least one node")
+            populated = tuple(populated)
         sc.grid = GridSpec(g_r, g_c, populated, None)
 
     link = _expect(doc.get("link", {}), dict, "link", errors)
@@ -301,7 +316,6 @@ def parse_scenario(doc: dict) -> Scenario:
                                "ptp.quantization_ns", errors),
         convergence_rounds=_int(ptp.get("convergence_rounds", sc.ptp.convergence_rounds),
                                 "ptp.convergence_rounds", errors))
-    sc.drift_spec = _drift(ptp.get("drift_ppm"), "ptp.drift_ppm", errors)
     if sc.ptp.interval_ms < 1:
         errors.append(f"ptp.interval_ms: {sc.ptp.interval_ms} must be >= 1")
     if sc.ptp.quantization_ns < 1:
@@ -347,6 +361,7 @@ def parse_scenario(doc: dict) -> Scenario:
     topo = sc.build_fabric()
     if sc.ptp.enabled and sc.ptp.grandmaster is not None and not topo.has_node(sc.ptp.grandmaster):
         errors.append(f"ptp.grandmaster: {sc.ptp.grandmaster} is not a populated node")
+    sc.drift_spec = _drift(ptp.get("drift_ppm"), topo, "ptp.drift_ppm", errors)
 
     for i, s in enumerate(_expect(doc.get("schedules", []), list, "schedules", errors)):
         path = f"schedules[{i}]"

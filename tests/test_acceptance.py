@@ -17,9 +17,9 @@ from tasnic.engine import TICKS_PER_S
 from tasnic.fabric import NodeId, PortKind, build_topology, encode_id
 from tasnic.frame import crc32
 from tasnic.harness import emit_report, run_scenario
-from tasnic.node import HostSettings, Network, PtpSettings
 from tasnic.routing import next_hop
 from tasnic.scenario import parse_scenario
+from test_runtime import quiet_net
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 W_EXT = "0.0.1.1"   # single node west of the full tile
@@ -202,11 +202,8 @@ def test_criterion_7_crc_and_fragmentation():
         assert crc32(data) == crc32_reference(data)
 
     # send/recv round-trip identity on the tile-plus-two fabric
-    from tasnic.fabric import tile_plus_two_nodes
-    topo = tile_plus_two_nodes()
-    net = Network(topo, ptp=PtpSettings(enabled=False),
-                  host=HostSettings(injection_cap_bps=None))
-    nodes = list(topo.nodes)
+    net = quiet_net(grid={"preset": "tile_plus_two"})
+    nodes = list(net.topology.nodes)
     cases = 0
     for _ in range(200):
         src, dst = rng.sample(nodes, 2)

@@ -50,6 +50,19 @@ def test_validate_error_exit_one(tmp_path, capsys):
      "ptp.drift_ppm.seeded_max_ppm: 'x' is not a number"),
     ({"ptp": {"drift_ppm": {"default": 1.0, "0.0.0.1": [2]}}},
      "ptp.drift_ppm.0.0.0.1: [2] is not a number"),
+    ({"ptp": {"drift_ppm": True}}, "ptp.drift_ppm: True is not a number or an object"),
+    ({"ptp": {"drift_ppm": {"seeded_max_ppm": "5"}}},
+     "ptp.drift_ppm.seeded_max_ppm: '5' is not a number"),
+    ({"ptp": {"drift_ppm": {"default": "1e3"}}}, "ptp.drift_ppm.default: '1e3' is not a number"),
+    ({"ptp": {"drift_ppm": {"0.0.0.1": True}}}, "ptp.drift_ppm.0.0.0.1: True is not a number"),
+    ({"ptp": {"drift_ppm": {"0.0.0.9": 3.0}}},
+     "ptp.drift_ppm: '0.0.0.9' is neither 'default' nor a populated node id"),
+    ({"ptp": {"drift_ppm": {"Default": 4}}},
+     "ptp.drift_ppm: 'Default' is neither 'default' nor a populated node id"),
+    ({"ptp": {"drift_ppm": {"seeded_max_ppm": 10, "0.0.0.1": 5}}},
+     "ptp.drift_ppm: '0.0.0.1' cannot stand beside 'seeded_max_ppm'"),
+    ({"grid": {"populated": ["0.0.0.1", "0.0.1.0", "0.0.0.1"]}},
+     "grid.populated[2]: 0.0.0.1 is already listed"),
     ({"duration_ns": 1e400}, "duration_ns: inf is not an integer"),
     ({"link": {"prop_delay_ns": 1e400}}, "link.prop_delay_ns: inf is not an integer"),
     ({"grid": {"populated": []}}, "grid.populated: must name at least one node"),
@@ -89,6 +102,9 @@ def test_validate_error_exit_one(tmp_path, capsys):
      " register"),
 ], ids=["grid_G_r", "flow_item", "schedule_entry", "time_aware_queues",
         "drift_string", "drift_seeded_max", "drift_per_node",
+        "drift_bool", "drift_seeded_max_string", "drift_default_string", "drift_per_node_bool",
+        "drift_unpopulated_node", "drift_unknown_key", "drift_seeded_max_beside_node",
+        "populated_repeated",
         "duration_inf", "prop_delay_inf", "populated_empty", "populated_outside_grid",
         "processing_delay_negative", "injection_cap_negative", "convergence_rounds_negative",
         "duration_fraction", "rate_fraction", "seed_bool", "ptp_enabled_string",

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import pytest
 
-from tasnic import harness
+import tasnic.node
 from tasnic.engine import Simulator
 from tasnic.harness import emit_report, run_scenario
 from tasnic.scenario import parse_scenario
@@ -95,7 +95,7 @@ def test_event_trace_unchanged(name, monkeypatch):
         with_seq.update(f"{fire_at} {seq} {label}\n".encode())
         seen[0] += 1
 
-    monkeypatch.setattr(harness, "Simulator", lambda: Simulator(trace_hook=hook))
+    monkeypatch.setattr(tasnic.node, "Simulator", lambda: Simulator(trace_hook=hook))
     doc = json.loads((SCENARIOS / filename).read_text())
     doc.update(overrides)
     run_scenario(parse_scenario(doc))

@@ -7,15 +7,7 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from tasnic.clock import LocalClock
-from tasnic.fabric import (
-    GridCoord,
-    NodeId,
-    PortKind,
-    build_topology,
-    encode_id,
-    mac_of,
-    tile_plus_two_nodes,
-)
+from tasnic.fabric import GridCoord, NodeId, PortKind, encode_id, mac_of
 from tasnic.frame import ETHERTYPE_RUNTIME, Frame, FrameMeta, serialization_ticks
 from tasnic.nic import (
     REG_COMMIT,
@@ -32,22 +24,19 @@ from tasnic.nic import (
     default_guardband_ns,
 )
 from tasnic.nic import NicPort
-from tasnic.node import HostSettings, Network, NicSettings, PtpSettings
-from tasnic.qdisc import PriorityMap
+from tasnic.node import Network
 from tasnic.runtime import ScheduleConfig
+from tasnic.scenario import parse_scenario
+from test_runtime import quiet_net
 
 A = NodeId(0, 0, 0, 0)
 B = NodeId(0, 0, 0, 1)
 
 
 def two_node_net(cap_bps=None, queue_depth=4096, rate_bps=10_000_000_000, num_tx_queues=8):
-    topo = build_topology(1, 1, rate_bps=rate_bps, populated=[A, B])
-    net = Network(
-        topo,
-        nic=NicSettings(num_tx_queues=num_tx_queues, queue_depth=queue_depth),
-        host=HostSettings(injection_cap_bps=cap_bps),
-        ptp=PtpSettings(enabled=False, quantization_ns=8),
-    )
+    net = quiet_net(grid={"populated": [str(A), str(B)]}, link={"rate_bps": rate_bps},
+                    host={"injection_cap_bps": cap_bps},
+                    nic={"num_tx_queues": num_tx_queues, "queue_depth": queue_depth})
     port = net.nodes[A].ports[PortKind.INTRA_H]
     port.trace = []
     return net, port
@@ -323,7 +312,8 @@ def test_transit_frames_bypass_the_host_cap():
                    "so every transit node charges a runtime frame to its own host budget")
 def test_runtime_frames_in_transit_leave_the_host_budget_alone():
     # README "Model notes": transit frames bypass the host injection budget
-    net = Network(tile_plus_two_nodes(), ptp=PtpSettings(enabled=False))
+    net = Network(parse_scenario({"grid": {"preset": "tile_plus_two"},
+                                  "ptp": {"enabled": False, "drift_ppm": 0}}))
     src, dst = NodeId(0, 0, 1, 1), NodeId(0, 2, 0, 0)
     net.nodes[src].runtime.send_msg(bytes(100), encode_id(dst))
     net.sim.run_until(1_000_000)
@@ -490,7 +480,8 @@ def test_round_robin_restarts_at_the_lowest_queue_when_the_last_served_is_schedu
 
 
 def _build_grid(num_tx_queues):
-    return Network(build_topology(4, 4), nic=NicSettings(num_tx_queues=num_tx_queues))
+    return Network(parse_scenario({"grid": {"G_r": 4, "G_c": 4}, "ptp": {"drift_ppm": 0},
+                                   "nic": {"num_tx_queues": num_tx_queues}}))
 
 
 def _traced_peak(num_tx_queues):
@@ -518,9 +509,7 @@ def test_a_grid_at_65536_tx_queues_builds_like_one_at_8():
 
 
 def test_forward_keeps_destination_mac():
-    topo = build_topology(3, 3)
-    net = Network(topo, ptp=PtpSettings(enabled=False),
-                  host=HostSettings(injection_cap_bps=None))
+    net = quiet_net((3, 3))
     src = net.nodes[NodeId(1, 2, 0, 0)]
     # another tile, several hops away: the first hop's peer is not the destination
     frame = net.build_runtime_frame(src, NodeId(0, 0, 1, 1), bytes(64), pcp=0)
@@ -534,12 +523,10 @@ def test_forward_without_live_egress_drops_no_route(at):
     # 0.0.0.0 -> 0.0.1.1 goes out intra_h to 0.0.0.1, then intra_v.  At the
     # origin every egress is down; at the transit node every egress but the
     # ingress (intra_h) is.
-    topo = build_topology(1, 1)
-    net = Network(topo, ptp=PtpSettings(enabled=False),
-                  host=HostSettings(injection_cap_bps=None))
+    net = quiet_net()
     src, transit, dst = NodeId(0, 0, 0, 0), NodeId(0, 0, 0, 1), NodeId(0, 0, 1, 1)
     dropper = src if at == "origin" else transit
-    for kind, link in topo.ports[dropper].items():
+    for kind, link in net.topology.ports[dropper].items():
         if link is not None and not (at == "transit" and kind == PortKind.INTRA_H):
             link.set_state(False, 0)
     net.nodes[src].send_frame(net.build_runtime_frame(net.nodes[src], dst, bytes(64), pcp=0))
@@ -552,9 +539,7 @@ def test_forward_without_live_egress_drops_no_route(at):
 
 
 def test_ttl_expiry_drops_at_next_forwarder():
-    topo = build_topology(1, 1)
-    net = Network(topo, ptp=PtpSettings(enabled=False),
-                  host=HostSettings(injection_cap_bps=None))
+    net = quiet_net()
     src = net.nodes[NodeId(0, 0, 0, 0)]
     dst = NodeId(0, 0, 1, 1)  # two hops away inside the tile
     frame = net.build_runtime_frame(src, dst, bytes(64), pcp=0)
@@ -566,9 +551,7 @@ def test_ttl_expiry_drops_at_next_forwarder():
 
 
 def test_corrupted_frame_dropped_with_counter():
-    topo = build_topology(1, 1)
-    net = Network(topo, ptp=PtpSettings(enabled=False),
-                  host=HostSettings(injection_cap_bps=None))
+    net = quiet_net()
     dst = net.nodes[NodeId(0, 0, 0, 1)]
     frame = net.build_runtime_frame(net.nodes[NodeId(0, 0, 0, 0)],
                                     NodeId(0, 0, 0, 1), bytes(100), pcp=0)
@@ -582,9 +565,7 @@ def test_corrupted_frame_dropped_with_counter():
 
 
 def test_origin_stamped_fcs_survives_a_multi_hop_path():
-    topo = build_topology(3, 3)
-    net = Network(topo, ptp=PtpSettings(enabled=False),
-                  host=HostSettings(injection_cap_bps=None))
+    net = quiet_net((3, 3))
     src, dst = NodeId(1, 2, 0, 0), NodeId(0, 0, 1, 1)
     frame = net.build_runtime_frame(net.nodes[src], dst, bytes(100), pcp=0)
     frame.stamp_fcs()
@@ -597,10 +578,7 @@ def test_origin_stamped_fcs_survives_a_multi_hop_path():
 
 
 def test_transit_frame_keeps_pcp_and_uses_mapped_queue():
-    topo = build_topology(1, 1)
-    net = Network(topo, ptp=PtpSettings(enabled=False),
-                  host=HostSettings(injection_cap_bps=None),
-                  priority_map=PriorityMap())
+    net = quiet_net()
     src, dst = NodeId(0, 0, 0, 0), NodeId(0, 0, 1, 1)
     relay = NodeId(0, 0, 0, 1)
     relay_port = net.nodes[relay].ports[PortKind.INTRA_V]

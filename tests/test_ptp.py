@@ -1,5 +1,5 @@
 from tasnic.engine import TICKS_PER_S
-from tasnic.fabric import NodeId, build_topology
+from tasnic.fabric import NodeId
 from tasnic.frame import (
     ETHERTYPE_PTP,
     FCS_BYTES,
@@ -8,17 +8,19 @@ from tasnic.frame import (
     FrameMeta,
     pad_payload,
 )
-from tasnic.node import HostSettings, Network, PtpSettings
+from tasnic.node import Network
 from tasnic.ptp import MSG_DELAY_REQ, MSG_DELAY_RESP, MSG_SYNC, PtpMessage
+from tasnic.scenario import parse_scenario
 
 GM = NodeId(0, 0, 0, 0)
 
 
 def sync_net(drift):
-    topo = build_topology(1, 1)
-    return Network(topo, ptp=PtpSettings(enabled=True, grandmaster=GM),
-                   host=HostSettings(injection_cap_bps=None),
-                   drift_by_node=drift)
+    """One tile synced from ``GM``; a node that ``drift`` leaves out does not drift."""
+    return Network(parse_scenario({
+        "host": {"injection_cap_bps": None},
+        "ptp": {"grandmaster": str(GM),
+                "drift_ppm": {str(node): ppm for node, ppm in drift.items()}}}))
 
 
 def test_message_codec_round_trip():

@@ -1,21 +1,21 @@
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tasnic.qdisc import IDENTITY_3CLASS, PriorityMap, classify, validate_map
+from tasnic.qdisc import PriorityMap, classify, validate_map
 
 
 def test_three_class_identity_mapping():
-    assert classify(2, IDENTITY_3CLASS) == 2
-    assert classify(1, IDENTITY_3CLASS) == 1
+    assert classify(2, PriorityMap()) == 2
+    assert classify(1, PriorityMap()) == 1
 
 
 def test_priority_zero_is_lowest_queue():
-    assert classify(0, IDENTITY_3CLASS) == 0
+    assert classify(0, PriorityMap()) == 0
 
 
 def test_out_of_range_priority_clamps_to_top_class():
-    assert classify(7, IDENTITY_3CLASS) == 2
-    assert classify(3, IDENTITY_3CLASS) == 2
+    assert classify(7, PriorityMap()) == 2
+    assert classify(3, PriorityMap()) == 2
 
 
 def test_permuted_maps_compose():
@@ -26,8 +26,8 @@ def test_permuted_maps_compose():
 
 @given(st.integers(min_value=0, max_value=7))
 def test_classify_total_and_deterministic(pcp):
-    q1 = classify(pcp, IDENTITY_3CLASS)
-    q2 = classify(pcp, IDENTITY_3CLASS)
+    q1 = classify(pcp, PriorityMap())
+    q2 = classify(pcp, PriorityMap())
     assert q1 == q2
     assert 0 <= q1 < 3
 
@@ -39,7 +39,7 @@ def test_distinct_mapped_priorities_get_distinct_queues():
 
 
 def test_validate_identity_map_ok():
-    assert validate_map(IDENTITY_3CLASS, 8, (0, 1, 2)) == []
+    assert validate_map(PriorityMap(), 8, (0, 1, 2)) == []
 
 
 def test_validate_rejects_non_injective_prio_map():

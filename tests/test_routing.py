@@ -4,8 +4,8 @@ import pytest
 
 import tasnic.node
 from tasnic.fabric import DATA_PORT_KINDS, NodeId, PortKind, build_topology, tile_plus_two_nodes
-from tasnic.node import Network, PtpSettings
 from tasnic.routing import next_hop
+from test_runtime import quiet_net
 
 # ---------------------------------------------------------------------------
 # Independent straight-line reimplementation of the routing rule, used as the
@@ -219,8 +219,8 @@ def test_route_tables_follow_every_single_link_fault():
     # A 4x4-node torus (2x2 tiles).  Each table is filled before the state
     # change, so a table that kept its entries across it would answer with
     # the old egress for the keys the change reroutes.
-    topo = build_topology(2, 2)
-    net = Network(topo, ptp=PtpSettings(enabled=False))
+    net = quiet_net((2, 2))
+    topo = net.topology
     keys = [(node, dst, ingress) for node in net.nodes.values() for dst in topo.nodes
             for ingress in (None, *DATA_PORT_KINDS)]
 
@@ -250,8 +250,8 @@ def next_hop_calls(monkeypatch):
 
 
 def test_redundant_link_state_keeps_the_epoch_and_the_tables(next_hop_calls):
-    topo = build_topology(2, 2)
-    net = Network(topo, ptp=PtpSettings(enabled=False))
+    net = quiet_net((2, 2))
+    topo = net.topology
     node, dst = net.nodes[NodeId(0, 0, 0, 0)], NodeId(1, 1, 1, 1)
     link = topo.links[0]
     epoch = topo.link_epoch.value
@@ -272,8 +272,8 @@ def test_redundant_link_state_keeps_the_epoch_and_the_tables(next_hop_calls):
 
 
 def test_link_state_of_another_topology_keeps_the_tables(next_hop_calls):
-    topo, other = build_topology(2, 2), build_topology(2, 2)
-    net = Network(topo, ptp=PtpSettings(enabled=False))
+    net, other = quiet_net((2, 2)), build_topology(2, 2)
+    topo = net.topology
     node, dst = net.nodes[NodeId(0, 0, 0, 0)], NodeId(1, 1, 1, 1)
     node.egress_port(dst, None)
     for link in other.links:

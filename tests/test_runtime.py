@@ -5,9 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tasnic.engine import Simulator
-from tasnic.fabric import NodeId, PortKind, build_topology, encode_id
+from tasnic.fabric import NodeId, PortKind, encode_id
 from tasnic.nic import SHADOW_OFFSET
-from tasnic.node import HostSettings, Network, NicSettings, PtpSettings
+from tasnic.node import Network
 from tasnic.runtime import (
     FRAGMENT_HEADER_BYTES,
     MAX_CHUNK,
@@ -18,16 +18,20 @@ from tasnic.runtime import (
     ReceiveTimeout,
     ScheduleConfig,
 )
+from tasnic.scenario import parse_scenario
 
 A = NodeId(0, 0, 0, 0)
 B = NodeId(0, 0, 0, 1)
 FAR = NodeId(0, 0, 1, 1)
 
 
-def quiet_net(dims=(1, 1), **kwargs):
-    topo = build_topology(*dims)
-    return Network(topo, ptp=PtpSettings(enabled=False),
-                   host=HostSettings(injection_cap_bps=None), **kwargs)
+def quiet_net(dims=(1, 1), drift_ppm=0, **sections):
+    """A network with no sync service and no host cap, built from a scenario
+    document; ``sections`` replace whole sections of it."""
+    g_r, g_c = dims
+    return Network(parse_scenario({
+        "grid": {"G_r": g_r, "G_c": g_c}, "host": {"injection_cap_bps": None},
+        "ptp": {"enabled": False, "drift_ppm": drift_ppm}, **sections}))
 
 
 def test_fragment_header_is_18_bytes_and_round_trips():
@@ -155,7 +159,7 @@ def _crafted(net, msg_id, frag_index, frag_count, total_len, chunk):
 @pytest.mark.parametrize("size", [1, 28, 29, MAX_CHUNK - 1, MAX_CHUNK, MAX_CHUNK + 1])
 def test_message_sizes_around_one_frame_arrive_whole(size):
     # 28 B still pads the frame's payload to its minimum; 1483 B takes two frames
-    net = quiet_net(drift_by_node={A: -30.0, FAR: 50.0})
+    net = quiet_net(drift_ppm={str(A): -30.0, str(FAR): 50.0})
     got = _sink(net, FAR)
     data = random.Random(size).randbytes(size)
     net.sim.run_until(1_000_000)  # far enough for the drifts to show
@@ -260,7 +264,7 @@ def test_set_conf_surfaces_commit_errors():
 ], ids=["queue_above_scr_range", "seventeen_entries"])
 def test_set_conf_rejects_a_schedule_the_registers_cannot_hold(entries, message):
     # an SCR keeps 16 bits of a queue index, and the map has 16 SCR/TQCR pairs
-    net = quiet_net(nic=NicSettings(num_tx_queues=32))
+    net = quiet_net(nic={"num_tx_queues": 32})
     port = net.nodes[A].ports[PortKind.INTRA_H]
     net.nodes[A].runtime.set_conf(ScheduleConfig(PortKind.INTRA_H, 100, ((3, 40),)))
     committed = port.committed_table

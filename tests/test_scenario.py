@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from tasnic.fabric import NodeId
 from tasnic.harness import build_network, run_scenario
 from tasnic.nic import MAX_SCHEDULE_ENTRIES, default_guardband_ns
-from tasnic.node import Network
 from tasnic.runtime import ScheduleConfig
 from tasnic.scenario import INT64_MAX, Scenario, ScenarioError, load_scenario, parse_scenario
 
@@ -40,19 +39,38 @@ def test_an_empty_document_is_the_default_scenario():
     assert parse_scenario({}).canonical_dict() == Scenario().canonical_dict()
 
 
-def test_a_network_built_without_settings_runs_the_scenario_defaults():
-    scenario = parse_scenario({})
-    bare = Network(scenario.build_fabric())
+# Every field that a document can set, each away from its default.
+EVERY_FIELD_DOC = {
+    "grid": {"G_r": 2, "G_c": 2, "populated": ["0.0.0.0", "0.0.0.1", "0.0.1.1", "0.1.1.1"]},
+    "link": {"rate_bps": 25_000_000_000, "prop_delay_ns": 700},
+    "host": {"injection_cap_bps": 5_000_000_000, "processing_delay_ns": 4_000},
+    "ptp": {"enabled": False, "grandmaster": "0.0.1.1", "interval_ms": 125,
+            "quantization_ns": 4, "convergence_rounds": 6,
+            "drift_ppm": {"default": 1.5, "0.0.0.1": -2.0, "0.1.1.1": 3}},
+    "nic": {"num_tx_queues": 16, "time_aware_queues": [1, 3, 5, 7], "queue_depth": 256},
+    "priority_map": {"num_classes": 4, "prio_to_tc": [3, 2, 1, 0], "tc_to_queue": [1, 3, 5, 7]},
+    "schedules": [{"node": "0.0.0.0", "port": "intra_h", "window_us": 50,
+                   "entries": [[1, 20], [3, 10]], "guardband_ns": 900}],
+    "faults": [{"a": "0.0.0.0", "b": "0.0.0.1", "time_ns": 300_000, "state": "up"}],
+    "flows": [{"src": "0.0.0.0", "dst": "0.1.1.1", "pcp": 2, "start": 1_000, "stop": 400_000,
+               "offered_rate_bps": 2_000_000, "frame_payload_bytes": 256},
+              {"src": "0.0.1.1", "dst": "0.0.0.1", "pcp": 3, "start": 5, "backlogged": True,
+               "frame_payload_bytes": 100}],
+    "duration_ns": 500_000,
+    "seed": 7,
+    "trace": True,
+}
 
-    def effective(net):
-        node = net.nodes[NodeId(0, 0, 0, 0)]
-        port = next(iter(node.ports.values()))
-        return (port.num_tx_queues, port.queue_depth, node.bucket.rate_bps,
-                node.clock.quantum_ns)
 
-    assert effective(bare) == effective(build_network(scenario))
-    assert effective(bare) == (scenario.nic.num_tx_queues, scenario.nic.queue_depth,
-                               scenario.host.injection_cap_bps, scenario.ptp.quantization_ns)
+def test_digest_of_a_document_that_sets_every_field_is_pinned():
+    # a change to how the canonical form is written must leave its bytes alone
+    sc = parse_scenario(EVERY_FIELD_DOC)
+    assert sc.digest() == "143e047ac8cfa740ff8e59224dc4f7de244e7a3d4a059e2a12a259ffb7c36cfa"
+    fields, default = sc.canonical_dict(), Scenario().canonical_dict()
+    at_default = [name for name in fields if fields[name] == default[name]]
+    at_default += [f"{name}.{key}" for name, value in fields.items() if isinstance(value, dict)
+                   for key in value if value[key] == default[name][key]]
+    assert at_default == ["grid.preset"]  # a preset grid takes no populated list
 
 
 def test_integral_float_is_an_integer():

@@ -3,9 +3,9 @@
 Values are NamedTuples and state is plain ``__slots__`` classes, so
 importing the package generates no code: nothing under ``src/tasnic``
 uses ``dataclasses``, and the CLI's import pulls in neither it, ``inspect``
-nor the process pool that only ``sweep --jobs`` uses.  A constructor takes
-only what some caller passes, and a default only where some call leaves
-it out.
+nor the process pool that only ``sweep --jobs`` uses.  A constructor (an
+``__init__`` or a NamedTuple's fields) takes only what some caller passes,
+and a default only where some call leaves it out.
 """
 
 import ast
@@ -18,13 +18,21 @@ from pathlib import Path
 import pytest
 
 from tasnic.engine import RunStats
-from tasnic.fabric import GridCoord, PortKind
+from tasnic.fabric import GridCoord, NodeId, PortKind
 from tasnic.metrics import FlowRecorder
 from tasnic.nic import TxQueue, TxRecord
 from tasnic.ptp import PtpMessage
 from tasnic.qdisc import PriorityMap
 from tasnic.runtime import FragmentHeader, ScheduleConfig
-from tasnic.scenario import Scenario
+from tasnic.scenario import (
+    FaultSpec,
+    FlowSpec,
+    GridSpec,
+    HostSettings,
+    NicSettings,
+    PtpSettings,
+    Scenario,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
@@ -55,6 +63,12 @@ VALUES = [
     (FragmentHeader, (7, 2, 3, 4000, 0x01020001, 0x00000101)),
     (PtpMessage, (0, 123_456_789, 9)),
     (ScheduleConfig, (PortKind.INTRA_H, 100, ((0, 90),), 1300)),
+    (GridSpec, (2, 3, (NodeId(0, 0, 0, 0), NodeId(1, 2, 1, 1)), None)),
+    (HostSettings, (None, 4_000)),
+    (PtpSettings, (False, NodeId(0, 0, 1, 1), 125, 4, 6)),
+    (NicSettings, (16, (1, 3), 256)),
+    (FaultSpec, (NodeId(0, 0, 0, 0), NodeId(0, 0, 0, 1), 300, True)),
+    (FlowSpec, (NodeId(0, 0, 0, 0), NodeId(0, 0, 1, 1), 2, 0, None, True, None, 64)),
 ]
 
 
@@ -80,8 +94,6 @@ def test_state_classes_never_share_containers():
     s1, s2 = Scenario(), Scenario()
     for name in ("schedules", "faults", "flows"):
         assert getattr(s1, name) is not getattr(s2, name), name
-    for name in ("grid", "host", "ptp", "nic"):  # mutable settings, one per scenario
-        assert getattr(s1, name) is not getattr(s2, name), name
     s1.flows.append(object())
     assert s2.flows == []
 
@@ -92,11 +104,19 @@ def test_state_classes_never_share_containers():
 
 
 def _constructors() -> dict[str, tuple[list[str], set[str]]]:
-    """Class name -> (``__init__`` parameters after self, those with a default)."""
+    """Class name -> (``__init__`` parameters after self, or a NamedTuple's fields;
+    those with a default)."""
     found: dict[str, tuple[list[str], set[str]]] = {}
     for path in sorted((SRC / "tasnic").glob("*.py")):
         for cls in ast.walk(ast.parse(path.read_text())):
             if not isinstance(cls, ast.ClassDef):
+                continue
+            if any(getattr(base, "id", None) == "NamedTuple" for base in cls.bases):
+                fields = [st for st in cls.body
+                          if isinstance(st, ast.AnnAssign) and isinstance(st.target, ast.Name)]
+                assert cls.name not in found, f"two classes named {cls.name}"
+                found[cls.name] = ([st.target.id for st in fields],
+                                   {st.target.id for st in fields if st.value is not None})
                 continue
             for fn in cls.body:
                 if isinstance(fn, ast.FunctionDef) and fn.name == "__init__":
