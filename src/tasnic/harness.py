@@ -93,8 +93,7 @@ class _FlowTap:
         self.recorders[frame.meta.flow_id].on_offered()
 
     def dequeued(self, frame: Frame) -> None:
-        if frame.meta.local_origin and frame.meta.hops == 1:
-            self.gens[frame.meta.flow_id].on_dequeued()
+        self.gens[frame.meta.flow_id].on_dequeued()
 
     def dropped(self, frame: Frame, cause: str) -> None:
         self.recorders[frame.meta.flow_id].on_drop(cause)

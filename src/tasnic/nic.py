@@ -162,8 +162,7 @@ class TokenBucket:
         self._rem = 0
 
     def _advance(self, now: SimTime) -> None:
-        if now <= self._last:
-            return
+        """Refill up to ``now``, which is later than the last refill."""
         num = (now - self._last) * self.rate_bps + self._rem
         gained, self._rem = divmod(num, 1_000_000_000)
         self.tokens += gained
@@ -174,7 +173,14 @@ class TokenBucket:
 
     def ready_time(self, bits: int, now: SimTime) -> SimTime:
         """Earliest instant at which ``bits`` tokens are available."""
-        self._advance(now)
+        if now > self._last:  # _advance, inline: it runs once per frame-hop
+            gained, self._rem = divmod((now - self._last) * self.rate_bps + self._rem,
+                                       1_000_000_000)
+            self.tokens += gained
+            if self.tokens >= self.capacity:
+                self.tokens = self.capacity
+                self._rem = 0
+            self._last = now
         if self.tokens >= bits:
             return now
         deficit_units = (bits - self.tokens) * 1_000_000_000 - self._rem
@@ -182,7 +188,8 @@ class TokenBucket:
         return now + dt
 
     def consume(self, bits: int, now: SimTime) -> None:
-        self._advance(now)
+        if now > self._last:
+            self._advance(now)
         self.tokens -= bits
 
 
@@ -295,6 +302,9 @@ class NicPort:
         self.peer: Node | None = None
         self.peer_kind: PortKind | None = None
         self.arrive_label = ""
+        # (frame, tx_start) of each frame on the wire or in propagation, oldest
+        # first: the link delivers in transmission order
+        self.in_flight: deque[tuple[Frame, SimTime]] = deque()
 
     def attach_peer(self, peer: Node, peer_kind: PortKind) -> None:
         """Record the node and port at the far end of the link."""
@@ -309,11 +319,32 @@ class NicPort:
         return [self._queues[i] for i in sorted(self._queues) if i != self.num_tx_queues]
 
     def enqueue(self, idx: int, frame: Frame) -> bool:
-        """Admit a frame to queue ``idx`` (or MGMT_IDX); False when tail-dropped."""
+        """Admit a frame to queue ``idx`` (or MGMT_IDX); False when tail-dropped.
+
+        An idle plain round-robin port with nothing backlogged sends the frame
+        at once if the host budget allows it, the decision ``kick`` would make.
+        """
         pos = self.num_tx_queues if idx == MGMT_IDX else idx
-        q = self._queues.get(pos)
-        if q is None:
+        try:
+            q = self._queues[pos]
+        except KeyError:
             q = self._queues[pos] = TxQueue(idx, self.queue_depth, pos)
+        now = self.sim.now
+        idle = self.busy_until <= now
+        # with nothing backlogged no queue is full, so this comes before the
+        # depth check
+        if (idle and not self._rr_mask and self._pending is None
+                and not self.active_table.entries
+                and (self.bucket is None or not frame.meta.local_origin
+                     or self.bucket.ready_time(frame.wire_bytes * 8, now) <= now)):
+            q.enqueued += 1
+            q.dequeued += 1
+            self._rr_last = 1 << pos
+            if self._wake is not None:
+                self._wake.cancel()
+                self._wake = None
+            self._send(q, frame, now, None)
+            return True
         if len(q.frames) >= q.depth:
             q.drops += 1
             self.network.count_drop(frame, "queue_overflow")
@@ -321,7 +352,8 @@ class NicPort:
         q.frames.append(frame)
         q.enqueued += 1
         self._rr_mask |= 1 << pos
-        self.kick()
+        if idle:
+            self.kick()
         return True
 
     # -- schedule management -------------------------------------------
@@ -356,10 +388,12 @@ class NicPort:
             if self._pending is not None and local >= self._pending_at_local:
                 self.active_table, self._pending = self._pending, None
             nxt = self._decide(local, now)
-        if isinstance(nxt, int):
+        if nxt is not None and isinstance(nxt, int):
             self._set_wake(nxt)
             return
-        self._clear_wake()
+        if self._wake is not None:
+            self._wake.cancel()
+            self._wake = None
         if nxt is not None:
             self._transmit(nxt, now, local)
 
@@ -396,6 +430,7 @@ class NicPort:
         unscheduled = self.active_table.unscheduled
         mask = self._rr_mask & unscheduled
         after = mask & -((self._rr_last & unscheduled) << 1)
+        bucket = self.bucket
         token_wake: SimTime | None = None
         for bits in (after, mask ^ after):
             while bits:
@@ -406,11 +441,12 @@ class NicPort:
                 if (deadline_local is not None
                         and local + self.ser_ns[head.wire_bytes] > deadline_local):
                     continue
-                ready = self._token_ready(head, now)
-                if ready is not None:
-                    if token_wake is None or ready < token_wake:
-                        token_wake = ready
-                    continue
+                if bucket is not None and head.meta.local_origin:  # _token_ready, inline
+                    ready = bucket.ready_time(head.wire_bytes * 8, now)
+                    if ready > now:
+                        if token_wake is None or ready < token_wake:
+                            token_wake = ready
+                        continue
                 self._rr_last = low
                 return q
         if window_end_local is None:
@@ -432,8 +468,14 @@ class NicPort:
         q.dequeued += 1
         if not q.frames:
             self._rr_mask &= ~(1 << q.pos)
+        self._send(q, frame, now, tx_local)
+
+    def _send(self, q: TxQueue, frame: Frame, now: SimTime, tx_local: int | None) -> None:
+        """Put ``frame``, taken from ``q``, on the wire from ``now``; the
+        transmission step that ``_transmit`` and an idle port's ``enqueue`` share."""
         wire = frame.wire_bytes
-        if self.bucket is not None and frame.meta.local_origin:
+        meta = frame.meta
+        if self.bucket is not None and meta.local_origin:
             self.bucket.consume(wire * 8, now)
         ser = self.ser_ns[wire]
         is_ptp = frame.ethertype == ETHERTYPE_PTP and self.network.ptp is not None
@@ -442,13 +484,25 @@ class NicPort:
         if is_ptp:
             self.network.ptp.on_tx_start(self.node_id, frame, tx_local)  # one-step timestamp
         if self.trace is not None:
-            self.trace.append(TxRecord(now, tx_local, q.index, wire, ser, frame.meta.flow_id))
+            self.trace.append(TxRecord(now, tx_local, q.index, wire, ser, meta.flow_id))
         self.tx_frames += 1
         self.link.tx_frames += 1
-        self.busy_until = now + ser
-        self.sim.at(self.busy_until, self.kick, label=self._txdone_label)
-        self.network.schedule_delivery(self, frame, now, self.busy_until)
-        self.network.frame_dequeued(frame)
+        self.busy_until = end = now + ser
+        self.sim.at(end, self.kick, self._txdone_label)
+        self.network.schedule_delivery(self, frame, now, end)
+        if meta.hops == 1:  # the flow observer hears a frame's first transmission only
+            self.network.frame_dequeued(frame)
+
+    def arrive(self) -> None:
+        """Hand the oldest frame in flight to the link's far end, or count it a
+        ``link_down`` drop when the link went down during its transmission."""
+        frame, tx_start = self.in_flight.popleft()
+        link = self.link
+        if link.up_throughout(tx_start):
+            self.peer.handle_rx(frame, self.peer_kind)
+        else:
+            link.drops += 1
+            self.network.count_drop(frame, "link_down")
 
     def _set_wake(self, when: SimTime) -> None:
         if self._wake is not None:
@@ -457,7 +511,3 @@ class NicPort:
             when = self.sim.now + 1
         self._wake = self.sim.at(when, self.kick, label=self._wake_label)
 
-    def _clear_wake(self) -> None:
-        if self._wake is not None:
-            self._wake.cancel()
-            self._wake = None

@@ -13,13 +13,12 @@ pieces: the event engine, the topology and its link state, the sync
 service, frame delivery across links, and global offered/delivered/drop
 accounting.  Frames are observed in one way: the
 optional flow observer ``Network.flows`` gets ``offered``, ``dequeued``
-(transmission start), ``dropped`` (with the cause) and ``delivered`` for
-each frame that carries a flow id.
+(the start of the frame's first transmission, at its origin), ``dropped``
+(with the cause) and ``delivered`` for each frame that carries a flow id.
 """
 
 from __future__ import annotations
 
-from functools import partial
 from typing import TYPE_CHECKING
 
 from .clock import LocalClock
@@ -107,19 +106,26 @@ class Node:
     def _forward(self, frame: Frame, ingress: PortKind | None) -> None:
         """Route a frame that came in on ``ingress`` (None: originated here), burn
         a TTL step and enqueue it on the egress port."""
-        port = self.egress_port(frame.meta.final_dst, ingress)
+        meta = frame.meta
+        if self._routes_epoch == self._link_epoch.value:  # egress_port, inline on a hit
+            try:
+                port = self._routes[(meta.final_dst, ingress)]
+            except KeyError:
+                port = self.egress_port(meta.final_dst, ingress)
+        else:
+            port = self.egress_port(meta.final_dst, ingress)
         if port is None:
             self._drop(frame, "no_route")
             return
         if ingress is not None:
             self.counters.forwarded += 1
-        if frame.meta.ttl <= 0:
+        if meta.ttl <= 0:
             self._drop(frame, "ttl_expired")
             return
-        frame.meta.ttl -= 1
-        frame.meta.hops += 1
-        if frame.meta.route is not None:
-            frame.meta.route.append((self.node_id, port.kind.value))
+        meta.ttl -= 1
+        meta.hops += 1
+        if meta.route is not None:
+            meta.route.append((self.node_id, port.kind.value))
         if frame.ethertype == ETHERTYPE_PTP:
             port.enqueue(NicPort.MGMT_IDX, frame)
         else:
@@ -231,17 +237,12 @@ class Network:
     def schedule_delivery(self, port: NicPort, frame: Frame,
                           tx_start: int, tx_end: int) -> None:
         """Deliver a frame that ``port`` sends from ``tx_start`` to ``tx_end`` to the
-        link's far end, one propagation delay later."""
-        self.sim.at(tx_end + port.link.prop_delay_ns,
-                    partial(self._arrive, port, frame, tx_start), port.arrive_label)
+        link's far end, one propagation delay later (``NicPort.arrive``).
 
-    def _arrive(self, port: NicPort, frame: Frame, tx_start: int) -> None:
-        link = port.link
-        if not link.up_throughout(tx_start):
-            link.drops += 1
-            self.count_drop(frame, "link_down")
-            return
-        port.peer.handle_rx(frame, port.peer_kind)
+        The port's frames arrive in the order they were sent: each starts after
+        the last one ended, and the link's propagation delay is fixed."""
+        port.in_flight.append((frame, tx_start))
+        self.sim.at(tx_end + port.link.prop_delay_ns, port.arrive, port.arrive_label)
 
     # -- accounting -------------------------------------------------------------
 

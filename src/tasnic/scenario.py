@@ -21,6 +21,7 @@ import math
 from pathlib import Path
 from typing import NamedTuple
 
+from .clock import MAX_RATE_ADJ_PPM
 from .fabric import (
     AddressError,
     DEFAULT_LINK_RATE_BPS,
@@ -107,17 +108,31 @@ def _number(value) -> bool:
         return False
 
 
+def _drift_bounded(value, path: str, errors: list[str]) -> None:
+    """A drift the clock servo can correct: at most ``MAX_RATE_ADJ_PPM`` either way."""
+    if abs(value) > MAX_RATE_ADJ_PPM:
+        errors.append(f"{path}: {value!r} ppm exceeds the {MAX_RATE_ADJ_PPM:g} ppm"
+                      " the clock servo can correct")
+
+
 def _drift(spec, topo: Topology, path: str, errors: list[str]):
     """``spec`` unchanged once ``Scenario.resolve_drift`` can read all of it: a
-    number, ``{"seeded_max_ppm": x}``, or ``default`` and populated node ids."""
-    if spec is None or _number(spec):
+    number, ``{"seeded_max_ppm": x}`` with x >= 0, or ``default`` and populated
+    node ids; every value within the servo's range."""
+    if spec is None:
+        return spec
+    if _number(spec):
+        _drift_bounded(spec, path, errors)
         return spec
     if not isinstance(spec, dict):
         raise _malformed(spec, "a number or an object", path, errors)
     for key, value in spec.items():
         if not _number(value):
             raise _malformed(value, "a number", f"{path}.{key}", errors)
+        _drift_bounded(value, f"{path}.{key}", errors)
     seeded = "seeded_max_ppm" in spec
+    if seeded and spec["seeded_max_ppm"] < 0:
+        errors.append(f"{path}.seeded_max_ppm: {spec['seeded_max_ppm']!r} is negative")
     node_ids = {str(n) for n in topo.nodes}
     for key in spec:
         if seeded and key != "seeded_max_ppm":

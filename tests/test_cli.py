@@ -61,6 +61,16 @@ def test_validate_error_exit_one(tmp_path, capsys):
      "ptp.drift_ppm: 'Default' is neither 'default' nor a populated node id"),
     ({"ptp": {"drift_ppm": {"seeded_max_ppm": 10, "0.0.0.1": 5}}},
      "ptp.drift_ppm: '0.0.0.1' cannot stand beside 'seeded_max_ppm'"),
+    ({"ptp": {"drift_ppm": -2e6}},
+     "ptp.drift_ppm: -2000000.0 ppm exceeds the 200 ppm the clock servo can correct"),
+    ({"ptp": {"drift_ppm": {"default": 1e300}}},
+     "ptp.drift_ppm.default: 1e+300 ppm exceeds the 200 ppm the clock servo can correct"),
+    ({"ptp": {"drift_ppm": {"default": 1.0, "0.0.0.1": -200.5}}},
+     "ptp.drift_ppm.0.0.0.1: -200.5 ppm exceeds the 200 ppm the clock servo can correct"),
+    ({"ptp": {"drift_ppm": {"seeded_max_ppm": 201}}},
+     "ptp.drift_ppm.seeded_max_ppm: 201 ppm exceeds the 200 ppm the clock servo can correct"),
+    ({"ptp": {"drift_ppm": {"seeded_max_ppm": -10}}},
+     "ptp.drift_ppm.seeded_max_ppm: -10 is negative"),
     ({"grid": {"populated": ["0.0.0.1", "0.0.1.0", "0.0.0.1"]}},
      "grid.populated[2]: 0.0.0.1 is already listed"),
     ({"duration_ns": 1e400}, "duration_ns: inf is not an integer"),
@@ -104,6 +114,8 @@ def test_validate_error_exit_one(tmp_path, capsys):
         "drift_string", "drift_seeded_max", "drift_per_node",
         "drift_bool", "drift_seeded_max_string", "drift_default_string", "drift_per_node_bool",
         "drift_unpopulated_node", "drift_unknown_key", "drift_seeded_max_beside_node",
+        "drift_beyond_servo", "drift_default_beyond_servo", "drift_per_node_beyond_servo",
+        "drift_seeded_max_beyond_servo", "drift_seeded_max_negative",
         "populated_repeated",
         "duration_inf", "prop_delay_inf", "populated_empty", "populated_outside_grid",
         "processing_delay_negative", "injection_cap_negative", "convergence_rounds_negative",

@@ -69,6 +69,20 @@ def test_round_robin_hop_does_no_avoidable_python_calls():
         assert _calls_from(stats, "read_ns", caller) == 0, caller
 
 
+def test_round_robin_hop_stays_within_its_call_budget():
+    result, stats, _ = _profile()
+    hops = sum(link.tx_frames for link in result.network.topology.links)
+    # 45.0 calls per hop before an idle port sent an arriving frame itself
+    assert sum(entry[1] for entry in stats.values()) <= 31 * hops
+    # an idle port sends the frame it is given; a busy one leaves it to txdone
+    assert _calls_from(stats, "kick", "enqueue") == 0
+    # every consume follows a ready_time at the same instant: nothing to refill
+    assert _calls_from(stats, "_advance", "consume") == 0
+    # each arrival pops its port's in-flight FIFO; none needs a bound partial
+    assert _calls(stats, "_arrive") == 0
+    assert 0 < _calls(stats, "arrive", "nic.py") <= hops
+
+
 def test_one_frame_message_does_no_per_message_setup():
     result, stats, entries = _profile()
     assert sum(node.runtime.messages_delivered for node in result.network.nodes.values()) > 100

@@ -365,6 +365,56 @@ def test_idle_round_robin_port_reads_no_clock_and_sets_no_wake(monkeypatch):
     assert port._wake is None
 
 
+def test_an_empty_table_in_place_of_a_schedule_cancels_the_schedule_wake():
+    net, port = two_node_net()
+    fired = []
+    net.sim.trace_hook = lambda t, seq, label: fired.append((t, label))
+    program(net, [(0, 30)])  # queue 0's empty slot arms a wake at its end, 30 us
+    assert port._wake is not None
+    program(net, [])  # at a window boundary, so plain round robin takes over at once
+    net.sim.run_until(100_000)
+    assert fired == []
+
+
+# -- an idle port sends an arriving frame at once ---------------------------------
+
+
+def test_round_robin_resumes_after_the_queue_of_a_direct_send():
+    net, port = two_node_net()
+    port.enqueue(2, make_frame(net))  # idle: on the wire at once
+    assert port.busy_until > 0
+    q2 = port.queues[0]
+    assert (q2.index, q2.enqueued, q2.dequeued, len(q2.frames)) == (2, 1, 1, 0)
+    for idx in (0, 1, 3):  # while queue 2's frame is on the wire
+        port.enqueue(idx, make_frame(net))
+    net.sim.run_until(50_000)
+    assert [rec.queue_idx for rec in port.trace] == [2, 3, 0, 1]
+
+
+def test_an_idle_port_without_host_budget_queues_the_frame_and_wakes_when_it_refills():
+    net, port = two_node_net(cap_bps=1_000_000_000)
+    port.bucket.consume(port.bucket.tokens, 0)
+    frame = make_frame(net)
+    ready = port.bucket.ready_time(frame.wire_bytes * 8, 0)
+    assert ready > 0
+    port.enqueue(0, frame)
+    assert list(port.queues[0].frames) == [frame]
+    assert port._wake is not None and port._wake.fire_at == ready
+    net.sim.run_until(ready + 10_000)
+    assert [rec.true_start for rec in port.trace] == [ready]
+
+
+def test_of_two_frames_in_one_nanosecond_the_second_starts_at_the_first_txdone():
+    net, port = two_node_net()
+    net.sim.at(5_000, lambda: (port.enqueue(0, make_frame(net)),
+                               port.enqueue(0, make_frame(net, payload_len=200))))
+    net.sim.run_until(50_000)
+    first, second = port.trace
+    assert first.true_start == 5_000
+    assert second.true_start == 5_000 + first.ser_ns
+    assert net.nodes[B].counters.rx_frames == 2
+
+
 # -- round robin over backlogged queues ------------------------------------------
 
 
@@ -607,6 +657,29 @@ def test_link_down_mid_serialization_drops_at_link():
     assert port.link.drops == 1
     assert net.nodes[B].counters.rx_frames == 0
     assert net.drops_by_cause["link_down"] == 1
+
+
+def test_frames_in_flight_when_the_link_fails_drop_and_later_ones_arrive_in_order():
+    net, port = two_node_net()
+    dst = net.nodes[B]
+    arrivals = []
+    handle_rx = dst.handle_rx
+    dst.handle_rx = lambda frame, kind: (arrivals.append((net.sim.now, frame)),
+                                         handle_rx(frame, kind))
+    for _ in range(5):  # 68-byte frames, 55 ns each: all sent by 275 ns
+        port.enqueue(0, make_frame(net, payload_len=46))
+    net.schedule_link_state(port.link, False, 300)  # all five still in flight
+    net.schedule_link_state(port.link, True, 1_000)
+    sizes = [100, 700, 300, 1500, 46]
+    later = [make_frame(net, payload_len=size) for size in sizes]
+    net.sim.at(2_000, lambda: [port.enqueue(0, frame) for frame in later])
+    net.sim.run_until(100_000)
+    assert port.link.drops == net.drops_by_cause["link_down"] == 5
+    assert [frame for _, frame in arrivals] == later
+    starts = [rec.true_start for rec in port.trace[5:]]
+    assert [t for t, _ in arrivals] == [start + rec.ser_ns + 500
+                                       for start, rec in zip(starts, port.trace[5:])]
+    assert not port.in_flight
 
 
 @pytest.mark.parametrize("flaps, delivered", [
