@@ -14,23 +14,30 @@ import sys
 from pathlib import Path
 
 from .harness import emit_report, run_scenario
-from .scenario import ScenarioError, load_scenario
+from .scenario import Scenario, ScenarioError, load_scenario
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_IO = 2
 
 
-def _cmd_run(args) -> int:
+def _load(path: str) -> Scenario | int:
+    """The scenario at ``path``, or the exit code once its errors are printed."""
     try:
-        scenario = load_scenario(args.scenario)
+        return load_scenario(path)
     except FileNotFoundError:
-        print(f"error: scenario file {args.scenario} not found", file=sys.stderr)
+        print(f"error: scenario file {path} not found", file=sys.stderr)
         return EXIT_IO
     except ScenarioError as exc:
         for err in exc.errors:
             print(f"validation: {err}", file=sys.stderr)
         return EXIT_VALIDATION
+
+
+def _cmd_run(args) -> int:
+    scenario = _load(args.scenario)
+    if isinstance(scenario, int):
+        return scenario
     if args.seed is not None:
         scenario.seed = args.seed
     if args.trace:
@@ -47,15 +54,9 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    try:
-        scenario = load_scenario(args.scenario)
-    except FileNotFoundError:
-        print(f"error: scenario file {args.scenario} not found", file=sys.stderr)
-        return EXIT_IO
-    except ScenarioError as exc:
-        for err in exc.errors:
-            print(f"validation: {err}", file=sys.stderr)
-        return EXIT_VALIDATION
+    scenario = _load(args.scenario)
+    if isinstance(scenario, int):
+        return scenario
     print(f"ok: {args.scenario} (digest {scenario.digest()[:16]})")
     if args.dump_topology:
         print(scenario.build_fabric().echo())

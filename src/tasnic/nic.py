@@ -161,19 +161,9 @@ class TokenBucket:
         self._last = 0
         self._rem = 0
 
-    def _advance(self, now: SimTime) -> None:
-        """Refill up to ``now``, which is later than the last refill."""
-        num = (now - self._last) * self.rate_bps + self._rem
-        gained, self._rem = divmod(num, 1_000_000_000)
-        self.tokens += gained
-        if self.tokens >= self.capacity:
-            self.tokens = self.capacity
-            self._rem = 0
-        self._last = now
-
     def ready_time(self, bits: int, now: SimTime) -> SimTime:
-        """Earliest instant at which ``bits`` tokens are available."""
-        if now > self._last:  # _advance, inline: it runs once per frame-hop
+        """Earliest instant at which ``bits`` tokens are available; refills up to ``now``."""
+        if now > self._last:
             gained, self._rem = divmod((now - self._last) * self.rate_bps + self._rem,
                                        1_000_000_000)
             self.tokens += gained
@@ -188,8 +178,8 @@ class TokenBucket:
         return now + dt
 
     def consume(self, bits: int, now: SimTime) -> None:
-        if now > self._last:
-            self._advance(now)
+        if now > self._last:  # no model path: each consume follows a ready_time at ``now``
+            self.ready_time(bits, now)
         self.tokens -= bits
 
 

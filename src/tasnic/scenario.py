@@ -8,9 +8,10 @@ JSON is the reference encoding.  Node ids appear either as 4-element
 arrays [Grc, Gcc, Lrc, Lcc] or dotted strings "Grc.Gcc.Lrc.Lcc".  The
 ``grid`` section takes explicit dimensions (plus an optional ``populated``
 subset) or the ``"preset": "tile_plus_two"`` lab shape.  Every loaded
-scenario is fully validated: the topology must build, the priority map
-must be acceptable, schedules must be committable, and flows and faults
-must reference populated nodes and existing links.
+scenario is fully validated: each key must be one the format names, the
+topology must build, the priority map must be acceptable, schedules must be
+committable, and flows and faults must reference populated nodes and
+existing links.
 """
 
 from __future__ import annotations
@@ -67,35 +68,81 @@ def _expect(value, kind: type, path: str, errors: list[str]):
     return value
 
 
-def _int(value, path: str, errors: list[str]) -> int:
-    """A JSON integer, or a float with an integral value; never a bool or a string."""
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    raise _malformed(value, "an integer", path, errors)
-
-
 INT64_MAX = 2**63 - 1  # the largest time or rate a field may hold
 
 
-def _int64(value, path: str, errors: list[str]) -> int:
-    """``_int`` of a time or rate field, which must not exceed ``INT64_MAX``."""
-    n = _int(value, path, errors)
-    if n > INT64_MAX:
+def _int(value, path: str, errors: list[str], lo: int | None = None,
+         hi: int | None = None) -> int:
+    """A JSON integer, or a float with an integral value; never a bool or a string.
+    One outside ``lo..hi`` is an error, and ``hi=INT64_MAX`` marks a time or rate."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        n = value
+    elif isinstance(value, float) and value.is_integer():
+        n = int(value)
+    else:
+        raise _malformed(value, "an integer", path, errors)
+    if hi == INT64_MAX and n > hi:
         errors.append(f"{path}: {value!r} is above 2**63 - 1")
+    elif (lo is not None and n < lo) or (hi is not None and n > hi):
+        bound = f">= {lo}" if hi in (None, INT64_MAX) else f"in {lo}..{hi}"
+        errors.append(f"{path}: {n} must be {bound}")
     return n
-
-
-def _bool(value, path: str, errors: list[str]) -> bool:
-    if not isinstance(value, bool):
-        raise _malformed(value, "a boolean", path, errors)
-    return value
 
 
 def _ints(value, path: str, errors: list[str]) -> tuple[int, ...]:
     return tuple(_int(v, f"{path}[{i}]", errors)
                  for i, v in enumerate(_expect(value, list, path, errors)))
+
+
+class _Object:
+    """One JSON object of a scenario document at ``path`` (``""``, ``"link"``, ``"flows[3]"``).
+    Every read records its key, and ``close`` names each key that nothing read."""
+
+    __slots__ = ("value", "path", "errors", "read")
+
+    def __init__(self, value, path: str, errors: list[str]):
+        self.value = _expect(value, dict, path, errors)
+        self.path = path
+        self.errors = errors
+        self.read: set[str] = set()
+
+    def at(self, key: str) -> str:
+        return f"{self.path}.{key}" if self.path else key
+
+    def get(self, key: str, default=None):
+        self.read.add(key)
+        return self.value.get(key, default)
+
+    def int(self, key: str, default, lo: int | None = None, hi: int | None = None,
+            null: bool = False):
+        """``null``: a JSON null reads as None."""
+        value = self.get(key, default)
+        return None if value is None and null else _int(value, self.at(key), self.errors, lo, hi)
+
+    def ints(self, key: str, default: tuple[int, ...]) -> tuple[int, ...]:
+        return _ints(self.get(key, list(default)), self.at(key), self.errors)
+
+    def bool(self, key: str, default: bool) -> bool:
+        value = self.get(key, default)
+        if not isinstance(value, bool):
+            raise _malformed(value, "a boolean", self.at(key), self.errors)
+        return value
+
+    def node(self, key: str, null: bool = False) -> NodeId | None:
+        value = self.get(key)
+        return None if value is None and null else _parse_node(value, self.at(key), self.errors)
+
+    def section(self, key: str) -> "_Object":
+        return _Object(self.get(key, {}), self.at(key), self.errors)
+
+    def items(self, key: str) -> list["_Object"]:
+        path = self.at(key)
+        return [_Object(item, f"{path}[{i}]", self.errors)
+                for i, item in enumerate(_expect(self.get(key, []), list, path, self.errors))]
+
+    def close(self) -> None:
+        self.errors.extend(f"{self.at(key)}: unexpected key"
+                           for key in self.value if key not in self.read)
 
 
 def _number(value) -> bool:
@@ -261,213 +308,166 @@ class Scenario:
 def parse_scenario(doc: dict) -> Scenario:
     """Validate a decoded scenario document; raises ScenarioError.
 
-    A field the document leaves out keeps its value in ``Scenario()``."""
+    A field the document leaves out keeps its value in ``Scenario()``, and a
+    key the format does not name is an error."""
     errors: list[str] = []
     sc = Scenario()
+    top = _Object(doc, "", errors)
 
-    grid = _expect(doc.get("grid", {}), dict, "grid", errors)
-    if grid.get("preset") == "tile_plus_two":
-        sc.grid = GridSpec(1, 3, None, "tile_plus_two")
-    elif grid.get("preset"):
-        errors.append(f"grid.preset: unknown preset {grid['preset']!r}")
+    grid = top.section("grid")
+    preset = grid.get("preset")
+    if preset == "tile_plus_two":
+        sc.grid = GridSpec(1, 3, None, preset)
+    elif preset:
+        errors.append(f"{grid.at('preset')}: unknown preset {preset!r}")
     else:
-        g_r = _int(grid.get("G_r", sc.grid.g_r), "grid.G_r", errors)
-        g_c = _int(grid.get("G_c", sc.grid.g_c), "grid.G_c", errors)
+        g_r, g_c = grid.int("G_r", sc.grid.g_r), grid.int("G_c", sc.grid.g_c)
         if not (1 <= g_r <= MAX_GRID_DIM and 1 <= g_c <= MAX_GRID_DIM):
-            errors.append(f"grid: dimensions {g_r}x{g_c} must be in 1..{MAX_GRID_DIM}")
+            errors.append(f"{grid.path}: dimensions {g_r}x{g_c} must be in 1..{MAX_GRID_DIM}")
             g_r, g_c = (min(max(d, 1), MAX_GRID_DIM) for d in (g_r, g_c))
-        populated = None
-        if grid.get("populated") is not None:
-            populated = []
-            for i, v in enumerate(_expect(grid["populated"], list, "grid.populated", errors)):
-                n = _parse_node(v, f"grid.populated[{i}]", errors)
+        listed, populated = grid.get("populated"), None
+        if listed is not None:
+            path, populated = grid.at("populated"), []
+            for i, v in enumerate(_expect(listed, list, path, errors)):
+                n = _parse_node(v, f"{path}[{i}]", errors)
                 if n is None:
                     continue
                 if not (0 <= n.grc < g_r and 0 <= n.gcc < g_c and n.lrc in (0, 1)
                         and n.lcc in (0, 1)):
-                    errors.append(f"grid.populated[{i}]: {n} is outside the {g_r}x{g_c} grid")
+                    errors.append(f"{path}[{i}]: {n} is outside the {g_r}x{g_c} grid")
                     continue
                 if n in populated:
-                    errors.append(f"grid.populated[{i}]: {n} is already listed")
+                    errors.append(f"{path}[{i}]: {n} is already listed")
                     continue
                 populated.append(n)
-            if not grid["populated"]:
-                errors.append("grid.populated: must name at least one node")
+            if not listed:
+                errors.append(f"{path}: must name at least one node")
             populated = tuple(populated)
         sc.grid = GridSpec(g_r, g_c, populated, None)
+    grid.close()
 
-    link = _expect(doc.get("link", {}), dict, "link", errors)
-    sc.rate_bps = _int64(link.get("rate_bps", sc.rate_bps), "link.rate_bps", errors)
-    sc.prop_delay_ns = _int64(link.get("prop_delay_ns", sc.prop_delay_ns),
-                              "link.prop_delay_ns", errors)
-    if sc.rate_bps <= 0:
-        errors.append(f"link.rate_bps: {sc.rate_bps} must be > 0")
-    if sc.prop_delay_ns < 0:
-        errors.append(f"link.prop_delay_ns: {sc.prop_delay_ns} must be >= 0")
+    link = top.section("link")
+    sc.rate_bps = link.int("rate_bps", sc.rate_bps, 1, INT64_MAX)
+    sc.prop_delay_ns = link.int("prop_delay_ns", sc.prop_delay_ns, 0, INT64_MAX)
+    link.close()
 
-    host = _expect(doc.get("host", {}), dict, "host", errors)
-    cap = host.get("injection_cap_bps", sc.host.injection_cap_bps)
-    if cap is not None:
-        cap = _int64(cap, "host.injection_cap_bps", errors) or None  # 0: uncapped
-    sc.host = HostSettings(
-        injection_cap_bps=cap,
-        processing_delay_ns=_int64(host.get("processing_delay_ns", sc.host.processing_delay_ns),
-                                   "host.processing_delay_ns", errors))
-    if sc.host.injection_cap_bps is not None and sc.host.injection_cap_bps < 0:
-        errors.append(f"host.injection_cap_bps: {sc.host.injection_cap_bps} must be >= 0"
-                      " (0 or null: uncapped)")
-    if sc.host.processing_delay_ns < 0:
-        errors.append(f"host.processing_delay_ns: {sc.host.processing_delay_ns} must be >= 0")
+    host = top.section("host")
+    sc.host = HostSettings(  # an injection cap of 0 or null is uncapped
+        host.int("injection_cap_bps", sc.host.injection_cap_bps, 0, INT64_MAX, null=True) or None,
+        host.int("processing_delay_ns", sc.host.processing_delay_ns, 0, INT64_MAX))
+    host.close()
 
-    ptp = _expect(doc.get("ptp", {}), dict, "ptp", errors)
-    gm = None
-    if ptp.get("grandmaster") is not None:
-        gm = _parse_node(ptp["grandmaster"], "ptp.grandmaster", errors)
+    ptp = top.section("ptp")
     sc.ptp = PtpSettings(
-        enabled=_bool(ptp.get("enabled", sc.ptp.enabled), "ptp.enabled", errors),
-        grandmaster=gm,
-        interval_ms=_int64(ptp.get("interval_ms", sc.ptp.interval_ms), "ptp.interval_ms", errors),
-        quantization_ns=_int64(ptp.get("quantization_ns", sc.ptp.quantization_ns),
-                               "ptp.quantization_ns", errors),
-        convergence_rounds=_int(ptp.get("convergence_rounds", sc.ptp.convergence_rounds),
-                                "ptp.convergence_rounds", errors))
-    if sc.ptp.interval_ms < 1:
-        errors.append(f"ptp.interval_ms: {sc.ptp.interval_ms} must be >= 1")
-    if sc.ptp.quantization_ns < 1:
-        errors.append(f"ptp.quantization_ns: {sc.ptp.quantization_ns} must be >= 1")
-    if sc.ptp.convergence_rounds < 0:
-        errors.append(f"ptp.convergence_rounds: {sc.ptp.convergence_rounds} must be >= 0")
+        ptp.bool("enabled", sc.ptp.enabled), ptp.node("grandmaster", null=True),
+        ptp.int("interval_ms", sc.ptp.interval_ms, 1, INT64_MAX),
+        ptp.int("quantization_ns", sc.ptp.quantization_ns, 1, INT64_MAX),
+        ptp.int("convergence_rounds", sc.ptp.convergence_rounds, 0))
+    drift = ptp.get("drift_ppm")
+    ptp.close()
 
-    nic = _expect(doc.get("nic", {}), dict, "nic", errors)
-    sc.nic = NicSettings(
-        num_tx_queues=_int(nic.get("num_tx_queues", sc.nic.num_tx_queues),
-                           "nic.num_tx_queues", errors),
-        time_aware_queues=_ints(nic.get("time_aware_queues", list(sc.nic.time_aware_queues)),
-                                "nic.time_aware_queues", errors),
-        queue_depth=_int(nic.get("queue_depth", sc.nic.queue_depth), "nic.queue_depth", errors))
-    if not 1 <= sc.nic.num_tx_queues <= MAX_TX_QUEUES:
-        errors.append(f"nic.num_tx_queues: {sc.nic.num_tx_queues} must be in 1..{MAX_TX_QUEUES}")
-    if sc.nic.queue_depth < 1:
-        errors.append(f"nic.queue_depth: {sc.nic.queue_depth} must be >= 1")
+    nic = top.section("nic")
+    sc.nic = NicSettings(nic.int("num_tx_queues", sc.nic.num_tx_queues, 1, MAX_TX_QUEUES),
+                         nic.ints("time_aware_queues", sc.nic.time_aware_queues),
+                         nic.int("queue_depth", sc.nic.queue_depth, 1))
     for q in sc.nic.time_aware_queues:
         if not 0 <= q < sc.nic.num_tx_queues:
-            errors.append(f"nic.time_aware_queues: queue {q} does not exist")
+            errors.append(f"{nic.at('time_aware_queues')}: queue {q} does not exist")
+    nic.close()
 
-    pm = _expect(doc.get("priority_map", {}), dict, "priority_map", errors)
-    sc.priority_map = PriorityMap(
-        num_classes=_int(pm.get("num_classes", sc.priority_map.num_classes),
-                         "priority_map.num_classes", errors),
-        prio_to_tc=_ints(pm.get("prio_to_tc", list(sc.priority_map.prio_to_tc)),
-                         "priority_map.prio_to_tc", errors),
-        tc_to_queue=_ints(pm.get("tc_to_queue", list(sc.priority_map.tc_to_queue)),
-                          "priority_map.tc_to_queue", errors))
+    pm = top.section("priority_map")
+    sc.priority_map = PriorityMap(pm.int("num_classes", sc.priority_map.num_classes),
+                                  pm.ints("prio_to_tc", sc.priority_map.prio_to_tc),
+                                  pm.ints("tc_to_queue", sc.priority_map.tc_to_queue))
     for e in validate_map(sc.priority_map, sc.nic.num_tx_queues, sc.nic.time_aware_queues):
-        errors.append(f"priority_map: {e}")
+        errors.append(f"{pm.path}: {e}")
+    pm.close()
 
-    sc.duration_ns = _int64(doc.get("duration_ns", sc.duration_ns), "duration_ns", errors)
-    if sc.duration_ns < 1:
-        errors.append(f"duration_ns: {sc.duration_ns} must be >= 1")
-    sc.seed = _int(doc.get("seed", sc.seed), "seed", errors)
-    sc.trace = _bool(doc.get("trace", sc.trace), "trace", errors)
+    sc.duration_ns = top.int("duration_ns", sc.duration_ns, 1, INT64_MAX)
+    sc.seed = top.int("seed", sc.seed)
+    sc.trace = top.bool("trace", sc.trace)
+    schedules, faults, flows = top.items("schedules"), top.items("faults"), top.items("flows")
+    top.close()
 
     if errors:
         raise ScenarioError(errors)
 
     topo = sc.build_fabric()
     if sc.ptp.enabled and sc.ptp.grandmaster is not None and not topo.has_node(sc.ptp.grandmaster):
-        errors.append(f"ptp.grandmaster: {sc.ptp.grandmaster} is not a populated node")
-    sc.drift_spec = _drift(ptp.get("drift_ppm"), topo, "ptp.drift_ppm", errors)
+        errors.append(f"{ptp.at('grandmaster')}: {sc.ptp.grandmaster} is not a populated node")
+    sc.drift_spec = _drift(drift, topo, ptp.at("drift_ppm"), errors)
 
-    for i, s in enumerate(_expect(doc.get("schedules", []), list, "schedules", errors)):
-        path = f"schedules[{i}]"
-        s = _expect(s, dict, path, errors)
-        node = _parse_node(s.get("node"), f"{path}.node", errors)
+    for s in schedules:
+        node, port = s.node("node"), s.get("port", "external")
+        path, entries = s.at("entries"), []
+        for j, e in enumerate(_expect(s.get("entries", []), list, path, errors)):
+            entries.append(_ints(e, f"{path}[{j}]", errors))
+            if len(entries[-1]) != 2:
+                raise _malformed(e, "[queue, slot_us]", f"{path}[{j}]", errors)
+            _int(entries[-1][1], f"{path}[{j}][1]", errors, hi=INT64_MAX)
+        entries = tuple(entries)
+        window = s.int("window_us", DEFAULT_WINDOW_US, hi=INT64_MAX)
+        guard = s.int("guardband_ns", None, hi=INT64_MAX, null=True)
+        s.close()
         try:
-            port = PortKind(s.get("port", "external"))
+            port = PortKind(port)
         except ValueError:
-            errors.append(f"{path}.port: {s.get('port')!r} is not a port kind")
+            errors.append(f"{s.at('port')}: {port!r} is not a port kind")
             continue
         if node is None:
             continue
         if not topo.has_node(node):
-            errors.append(f"{path}.node: {node} is not populated")
+            errors.append(f"{s.at('node')}: {node} is not populated")
             continue
         if topo.ports[node][port] is None:
-            errors.append(f"{path}: node {node} port {port.value} is not connected")
+            errors.append(f"{s.path}: node {node} port {port.value} is not connected")
             continue
-        entries = []
-        for j, e in enumerate(_expect(s.get("entries", []), list, f"{path}.entries", errors)):
-            entries.append(_ints(e, f"{path}.entries[{j}]", errors))
-            if len(entries[-1]) != 2:
-                raise _malformed(e, "[queue, slot_us]", f"{path}.entries[{j}]", errors)
-            _int64(entries[-1][1], f"{path}.entries[{j}][1]", errors)
-        entries = tuple(entries)
-        window = _int64(s.get("window_us", DEFAULT_WINDOW_US), f"{path}.window_us", errors)
-        guard = s.get("guardband_ns")
-        guard_val = _int64(guard, f"{path}.guardband_ns", errors) if guard is not None else None
-        for e in validate_schedule(window, entries, guard_val if guard_val is not None else 0,
-                                   sc.nic.num_tx_queues):
-            errors.append(f"{path} (node {node} port {port.value}): {e}")
-        sc.schedules.append((node, ScheduleConfig(port, window, entries, guard_val)))
+        for e in validate_schedule(window, entries, guard or 0, sc.nic.num_tx_queues):
+            errors.append(f"{s.path} (node {node} port {port.value}): {e}")
+        sc.schedules.append((node, ScheduleConfig(port, window, entries, guard)))
 
-    for i, f in enumerate(_expect(doc.get("faults", []), list, "faults", errors)):
-        path = f"faults[{i}]"
-        f = _expect(f, dict, path, errors)
-        a = _parse_node(f.get("a"), f"{path}.a", errors)
-        b = _parse_node(f.get("b"), f"{path}.b", errors)
+    for f in faults:
+        a, b = f.node("a"), f.node("b")
+        t, state = f.int("time_ns", 0, hi=INT64_MAX), f.get("state", "down")
+        f.close()
         if a is None or b is None:
             continue
         if topo.link_between(a, b) is None:
-            errors.append(f"{path}: no link between {a} and {b}")
+            errors.append(f"{f.path}: no link between {a} and {b}")
             continue
-        t = _int64(f.get("time_ns", 0), f"{path}.time_ns", errors)
         if not 0 <= t <= sc.duration_ns:
-            errors.append(f"{path}.time_ns: {t} outside the run duration")
-        state = f.get("state", "down")
+            errors.append(f"{f.at('time_ns')}: {t} outside the run duration")
         if state not in ("up", "down"):
-            errors.append(f"{path}.state: {state!r} must be 'up' or 'down'")
+            errors.append(f"{f.at('state')}: {state!r} must be 'up' or 'down'")
             continue
         sc.faults.append(FaultSpec(a, b, t, state == "up"))
 
-    for i, f in enumerate(_expect(doc.get("flows", []), list, "flows", errors)):
-        path = f"flows[{i}]"
-        f = _expect(f, dict, path, errors)
-        src = _parse_node(f.get("src"), f"{path}.src", errors)
-        dst = _parse_node(f.get("dst"), f"{path}.dst", errors)
+    for f in flows:
+        src, dst = f.node("src"), f.node("dst")
+        spec = FlowSpec(src, dst, f.int("pcp", 0, 0, 7), f.int("start", 0, hi=INT64_MAX),
+                        f.int("stop", None, hi=INT64_MAX, null=True),
+                        f.bool("backlogged", False),
+                        f.int("offered_rate_bps", None, 1, INT64_MAX, null=True),
+                        f.int("frame_payload_bytes", MAX_CHUNK, 1, MAX_CHUNK))
+        f.close()
         if src is None or dst is None:
             continue
         if not topo.has_node(src):
-            errors.append(f"{path}.src: {src} is not populated")
+            errors.append(f"{f.at('src')}: {src} is not populated")
             continue
         if not topo.has_node(dst):
-            errors.append(f"{path}.dst: {dst} is not populated")
+            errors.append(f"{f.at('dst')}: {dst} is not populated")
             continue
         if src == dst:
-            errors.append(f"{path}: src and dst must differ")
+            errors.append(f"{f.path}: src and dst must differ")
             continue
-        pcp = _int(f.get("pcp", 0), f"{path}.pcp", errors)
-        if not 0 <= pcp <= 7:
-            errors.append(f"{path}.pcp: {pcp} out of 0..7")
-        start = _int64(f.get("start", 0), f"{path}.start", errors)
-        stop = f.get("stop")
-        stop_val = _int64(stop, f"{path}.stop", errors) if stop is not None else None
-        if start < 0 or start >= sc.duration_ns:
-            errors.append(f"{path}.start: {start} outside the run duration")
-        if stop_val is not None and not start < stop_val <= sc.duration_ns:
-            errors.append(f"{path}.stop: {stop_val} must be in (start, duration]")
-        backlogged = _bool(f.get("backlogged", False), f"{path}.backlogged", errors)
-        rate = f.get("offered_rate_bps")
-        rate_val = _int64(rate, f"{path}.offered_rate_bps", errors) if rate is not None else None
-        if backlogged == (rate_val is not None):
-            errors.append(f"{path}: exactly one of backlogged/offered_rate_bps required")
-        if rate_val is not None and rate_val <= 0:
-            errors.append(f"{path}.offered_rate_bps: must be > 0")
-        payload = _int(f.get("frame_payload_bytes", MAX_CHUNK), f"{path}.frame_payload_bytes",
-                       errors)
-        if not 1 <= payload <= MAX_CHUNK:
-            errors.append(f"{path}.frame_payload_bytes: {payload} not in 1..{MAX_CHUNK}")
-        sc.flows.append(FlowSpec(src, dst, pcp, start, stop_val, backlogged,
-                                 rate_val, payload))
+        if spec.start < 0 or spec.start >= sc.duration_ns:
+            errors.append(f"{f.at('start')}: {spec.start} outside the run duration")
+        if spec.stop is not None and not spec.start < spec.stop <= sc.duration_ns:
+            errors.append(f"{f.at('stop')}: {spec.stop} must be in (start, duration]")
+        if spec.backlogged == (spec.offered_rate_bps is not None):
+            errors.append(f"{f.path}: exactly one of backlogged/offered_rate_bps required")
+        sc.flows.append(spec)
 
     if errors:
         raise ScenarioError(errors)

@@ -110,6 +110,14 @@ def test_validate_error_exit_one(tmp_path, capsys):
                      "entries": [[0, 10]]}]},
      "schedules[0] (node 0.0.0.0 port intra_h): guardband_ns=4294967296 does not fit a 32-bit"
      " register"),
+    # a key the format does not name would otherwise be ignored without a word
+    ({"durations_ns": 5000}, "durations_ns: unexpected key"),
+    ({"link": {"rate": 5}}, "link.rate: unexpected key"),
+    ({"schedules": [{"node": "0.0.0.0", "port": "intra_h", "slots": [[0, 90]]}]},
+     "schedules[0].slots: unexpected key"),
+    ({"flows": [{"src": "0.0.0.0", "dst": "0.0.0.1", "pcp ": 3, "backlogged": True}]},
+     "flows[0].pcp : unexpected key"),
+    ({"grid": {"preset": "tile_plus_two", "G_r": 9}}, "grid.G_r: unexpected key"),
 ], ids=["grid_G_r", "flow_item", "schedule_entry", "time_aware_queues",
         "drift_string", "drift_seeded_max", "drift_per_node",
         "drift_bool", "drift_seeded_max_string", "drift_default_string", "drift_per_node_bool",
@@ -124,7 +132,8 @@ def test_validate_error_exit_one(tmp_path, capsys):
         "duration_string", "injection_cap_bool", "duration_above_int64", "rate_above_int64",
         "offered_rate_above_int64", "slot_above_int64", "queue_depth_zero",
         "queue_depth_negative", "num_tx_queues_zero", "num_tx_queues_above_scr_range",
-        "window_above_u32", "guardband_above_u32"])
+        "window_above_u32", "guardband_above_u32", "unknown_top_level_key",
+        "unknown_link_key", "unknown_schedule_key", "unknown_flow_key", "preset_beside_G_r"])
 def test_malformed_scenario_is_a_validation_error(tmp_path, doc, message):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))

@@ -77,7 +77,7 @@ def test_round_robin_hop_stays_within_its_call_budget():
     # an idle port sends the frame it is given; a busy one leaves it to txdone
     assert _calls_from(stats, "kick", "enqueue") == 0
     # every consume follows a ready_time at the same instant: nothing to refill
-    assert _calls_from(stats, "_advance", "consume") == 0
+    assert _calls_from(stats, "ready_time", "consume") == 0
     # each arrival pops its port's in-flight FIFO; none needs a bound partial
     assert _calls(stats, "_arrive") == 0
     assert 0 < _calls(stats, "arrive", "nic.py") <= hops

@@ -286,6 +286,13 @@ def test_full_fuzz_document_is_valid():
     assert len(parse_scenario(FULL_DOC).flows) == 2
 
 
+@pytest.mark.parametrize("doc", [EVERY_FIELD_DOC, FULL_DOC], ids=["every_field", "full"])
+def test_canonical_form_parses_back_to_the_same_digest(doc):
+    # every key the digest form writes is a key the parser reads
+    sc = parse_scenario(doc)
+    assert parse_scenario(json.loads(json.dumps(sc.canonical_dict()))).digest() == sc.digest()
+
+
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(fuzzed_documents() | st.dictionaries(st.sampled_from(list(FULL_DOC)), json_values))
 def test_any_document_parses_or_is_a_scenario_error(doc):

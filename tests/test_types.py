@@ -5,7 +5,8 @@ importing the package generates no code: nothing under ``src/tasnic``
 uses ``dataclasses``, and the CLI's import pulls in neither it, ``inspect``
 nor the process pool that only ``sweep --jobs`` uses.  A constructor (an
 ``__init__`` or a NamedTuple's fields) takes only what some caller passes,
-and a default only where some call leaves it out.
+and a default only where some call leaves it out.  No state is write-only:
+each attribute stored on ``self`` is read somewhere.
 """
 
 import ast
@@ -173,3 +174,19 @@ def test_every_constructor_default_is_left_out_by_some_call():
                      for param in sorted(defaulted)
                      if calls[name] and all(param in passed for passed in calls[name])]
     assert always_passed == []
+
+
+def test_no_state_is_write_only():
+    # each attribute stored on ``self`` in the package is read by some code;
+    # ``self.n += 1`` stores without counting as a read
+    stored: dict[str, str] = {}
+    for path in sorted((SRC / "tasnic").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                    and getattr(node.value, "id", None) == "self"):
+                stored.setdefault(node.attr, f"{path.name}:{node.lineno}")
+    loaded = {node.attr for tree in CALLER_TREES for path in sorted((ROOT / tree).rglob("*.py"))
+              for node in ast.walk(ast.parse(path.read_text()))
+              if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    write_only = [f"{where}: self.{name}" for name, where in stored.items() if name not in loaded]
+    assert write_only == []
