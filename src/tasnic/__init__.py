@@ -1,7 +1,7 @@
 """Deterministic simulator for time-aware NIC scheduling on a tiled torus fabric."""
 
-from .clock import LocalClock, ServoState, apply_servo, ptp_offset_estimate
-from .engine import RngStreams, SchedulingError, Simulator
+from .clock import LocalClock, apply_servo, ptp_offset_estimate
+from .engine import SchedulingError, Simulator, rng_stream
 from .fabric import (
     GridCoord,
     Link,

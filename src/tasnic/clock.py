@@ -67,10 +67,17 @@ class LocalClock:
         re-evaluate on wake, so a small error only costs an extra wake.
         """
         exact_now = self.local_exact(true_now)
-        if exact_now >= target_local:
+        q = self.quantum_ns
+        if (int(exact_now) // q) * q >= target_local:  # the reading now
             return true_now
-        t = true_now + int((target_local - exact_now) / self.rate)
-        t = max(t, true_now)
+        t = short = max(true_now + int((target_local - exact_now) / self.rate), true_now)
+        if self.read_ns(short) < target_local:
+            # the reading reaches the target where the exact time reaches the
+            # first quantum multiple at or past it: jump there, then step off
+            # the float rounding either way
+            t = max(true_now + int((-(-target_local // q) * q - exact_now) / self.rate), short + 1)
+            while t - 1 > short and self.read_ns(t - 1) >= target_local:
+                t -= 1
         while self.read_ns(t) < target_local:
             t += 1
         return t
@@ -90,29 +97,22 @@ def ptp_offset_estimate(t1: int, t2: int, t3: int, t4: int) -> int:
 MAX_RATE_ADJ_PPM = 200.0  # bound on the servo's rate correction
 
 
-class ServoState:
-    """History needed by the two-sample drift estimator."""
+def apply_servo(clock: LocalClock, offset_est_ns: int, true_now: SimTime,
+                last_apply_local_ns: int | None) -> int:
+    """Step the clock by -offset_est and update the rate correction; returns
+    the clock reading after the step, the next round's ``last_apply_local_ns``.
 
-    __slots__ = ("last_apply_local_ns",)
-
-    def __init__(self) -> None:
-        self.last_apply_local_ns: int | None = None
-
-
-def apply_servo(clock: LocalClock, offset_est_ns: int, true_now: SimTime, state: ServoState) -> None:
-    """Step the clock by -offset_est and update the rate correction.
-
-    The first round only steps.  From the second round on, the residual
-    offset accrued since the previous correction estimates the remaining
-    rate error (offset delta / interval), which is subtracted from
-    ``rate_adj_ppm``.
+    The first round (``last_apply_local_ns`` None) only steps.  From the
+    second round on, the residual offset accrued since the previous
+    correction estimates the remaining rate error (offset delta / interval),
+    which is subtracted from ``rate_adj_ppm``.
     """
     now_local = clock.read_ns(true_now)
-    if state.last_apply_local_ns is not None:
-        interval = now_local - state.last_apply_local_ns
+    if last_apply_local_ns is not None:
+        interval = now_local - last_apply_local_ns
         if interval > 0:
             drift_ppm = offset_est_ns * 1e6 / interval
             adj = clock.rate_adj_ppm - drift_ppm
             clock.set_rate_adj(min(max(adj, -MAX_RATE_ADJ_PPM), MAX_RATE_ADJ_PPM), true_now)
     clock.step(-offset_est_ns, true_now)
-    state.last_apply_local_ns = clock.read_ns(true_now)
+    return clock.read_ns(true_now)

@@ -82,11 +82,6 @@ class Simulator:
         self._seq += 1
         return handle
 
-    def after(self, delay: SimTime, action: Callable[[], None], label: str = "") -> EventHandle:
-        if delay < 0:
-            raise SchedulingError(f"negative delay {delay}")
-        return self.at(self.now + delay, action, label)
-
     def step(self, limit: SimTime | None = None) -> bool:
         """Process the next live event if it fires at or before ``limit`` (any
         time when None); returns False, leaving it queued, when there is none."""
@@ -124,13 +119,8 @@ class Simulator:
         return RunStats(self.events_processed - start_count, self.now)
 
 
-class RngStreams:
-    """Named deterministic random streams derived from one master seed."""
-
-    def __init__(self, seed: int):
-        self.seed = seed
-
-    def stream(self, *key: object) -> random.Random:
-        tag = f"{self.seed}/" + "/".join(str(k) for k in key)
-        digest = hashlib.blake2b(tag.encode(), digest_size=8).digest()
-        return random.Random(int.from_bytes(digest, "big"))
+def rng_stream(seed: int, *key: object) -> random.Random:
+    """The deterministic random stream named ``key`` under the master ``seed``."""
+    tag = f"{seed}/" + "/".join(str(k) for k in key)
+    digest = hashlib.blake2b(tag.encode(), digest_size=8).digest()
+    return random.Random(int.from_bytes(digest, "big"))

@@ -108,37 +108,18 @@ def ip_of(coord: GridCoord) -> tuple[str, str]:
     return f"10.0.{coord.rc}.{coord.cc}", "255.255.0.0"
 
 
-def coord_of_mac(mac: bytes) -> GridCoord:
-    if len(mac) != 6 or mac[:4] != bytes((0x02, 0, 0, 0)):
-        raise AddressError(f"mac {mac.hex(':')} is not fabric-derived")
-    return GridCoord(mac[4], mac[5])
-
-
 def format_mac(mac: bytes) -> str:
     return ":".join(f"{b:02x}" for b in mac)
-
-
-class LinkEpoch:
-    """Count of link-state changes, shared by the links of one topology.
-
-    Anything derived from link state (a node's route table) is valid for as
-    long as the count it was built at is still current.
-    """
-
-    __slots__ = ("value",)
-
-    def __init__(self) -> None:
-        self.value = 0
 
 
 class Link:
     """Full-duplex point-to-point segment between two data ports."""
 
     __slots__ = ("a", "b", "rate_bps", "prop_delay_ns", "up", "up_since", "drops",
-                 "tx_frames", "epoch")
+                 "tx_frames", "topology")
 
     def __init__(self, a: tuple[NodeId, PortKind], b: tuple[NodeId, PortKind],
-                 rate_bps: int, prop_delay_ns: int, epoch: LinkEpoch):
+                 rate_bps: int, prop_delay_ns: int, topology: "Topology"):
         self.a = a
         self.b = b
         self.rate_bps = rate_bps
@@ -147,7 +128,7 @@ class Link:
         self.up_since: SimTime = 0  # last down-to-up change; consulted for in-flight drops
         self.drops = 0
         self.tx_frames = 0
-        self.epoch = epoch
+        self.topology = topology  # whose link_epoch a state change moves
 
     def other_end(self, node_id: NodeId) -> tuple[NodeId, PortKind]:
         if node_id == self.a[0]:
@@ -156,15 +137,17 @@ class Link:
             return self.a
         raise ValueError(f"{node_id} is not an endpoint of this link")
 
-    def set_state(self, up: bool, at: SimTime) -> None:
-        """The only writer of link state.  A change moves the epoch; a redundant
-        call changes nothing, so a redundant up keeps ``up_since``."""
+    def set_state(self, up: bool, at: SimTime) -> bool:
+        """The only writer of link state; True on a change, which moves the
+        topology's link epoch (a redundant up keeps ``up_since``). A running
+        network calls it through ``Network.schedule_link_state``."""
         if up == self.up:
-            return
+            return False
         if up:
             self.up_since = at
         self.up = up
-        self.epoch.value += 1
+        self.topology.link_epoch += 1
+        return True
 
     def up_throughout(self, start: SimTime) -> bool:
         """True when the link has been continuously up from ``start`` until now."""
@@ -176,7 +159,9 @@ class Topology:
 
     ``ports[node][kind]`` is the link on that port, or None when the port is
     unconnected (an absent peer, or the out-of-band management port).
-    ``link_epoch`` counts the state changes of all its links.
+    ``link_epoch`` counts the state changes of all its links: anything
+    derived from link state (a node's route table) is valid for as long as
+    the count it was built at is still current.
     """
 
     def __init__(self, g_r: int, g_c: int, populated: list[NodeId],
@@ -187,7 +172,7 @@ class Topology:
         self._present = set(self.nodes)
         self.ports: dict[NodeId, dict[PortKind, Link | None]] = {}
         self.links: list[Link] = []
-        self.link_epoch = LinkEpoch()
+        self.link_epoch = 0
         self._link_by_ends: dict[frozenset, Link] = {}
         self._rate = rate_bps
         self._prop = prop_delay_ns
@@ -200,14 +185,10 @@ class Topology:
     def link_between(self, a: NodeId, b: NodeId) -> Link | None:
         return self._link_by_ends.get(frozenset((a, b)))
 
-    def peer_of(self, node_id: NodeId, kind: PortKind) -> tuple[NodeId, PortKind] | None:
-        link = self.ports[node_id][kind]
-        return None if link is None else link.other_end(node_id)
-
     def _wire(self, a: NodeId, pa: PortKind, b: NodeId, pb: PortKind) -> None:
         if not (self.has_node(a) and self.has_node(b)):
             return
-        link = Link((a, pa), (b, pb), self._rate, self._prop, self.link_epoch)
+        link = Link((a, pa), (b, pb), self._rate, self._prop, self)
         self.ports[a][pa] = link
         self.ports[b][pb] = link
         self.links.append(link)

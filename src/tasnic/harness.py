@@ -221,7 +221,7 @@ def run_scenario(scenario: Scenario) -> RunResult:
                     if abs(off) > rep.max_abs_offset_ns:
                         rep.max_abs_offset_ns = abs(off)
                 if now + TICKS_PER_MS <= scenario.duration_ns:
-                    sim.after(TICKS_PER_MS, sample, label="ptp-sample")
+                    sim.at(now + TICKS_PER_MS, sample, label="ptp-sample")
             sim.at(horizon, sample, label="ptp-sample")
 
     net.start()

@@ -494,6 +494,20 @@ class NicPort:
             link.drops += 1
             self.network.count_drop(frame, "link_down")
 
+    def drop_queued(self) -> None:
+        """Carrier loss: drop every queued frame as ``link_down``, as a Linux
+        netdev resets its TX queue discipline; a frame dropped at its origin
+        counts as leaving it, so a backlogged flow sends its next frame."""
+        frames = [frame for pos in sorted(self._queues) for frame in self._queues[pos].frames]
+        for q in self._queues.values():
+            q.frames.clear()
+        self._rr_mask = 0
+        for frame in frames:
+            self.link.drops += 1
+            self.network.count_drop(frame, "link_down")
+            if frame.meta.hops == 1:
+                self.network.frame_dequeued(frame)
+
     def _set_wake(self, when: SimTime) -> None:
         if self._wake is not None:
             self._wake.cancel()

@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from .clock import LocalClock
-from .engine import RngStreams, Simulator
+from .engine import Simulator
 from .fabric import (
     DATA_PORT_KINDS,
     Link,
@@ -33,7 +33,7 @@ from .fabric import (
 )
 from .frame import ETHERTYPE_PTP, ETHERTYPE_RUNTIME, MAX_WIRE_BYTES, Frame, FrameMeta, pad_payload
 from .nic import NicPort, TokenBucket
-from .ptp import PtpService
+from .ptp import PTP_PCP, PtpService
 from .qdisc import PriorityMap, classify, validate_map
 from .routing import next_hop
 from .runtime import NodeRuntime
@@ -74,8 +74,8 @@ class Node:
         self.loopback_label = f"loopback:{node_id}"
         self.reasm_deadline_label = f"reasm-deadline:{node_id}"
         self.runtime = NodeRuntime(self)
-        self._link_epoch = network.topology.link_epoch
-        self._routes_epoch = self._link_epoch.value
+        self._topology = network.topology
+        self._routes_epoch = self._topology.link_epoch
         self._routes: dict[tuple[NodeId, PortKind | None], NicPort | None] = {}
 
     # -- egress ------------------------------------------------------------
@@ -84,22 +84,22 @@ class Node:
         """Route and enqueue a locally-originated frame."""
         if frame.meta.final_dst == self.node_id:
             # loopback: no wire involved, just the host processing delay
-            self.sim.after(self.network.host.processing_delay_ns,
-                           lambda: self.runtime.on_frame(frame), label=self.loopback_label)
+            self.sim.at(self.sim.now + self.network.host.processing_delay_ns,
+                        lambda: self.runtime.on_frame(frame), label=self.loopback_label)
             return
         self._forward(frame, None)
 
     def egress_port(self, dst: NodeId, ingress: PortKind | None) -> NicPort | None:
         """The port ``next_hop`` picks toward ``dst`` under the current link
         states, read from the route table of the current link epoch."""
-        if self._routes_epoch != self._link_epoch.value:
+        if self._routes_epoch != self._topology.link_epoch:
             self._routes = {}
-            self._routes_epoch = self._link_epoch.value
+            self._routes_epoch = self._topology.link_epoch
         key = (dst, ingress)
         try:
             return self._routes[key]
         except KeyError:
-            kind = next_hop(self.network.topology, self.node_id, dst, ingress)
+            kind = next_hop(self._topology, self.node_id, dst, ingress)
             port = self._routes[key] = None if kind is None else self.ports[kind]
             return port
 
@@ -107,7 +107,7 @@ class Node:
         """Route a frame that came in on ``ingress`` (None: originated here), burn
         a TTL step and enqueue it on the egress port."""
         meta = frame.meta
-        if self._routes_epoch == self._link_epoch.value:  # egress_port, inline on a hit
+        if self._routes_epoch == self._topology.link_epoch:  # egress_port, inline on a hit
             try:
                 port = self._routes[(meta.final_dst, ingress)]
             except KeyError:
@@ -152,9 +152,8 @@ class Node:
                     self.network.ptp.on_frame(self, frame, self.clock.read_ns(self.sim.now))
                 return
             self.network.count_frame_delivered(frame)
-            self.sim.after(self.network.host.processing_delay_ns,
-                           lambda: self.runtime.on_frame(frame),
-                           label=self.hostrx_label)
+            self.sim.at(self.sim.now + self.network.host.processing_delay_ns,
+                        lambda: self.runtime.on_frame(frame), label=self.hostrx_label)
             return
         self._forward(frame, ingress)
 
@@ -172,7 +171,7 @@ class Network:
         if map_errors:
             raise ValueError("invalid priority map: " + "; ".join(map_errors))
 
-        drift_by_node = scenario.resolve_drift(topology, RngStreams(scenario.seed))
+        drift_by_node = scenario.resolve_drift(topology)
         self.nodes: dict[NodeId, Node] = {}
         for node_id in topology.nodes:
             clock = LocalClock(drift_ppm=drift_by_node[node_id],
@@ -227,10 +226,11 @@ class Network:
                             pcp: int) -> Frame:
         return self._build_frame(src, dst, ETHERTYPE_RUNTIME, payload, pcp, local_origin=True)
 
-    def send_protocol_frame(self, src_id: NodeId, dst: NodeId, ethertype: int,
-                            payload: bytes, pcp: int = 7) -> None:
+    def send_protocol_frame(self, src_id: NodeId, dst: NodeId, payload: bytes) -> None:
+        """Send a PTP message, the one protocol frame the fabric carries."""
         src = self.nodes[src_id]
-        src.send_frame(self._build_frame(src, dst, ethertype, payload, pcp, local_origin=False))
+        src.send_frame(self._build_frame(src, dst, ETHERTYPE_PTP, payload, PTP_PCP,
+                                         local_origin=False))
 
     # -- wire-level delivery ---------------------------------------------------
 
@@ -282,5 +282,10 @@ class Network:
     # -- fault injection -----------------------------------------------------
 
     def schedule_link_state(self, link: Link, up: bool, at: int) -> None:
-        self.sim.at(at, lambda: link.set_state(up, at),
-                    label=f"link:{'up' if up else 'down'}")
+        """Set ``link``'s state at ``at``; when it goes down, both end ports
+        drop their queued frames (``NicPort.drop_queued``)."""
+        def change() -> None:
+            if link.set_state(up, at) and not up:
+                for node_id, kind in (link.a, link.b):
+                    self.nodes[node_id].ports[kind].drop_queued()
+        self.sim.at(at, change, label=f"link:{'up' if up else 'down'}")

@@ -18,10 +18,10 @@ from __future__ import annotations
 import struct
 from typing import TYPE_CHECKING, NamedTuple
 
-from .clock import ServoState, apply_servo, ptp_offset_estimate
+from .clock import apply_servo, ptp_offset_estimate
 from .engine import TICKS_PER_MS
 from .fabric import NodeId
-from .frame import ETHERTYPE_PTP, Frame, pad_payload
+from .frame import Frame, pad_payload
 
 if TYPE_CHECKING:  # pragma: no cover
     from .node import Network, Node
@@ -29,6 +29,7 @@ if TYPE_CHECKING:  # pragma: no cover
 MSG_SYNC = 0
 MSG_DELAY_REQ = 1
 MSG_DELAY_RESP = 2
+PTP_PCP = 7  # the priority sync frames carry; the management queue holds them whatever it is
 
 _WIRE = struct.Struct(">BQI")  # msg_type u8, origin_timestamp u64, exchange_id u32
 
@@ -56,10 +57,10 @@ class _Exchange:
 
 
 class SlaveSync:
-    __slots__ = ("servo", "pending_id", "pending", "estimates", "rounds_completed")
+    __slots__ = ("last_apply_local_ns", "pending_id", "pending", "estimates", "rounds_completed")
 
     def __init__(self) -> None:
-        self.servo = ServoState()
+        self.last_apply_local_ns: int | None = None  # the servo's last corrected reading
         self.pending_id: int | None = None
         self.pending = _Exchange()
         self.estimates: list[tuple[int, int]] = []  # (true_ns, est_ns)
@@ -89,13 +90,14 @@ class PtpService:
     def _round_fn(self, slave: NodeId):
         def fire() -> None:
             self._send_sync(slave)
-            self.network.sim.after(self.interval_ns, fire, label=f"ptp:sync:{slave}")
+            sim = self.network.sim
+            sim.at(sim.now + self.interval_ns, fire, label=f"ptp:sync:{slave}")
         return fire
 
     # -- frame construction ----------------------------------------------
 
     def _send(self, src: NodeId, dst: NodeId, msg: PtpMessage) -> None:
-        self.network.send_protocol_frame(src, dst, ETHERTYPE_PTP, msg.pack(), pcp=7)
+        self.network.send_protocol_frame(src, dst, msg.pack())
 
     def _send_sync(self, slave: NodeId) -> None:
         eid = self._next_exchange_id
@@ -149,7 +151,8 @@ class PtpService:
                 return
             est = ptp_offset_estimate(ex.t1, ex.t2, ex.t3, msg.origin_timestamp)
             now = self.network.sim.now
-            apply_servo(node.clock, est, now, state.servo)
+            state.last_apply_local_ns = apply_servo(node.clock, est, now,
+                                                    state.last_apply_local_ns)
             state.estimates.append((now, est))
             state.rounds_completed += 1
             state.pending_id = None

@@ -199,8 +199,9 @@ class NodeRuntime:
                 self._deliver(frame, src_id, data, frame.meta.hops)
                 return
             part = _Reassembly(frag_count, total_len)
-            part.deadline_handle = self.node.sim.after(
-                REASSEMBLY_DEADLINE_NS, lambda: self._expire(key),
+            sim = self.node.sim
+            part.deadline_handle = sim.at(
+                sim.now + REASSEMBLY_DEADLINE_NS, lambda: self._expire(key),
                 label=self.node.reasm_deadline_label)
             self._partials[key] = part
         if frag_count != part.frag_count or total_len != part.total_len:

@@ -23,6 +23,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .clock import MAX_RATE_ADJ_PPM
+from .engine import rng_stream
 from .fabric import (
     AddressError,
     DEFAULT_LINK_RATE_BPS,
@@ -34,7 +35,7 @@ from .fabric import (
     build_topology,
     tile_plus_two_nodes,
 )
-from .nic import DEFAULT_WINDOW_US, MAX_TX_QUEUES, validate_schedule
+from .nic import DEFAULT_WINDOW_US, MAX_TX_QUEUES, default_guardband_ns, validate_schedule
 from .qdisc import PriorityMap, validate_map
 from .runtime import MAX_CHUNK, ScheduleConfig
 
@@ -293,13 +294,13 @@ class Scenario:
         blob = json.dumps(self.canonical_dict(), sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()
 
-    def resolve_drift(self, topology: Topology, rng) -> dict[NodeId, float]:
+    def resolve_drift(self, topology: Topology) -> dict[NodeId, float]:
         spec = {"seeded_max_ppm": 10.0} if self.drift_spec is None else self.drift_spec
         if isinstance(spec, (int, float)):
             return {n: float(spec) for n in topology.nodes}
         if "seeded_max_ppm" in spec:
             limit = float(spec["seeded_max_ppm"])
-            return {n: rng.stream("drift", str(n)).uniform(-limit, limit)
+            return {n: rng_stream(self.seed, "drift", str(n)).uniform(-limit, limit)
                     for n in topology.nodes}
         default = float(spec.get("default", 0.0))
         return {n: float(spec.get(str(n), default)) for n in topology.nodes}
@@ -422,7 +423,8 @@ def parse_scenario(doc: dict) -> Scenario:
         if topo.ports[node][port] is None:
             errors.append(f"{s.path}: node {node} port {port.value} is not connected")
             continue
-        for e in validate_schedule(window, entries, guard or 0, sc.nic.num_tx_queues):
+        committed = default_guardband_ns(sc.rate_bps) if guard is None else guard  # as set_conf
+        for e in validate_schedule(window, entries, committed, sc.nic.num_tx_queues):
             errors.append(f"{s.path} (node {node} port {port.value}): {e}")
         sc.schedules.append((node, ScheduleConfig(port, window, entries, guard)))
 

@@ -110,6 +110,12 @@ def test_validate_error_exit_one(tmp_path, capsys):
                      "entries": [[0, 10]]}]},
      "schedules[0] (node 0.0.0.0 port intra_h): guardband_ns=4294967296 does not fit a 32-bit"
      " register"),
+    # a null guardband is checked as the port default it commits: at 1000 b/s
+    # one maximum-size frame takes 12.176 s
+    ({"link": {"rate_bps": 1000}, "duration_ns": 1000,
+      "schedules": [{"node": "0.0.0.0", "port": "intra_h", "entries": [[0, 10]]}]},
+     "schedules[0] (node 0.0.0.0 port intra_h): guardband_ns=12176000000 does not fit a"
+     " 32-bit register"),
     # a key the format does not name would otherwise be ignored without a word
     ({"durations_ns": 5000}, "durations_ns: unexpected key"),
     ({"link": {"rate": 5}}, "link.rate: unexpected key"),
@@ -132,7 +138,8 @@ def test_validate_error_exit_one(tmp_path, capsys):
         "duration_string", "injection_cap_bool", "duration_above_int64", "rate_above_int64",
         "offered_rate_above_int64", "slot_above_int64", "queue_depth_zero",
         "queue_depth_negative", "num_tx_queues_zero", "num_tx_queues_above_scr_range",
-        "window_above_u32", "guardband_above_u32", "unknown_top_level_key",
+        "window_above_u32", "guardband_above_u32", "default_guardband_above_u32",
+        "unknown_top_level_key",
         "unknown_link_key", "unknown_schedule_key", "unknown_flow_key", "preset_beside_G_r"])
 def test_malformed_scenario_is_a_validation_error(tmp_path, doc, message):
     path = tmp_path / "bad.json"
@@ -143,6 +150,20 @@ def test_malformed_scenario_is_a_validation_error(tmp_path, doc, message):
     assert proc.returncode == 1
     assert f"validation: {message}" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_a_coarse_timestamp_quantum_runs_to_the_end(tmp_path):
+    # a schedule's slot ends lie 10**12 local ns away, where the reading next
+    # moves; finding them once took one clock read per nanosecond
+    path = write_scenario(
+        tmp_path, ptp={"quantization_ns": 1e12}, duration_ns=1e6,
+        schedules=[{"node": "0.0.0.0", "port": "intra_h", "entries": [[0, 10]]}],
+        flows=[{"src": "0.0.0.0", "dst": "0.0.0.1", "backlogged": True}])
+    proc = subprocess.run([sys.executable, "-m", "tasnic.cli", "run", "--scenario", str(path),
+                           "--out", str(tmp_path / "out")],
+                          capture_output=True, text=True, timeout=20,
+                          env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_missing_file_exit_two(tmp_path):

@@ -1,8 +1,8 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tasnic.clock import LocalClock, ServoState, apply_servo, ptp_offset_estimate
+from tasnic.clock import LocalClock, apply_servo, ptp_offset_estimate
 
 SECOND = 1_000_000_000
 
@@ -57,8 +57,7 @@ def test_offset_estimate_zero():
 
 def test_servo_first_round_steps_only():
     clock = LocalClock(drift_ppm=0.0, quantum_ns=1)
-    state = ServoState()
-    apply_servo(clock, 2_000, 0, state)
+    apply_servo(clock, 2_000, 0, None)
     assert clock.offset_ns == -2_000
     assert clock.rate_adj_ppm == 0.0
 
@@ -66,19 +65,17 @@ def test_servo_first_round_steps_only():
 def test_servo_second_round_estimates_drift():
     # 2 us residual twice over 250 ms implies an 8 ppm rate error
     clock = LocalClock(drift_ppm=8.0, quantum_ns=1)
-    state = ServoState()
-    apply_servo(clock, 2_000, 0, state)
-    apply_servo(clock, 2_000, 250_000_000, state)
+    last = apply_servo(clock, 2_000, 0, None)
+    apply_servo(clock, 2_000, 250_000_000, last)
     assert clock.rate_adj_ppm == pytest.approx(-8.0, rel=1e-3)
 
 
 def test_servo_zero_estimate_is_fixed_point():
     clock = LocalClock(drift_ppm=3.0, quantum_ns=1)
-    state = ServoState()
-    apply_servo(clock, 0, 1000, state)
+    last = apply_servo(clock, 0, 1000, None)
     offset, rate = clock.offset_ns, clock.rate_adj_ppm
     for i in range(5):
-        apply_servo(clock, 0, 2000 + i * 1000, state)
+        last = apply_servo(clock, 0, 2000 + i * 1000, last)
     assert clock.offset_ns == offset
     assert clock.rate_adj_ppm == rate
 
@@ -88,7 +85,7 @@ def _run_sync_rounds(drift_ppm, q, interval_ns, rounds, delay_ms=200, delay_sm=2
     """Synthetic two-way exchanges against an ideal master clock."""
     master = LocalClock(drift_ppm=0.0, quantum_ns=q)
     slave = LocalClock(drift_ppm=drift_ppm, quantum_ns=q)
-    state = ServoState()
+    last = None
     worst_after_convergence = 0.0
     t = interval_ns
     total = rounds + extra_rounds_to_check
@@ -98,7 +95,7 @@ def _run_sync_rounds(drift_ppm, q, interval_ns, rounds, delay_ms=200, delay_sm=2
         t3 = slave.read_ns(t + delay_ms + 1_000)
         t4 = master.read_ns(t + delay_ms + 1_000 + delay_sm)
         est = ptp_offset_estimate(t1, t2, t3, t4)
-        apply_servo(slave, est, t + delay_ms + 1_000 + delay_sm, state)
+        last = apply_servo(slave, est, t + delay_ms + 1_000 + delay_sm, last)
         if k >= rounds:
             # worst divergence across the following interval
             for frac in (0.25, 0.5, 0.75, 1.0):
@@ -122,7 +119,7 @@ def test_path_asymmetry_converges_to_half(asym):
     q = 8
     master = LocalClock(drift_ppm=0.0, quantum_ns=q)
     slave = LocalClock(drift_ppm=5.0, quantum_ns=q)
-    state = ServoState()
+    last = None
     interval = 250_000_000
     t = interval
     for _ in range(30):
@@ -131,7 +128,7 @@ def test_path_asymmetry_converges_to_half(asym):
         t3 = slave.read_ns(t + 200 + asym + 1_000)
         t4 = master.read_ns(t + 200 + asym + 1_000 + 200)
         est = ptp_offset_estimate(t1, t2, t3, t4)
-        apply_servo(slave, est, t + 200 + asym + 1_000 + 200, state)
+        last = apply_servo(slave, est, t + 200 + asym + 1_000 + 200, last)
         t += interval
     # steady-state error approaches half the asymmetry
     off = slave.local_exact(t) - master.local_exact(t)
@@ -145,3 +142,37 @@ def test_true_at_local_inverts_reads():
         t = clock.true_at_local(target, 0)
         assert clock.read_ns(t) >= target
         assert t == 0 or clock.read_ns(t - 1) < target
+
+
+def _nanosecond_search(clock, target, true_now):
+    """The earliest true time at or after the first estimate whose reading
+    reaches ``target``, found one nanosecond at a time."""
+    if clock.read_ns(true_now) >= target:
+        return true_now
+    exact = clock.local_exact(true_now)
+    t = max(true_now + int((target - exact) / clock.rate), true_now)
+    while clock.read_ns(t) < target:
+        t += 1
+    return t
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.floats(-200.0, 200.0), st.floats(-200.0, 200.0), st.integers(1, 1_000),
+       st.integers(0, 10**12), st.integers(0, 10**6), st.integers(-10**4, 10**6))
+def test_true_at_local_finds_what_a_nanosecond_search_finds(drift, adj, quantum, checkpoint,
+                                                            later, ahead):
+    clock = LocalClock(drift_ppm=drift, quantum_ns=quantum)
+    clock.set_rate_adj(adj, checkpoint)  # a checkpoint at a fractional local time
+    true_now = checkpoint + later
+    target = clock.read_ns(true_now) + ahead
+    assert clock.true_at_local(target, true_now) == _nanosecond_search(clock, target, true_now)
+
+
+def test_true_at_local_jumps_over_a_coarse_quantum():
+    # the reading stays 0 for the first 10**12 local ns: no search may walk
+    # them, and a target the exact time has passed is not yet reached
+    clock = LocalClock(drift_ppm=7.0, quantum_ns=10**12)
+    for true_now in (0, 50_000):
+        t = clock.true_at_local(10_000, true_now)
+        assert clock.read_ns(t) == 10**12
+        assert clock.read_ns(t - 1) == 0

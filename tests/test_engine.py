@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tasnic.engine import RngStreams, SchedulingError, Simulator
+from tasnic.engine import SchedulingError, Simulator, rng_stream
 
 
 def test_schedule_at_current_time_fires_next_step():
@@ -59,7 +59,7 @@ def test_events_scheduled_during_run_are_processed():
     def chain(n):
         fired.append(n)
         if n < 5:
-            sim.after(10, lambda: chain(n + 1))
+            sim.at(sim.now + 10, lambda: chain(n + 1))
 
     sim.at(0, lambda: chain(0))
     sim.run_until(100)
@@ -78,11 +78,11 @@ def test_cancelled_events_are_skipped():
 def _trace_hash(seed):
     records = []
     sim = Simulator(trace_hook=lambda t, seq, label: records.append((t, seq, label)))
-    rng = RngStreams(seed).stream("gen")
+    rng = rng_stream(seed, "gen")
 
     def emit(n):
         if n > 0:
-            sim.after(rng.randrange(1, 100), lambda: emit(n - 1), label=f"e{n}")
+            sim.at(sim.now + rng.randrange(1, 100), lambda: emit(n - 1), label=f"e{n}")
 
     sim.at(0, lambda: emit(50), label="start")
     sim.run_until(10_000)
@@ -95,9 +95,9 @@ def test_identical_seed_gives_identical_event_trace():
 
 
 def test_rng_streams_are_stable_and_independent():
-    draws_a1 = RngStreams(1).stream("a").random()
-    draws_a2 = RngStreams(1).stream("a").random()
-    draws_b = RngStreams(1).stream("b").random()
+    draws_a1 = rng_stream(1, "a").random()
+    draws_a2 = rng_stream(1, "a").random()
+    draws_b = rng_stream(1, "b").random()
     assert draws_a1 == draws_a2
     assert draws_a1 != draws_b
 

@@ -10,7 +10,6 @@ from tasnic.fabric import (
     abs_coords,
     all_node_ids,
     build_topology,
-    coord_of_mac,
     decode_id,
     encode_id,
     format_mac,
@@ -80,7 +79,7 @@ def test_addressing_is_injective_over_whole_grid():
 def test_mac_round_trips_to_coordinates():
     for n in all_node_ids(2, 3):
         coord = abs_coords(n)
-        assert coord_of_mac(mac_of(coord)) == coord
+        assert mac_of(coord)[4:] == bytes((coord.rc, coord.cc))
 
 
 def test_build_1x1_counts_and_self_wrap():
@@ -106,7 +105,7 @@ def test_build_3x2_counts():
 
 def test_build_1x3_east_west_wiring():
     topo = build_topology(1, 3)
-    peer = topo.peer_of(NodeId(0, 1, 1, 1), PortKind.EXTERNAL)
+    peer = topo.ports[NodeId(0, 1, 1, 1)][PortKind.EXTERNAL].other_end(NodeId(0, 1, 1, 1))
     assert peer == (NodeId(0, 2, 0, 0), PortKind.EXTERNAL)
 
 
@@ -118,7 +117,7 @@ def test_port_peer_symmetry(dims):
             if link is None:
                 continue
             peer_node, peer_kind = link.other_end(n)
-            back = topo.peer_of(peer_node, peer_kind)
+            back = topo.ports[peer_node][peer_kind].other_end(peer_node)
             assert back == (n, kind)
 
 
@@ -139,8 +138,10 @@ def test_tile_plus_two_shape():
     assert len(topo.links) == 7
     west_ext = NodeId(0, 0, 1, 1)
     east_ext = NodeId(0, 2, 0, 0)
-    assert topo.peer_of(west_ext, PortKind.EXTERNAL) == (NodeId(0, 1, 0, 0), PortKind.EXTERNAL)
-    assert topo.peer_of(east_ext, PortKind.EXTERNAL) == (NodeId(0, 1, 1, 1), PortKind.EXTERNAL)
+    assert (topo.ports[west_ext][PortKind.EXTERNAL].other_end(west_ext)
+            == (NodeId(0, 1, 0, 0), PortKind.EXTERNAL))
+    assert (topo.ports[east_ext][PortKind.EXTERNAL].other_end(east_ext)
+            == (NodeId(0, 1, 1, 1), PortKind.EXTERNAL))
     # the extras' intra-tile ports have no peers
     assert topo.ports[west_ext][PortKind.INTRA_H] is None
     assert topo.ports[west_ext][PortKind.INTRA_V] is None

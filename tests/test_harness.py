@@ -1,10 +1,12 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tasnic.fabric import NodeId, PortKind
 from tasnic.harness import emit_report, run_scenario
-from tasnic.scenario import parse_scenario
+from tasnic.scenario import ScenarioError, parse_scenario
 
 
 def small_doc(**overrides):
@@ -126,6 +128,20 @@ def test_fault_schedule_applies_and_counts_drops():
     assert all(m.hops >= 2 for m in post)
 
 
+def test_a_backlogged_flow_takes_its_detour_when_its_first_hop_fails():
+    # the failed port drops the frames it held, and each one's flow sends
+    # the next by the detour; held frames would stall the flow for good
+    doc = small_doc(ptp={"enabled": False}, duration_ns=3_000_000,
+                    host={"injection_cap_bps": None},
+                    flows=[{"src": "0.0.0.0", "dst": "0.0.1.1", "pcp": 0, "backlogged": True}],
+                    faults=[{"a": "0.0.0.0", "b": "0.0.0.1", "time_ns": 1_000_000,
+                             "state": "down"}])
+    rec = run_scenario(parse_scenario(doc)).recorders[0]
+    before = sum(1 for m in rec.messages if m.send_true_ns < 1_000_000)
+    after = sum(1 for m in rec.messages if m.send_true_ns > 1_000_000)
+    assert before > 0 and after > before  # two ms after the fault, one before it
+
+
 # PTP is off, so every frame belongs to a flow and the per-flow counters must
 # add up to the network totals.
 _DROP_CASES = {
@@ -156,3 +172,49 @@ def test_flow_counters_reconcile_with_totals(cause):
         for c, n in f["drops"].items():
             drops[c] = drops.get(c, 0) + n
     assert drops == totals["drops_by_cause"]
+
+
+_GRIDS = {  # each grid with its populated node ids
+    "preset": ({"preset": "tile_plus_two"},
+               ["0.0.1.1", "0.1.0.0", "0.1.0.1", "0.1.1.0", "0.1.1.1", "0.2.0.0"]),
+    **{f"{r}x{c}": ({"G_r": r, "G_c": c},
+                    [f"{gr}.{gc}.{lr}.{lc}" for gr in range(r) for gc in range(c)
+                     for lr in (0, 1) for lc in (0, 1)])
+       for r in (1, 2) for c in (1, 2)},
+}
+
+
+@st.composite
+def small_documents(draw):
+    grid, nodes = _GRIDS[draw(st.sampled_from(sorted(_GRIDS)))]
+    node = st.sampled_from(nodes)
+    schedule = st.fixed_dictionaries(
+        {"node": node, "port": st.sampled_from(["intra_h", "intra_v", "external"]),
+         "entries": st.lists(st.tuples(st.integers(0, 7), st.integers(1, 40)).map(list),
+                             max_size=2, unique_by=lambda e: e[0])},
+        optional={"window_us": st.integers(1, 200),
+                  "guardband_ns": st.none() | st.integers(0, 20_000) | st.just(2**33)})
+    flow = st.fixed_dictionaries(
+        {"src": node, "dst": node, "pcp": st.integers(0, 7)},
+        optional={"frame_payload_bytes": st.integers(1, 1482)}).flatmap(
+        lambda f: st.just({**f, "backlogged": True})
+        | st.integers(10**6, 10**10).map(lambda r: {**f, "offered_rate_bps": r}))
+    return {
+        "grid": grid,
+        "link": {"rate_bps": draw(st.sampled_from([1_000, 3_000, 10**6, 10**10]))},
+        "ptp": {"quantization_ns": draw(st.sampled_from([1, 8, 10**6, 10**12]))},
+        "schedules": draw(st.lists(schedule, max_size=2)),
+        "flows": draw(st.lists(flow, max_size=2)),
+        "duration_ns": draw(st.integers(1, 500_000)),
+        "seed": draw(st.integers(0, 3)),
+    }
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(small_documents())
+def test_a_scenario_that_validates_runs(tmp_path_factory, doc):
+    try:
+        scenario = parse_scenario(doc)
+    except ScenarioError:
+        return
+    emit_report(run_scenario(scenario), "json", tmp_path_factory.mktemp("report"))

@@ -100,7 +100,7 @@ def test_one_frame_message_does_no_per_message_setup():
                  FragmentHeader.unpack.__code__):
         assert _calls_of(entries, code) == 0, code.co_name
     # no reassembly deadline is scheduled for a message that fits one frame
-    assert _calls_from(stats, "after", "on_frame") == 0
+    assert _calls_from(stats, "at", "on_frame") == 0
 
 
 def test_tx_queues_are_created_by_their_first_enqueue():

@@ -682,6 +682,25 @@ def test_frames_in_flight_when_the_link_fails_drop_and_later_ones_arrive_in_orde
     assert not port.in_flight
 
 
+@pytest.mark.parametrize("entries", [[], [(0, 90)]], ids=["round_robin", "scheduled"])
+def test_carrier_loss_drops_the_queued_frames(entries):
+    net, port = two_node_net(cap_bps=1_000_000_000)
+    program(net, entries)
+    net.sim.at(2_000, lambda: [port.enqueue(0, make_frame(net)) for _ in range(3)])
+    net.schedule_link_state(port.link, False, 2_500)
+    net.schedule_link_state(port.link, True, 40_000)
+    net.sim.at(50_000, lambda: port.enqueue(0, make_frame(net)))
+    net.sim.run_until(45_000)
+    # the frame on the wire is lost on arrival, the two queued ones at the
+    # port without starting onto the dead link
+    assert [rec.true_start for rec in port.trace] == [2_000]
+    assert port.link.drops == net.drops_by_cause["link_down"] == 3
+    assert not any(q.frames for q in port.queues)
+    net.sim.run_until(200_000)
+    assert [rec.true_start for rec in port.trace] == [2_000, 50_000]
+    assert net.nodes[B].counters.rx_frames == 1
+
+
 @pytest.mark.parametrize("flaps, delivered", [
     ([(3_000, False), (9_000, True), (20_000, False), (21_500, True)], 10),
     # a redundant up, a redundant down, and a down and an up at the same instant

@@ -54,10 +54,10 @@ def walk(topo, src, dst, ttl=64):
         if key in visited:
             return None
         visited.add(key)
-        peer = topo.peer_of(cur, out_port)
-        if peer is None:
+        link = topo.ports[cur][out_port]
+        if link is None:
             return None
-        cur, ingress = peer
+        cur, ingress = link.other_end(cur)
         path.append(cur)
     return None
 
@@ -93,7 +93,7 @@ def test_neighbor_goes_out_the_joining_port():
     src, dst = NodeId(0, 0, 0, 0), NodeId(0, 0, 0, 1)
     out_port = next_hop(topo, src, dst)
     assert out_port is not None
-    assert topo.peer_of(src, out_port)[0] == dst
+    assert topo.ports[src][out_port].other_end(src)[0] == dst
     assert bfs_distance(topo, src, dst) == 1
 
 
@@ -103,7 +103,7 @@ def test_shorter_wrap_direction_wins():
     src = NodeId(0, 0, 0, 0)  # the west-port owner itself
     dst = NodeId(0, 2, 0, 0)
     assert next_hop(topo, src, dst) == PortKind.EXTERNAL
-    assert topo.peer_of(src, PortKind.EXTERNAL)[0].gcc == 2
+    assert topo.ports[src][PortKind.EXTERNAL].other_end(src)[0].gcc == 2
 
 
 def test_column_tie_breaks_east():
@@ -186,7 +186,7 @@ def test_never_selects_ingress_port():
                 if out_port is None:
                     break
                 assert out_port != ingress
-                cur, ingress = topo.peer_of(cur, out_port)
+                cur, ingress = topo.ports[cur][out_port].other_end(cur)
 
 
 def test_tile_plus_two_path_is_four_hops_each_way():
@@ -254,19 +254,19 @@ def test_redundant_link_state_keeps_the_epoch_and_the_tables(next_hop_calls):
     topo = net.topology
     node, dst = net.nodes[NodeId(0, 0, 0, 0)], NodeId(1, 1, 1, 1)
     link = topo.links[0]
-    epoch = topo.link_epoch.value
+    epoch = topo.link_epoch
     node.egress_port(dst, None)
     link.set_state(True, 5)
-    assert topo.link_epoch.value == epoch and link.up_since == 0
+    assert topo.link_epoch == epoch and link.up_since == 0
     node.egress_port(dst, None)
     assert len(next_hop_calls) == 1
 
     link.set_state(False, 10)
     link.set_state(False, 20)
-    assert topo.link_epoch.value == epoch + 1
+    assert topo.link_epoch == epoch + 1
     link.set_state(True, 30)
     link.set_state(True, 40)
-    assert topo.link_epoch.value == epoch + 2 and link.up_since == 30
+    assert topo.link_epoch == epoch + 2 and link.up_since == 30
     node.egress_port(dst, None)
     assert len(next_hop_calls) == 2
 
@@ -278,7 +278,7 @@ def test_link_state_of_another_topology_keeps_the_tables(next_hop_calls):
     node.egress_port(dst, None)
     for link in other.links:
         link.set_state(False, 0)
-    assert topo.link_epoch.value == 0
+    assert topo.link_epoch == 0
     node.egress_port(dst, None)
     assert len(next_hop_calls) == 1
     topo.links[0].set_state(False, 0)

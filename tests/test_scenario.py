@@ -178,21 +178,20 @@ def test_digest_is_stable_and_seed_sensitive():
 
 
 def test_drift_forms():
-    from tasnic.engine import RngStreams
     sc = parse_scenario(minimal_doc(ptp={"drift_ppm": 4.5}))
     topo = sc.build_fabric()
-    drift = sc.resolve_drift(topo, RngStreams(0))
+    drift = sc.resolve_drift(topo)
     assert all(v == 4.5 for v in drift.values())
 
     sc = parse_scenario(minimal_doc(ptp={"drift_ppm": {"seeded_max_ppm": 10}}))
-    d1 = sc.resolve_drift(topo, RngStreams(1))
-    d2 = sc.resolve_drift(topo, RngStreams(1))
+    d1 = sc.resolve_drift(topo)
+    d2 = sc.resolve_drift(topo)
     assert d1 == d2
     assert all(abs(v) <= 10 for v in d1.values())
 
     sc = parse_scenario(minimal_doc(
         ptp={"drift_ppm": {"default": 1.0, "0.0.0.1": -3.0}}))
-    d = sc.resolve_drift(topo, RngStreams(0))
+    d = sc.resolve_drift(topo)
     assert d[NodeId(0, 0, 0, 1)] == -3.0
     assert d[NodeId(0, 0, 0, 0)] == 1.0
 

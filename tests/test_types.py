@@ -4,9 +4,10 @@ Values are NamedTuples and state is plain ``__slots__`` classes, so
 importing the package generates no code: nothing under ``src/tasnic``
 uses ``dataclasses``, and the CLI's import pulls in neither it, ``inspect``
 nor the process pool that only ``sweep --jobs`` uses.  A constructor (an
-``__init__`` or a NamedTuple's fields) takes only what some caller passes,
-and a default only where some call leaves it out.  No state is write-only:
-each attribute stored on ``self`` is read somewhere.
+``__init__`` or a NamedTuple's fields) and each uniquely named function or
+method takes only what some caller passes, and a default only where some
+call leaves it out.  No state is write-only: each attribute stored on
+``self`` is read somewhere.
 """
 
 import ast
@@ -104,39 +105,83 @@ def test_state_classes_never_share_containers():
     assert not q2.frames
 
 
-def _constructors() -> dict[str, tuple[list[str], set[str]]]:
-    """Class name -> (``__init__`` parameters after self, or a NamedTuple's fields;
-    those with a default)."""
-    found: dict[str, tuple[list[str], set[str]]] = {}
-    for path in sorted((SRC / "tasnic").glob("*.py")):
-        for cls in ast.walk(ast.parse(path.read_text())):
-            if not isinstance(cls, ast.ClassDef):
-                continue
-            if any(getattr(base, "id", None) == "NamedTuple" for base in cls.bases):
-                fields = [st for st in cls.body
-                          if isinstance(st, ast.AnnAssign) and isinstance(st.target, ast.Name)]
-                assert cls.name not in found, f"two classes named {cls.name}"
-                found[cls.name] = ([st.target.id for st in fields],
-                                   {st.target.id for st in fields if st.value is not None})
-                continue
-            for fn in cls.body:
-                if isinstance(fn, ast.FunctionDef) and fn.name == "__init__":
-                    args = fn.args
-                    positional = [a.arg for a in args.posonlyargs + args.args][1:]
-                    defaulted = set(positional[len(positional) - len(args.defaults):]
-                                    if args.defaults else ())
-                    defaulted |= {a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults)
-                                  if d is not None}
-                    assert cls.name not in found, f"two classes named {cls.name}"
-                    found[cls.name] = (positional + [a.arg for a in args.kwonlyargs],
-                                       defaulted)
-    return found
+Signature = tuple[list[str], set[str], int]  # parameters, those with a default, positional count
 
 
-def _passed_at_each_call(constructors) -> dict[str, list[set[str]]]:
-    """Class name -> the parameters each ``Name(...)`` or ``x.Name(...)`` call passes;
+def _parameters(fn: ast.FunctionDef, skip_first: bool) -> Signature:
+    """A def's parameters (after self or cls when ``skip_first``)."""
+    args = fn.args
+    positional = [a.arg for a in args.posonlyargs + args.args][1 if skip_first else 0:]
+    defaulted = set(positional[len(positional) - len(args.defaults):] if args.defaults else ())
+    defaulted |= {a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None}
+    return positional + [a.arg for a in args.kwonlyargs], defaulted, len(positional)
+
+
+def _decorators(fn: ast.FunctionDef) -> set[str]:
+    return {getattr(d, "id", None) for d in fn.decorator_list}
+
+
+def _passed_as_values(tree: ast.AST) -> tuple[set[str], set[str]]:
+    """The attribute names and the bare names that ``tree`` passes as a call
+    argument or assigns: how a callback reaches the code that calls it."""
+    attrs: set[str] = set()
+    names: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            values = node.args + [kw.value for kw in node.keywords]
+        elif isinstance(node, ast.Assign):
+            values = [node.value]
+        else:
+            continue
+        attrs.update(v.attr for v in values if isinstance(v, ast.Attribute))
+        names.update(v.id for v in values if isinstance(v, ast.Name))
+    return attrs, names
+
+
+def _signatures() -> dict[str, Signature]:
+    """Callable name -> its ``Signature``, for each class
+    (its ``__init__`` after self, or a NamedTuple's fields) and each uniquely
+    named function or method (after self or cls) in the package.
+
+    Left out: dunder methods, which Python calls; properties, which nobody
+    calls; and callbacks, which the package passes on as values, so that
+    their calls are out of sight."""
+    classes: dict[str, Signature] = {}
+    functions: dict[str, list[Signature]] = {}
+    callbacks: set[str] = set()
+    trees = [ast.parse(path.read_text()) for path in sorted((SRC / "tasnic").glob("*.py"))]
+    attrs, names = _passed_as_values(ast.Module(body=trees, type_ignores=[]))
+    for tree in trees:
+        methods = {id(fn) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                   for fn in cls.body if isinstance(fn, ast.FunctionDef)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                if any(getattr(base, "id", None) == "NamedTuple" for base in node.bases):
+                    fields = [st for st in node.body
+                              if isinstance(st, ast.AnnAssign) and isinstance(st.target, ast.Name)]
+                    assert node.name not in classes, f"two classes named {node.name}"
+                    classes[node.name] = ([st.target.id for st in fields],
+                                          {st.target.id for st in fields if st.value is not None},
+                                          len(fields))
+                for fn in node.body:
+                    if isinstance(fn, ast.FunctionDef) and fn.name == "__init__":
+                        assert node.name not in classes, f"two classes named {node.name}"
+                        classes[node.name] = _parameters(fn, True)
+            elif (isinstance(node, ast.FunctionDef) and not node.name.startswith("__")
+                  and "property" not in _decorators(node)):
+                is_method = id(node) in methods and "staticmethod" not in _decorators(node)
+                functions.setdefault(node.name, []).append(_parameters(node, is_method))
+                if node.name in (attrs if id(node) in methods else names):
+                    callbacks.add(node.name)
+    unique = {name: defs[0] for name, defs in functions.items()
+              if len(defs) == 1 and name not in classes and name not in callbacks}
+    return {**classes, **unique}
+
+
+def _passed_at_each_call(signatures) -> dict[str, list[set[str]]]:
+    """Callable name -> the parameters each ``Name(...)`` or ``x.Name(...)`` call passes;
     an unpacked ``*args`` or ``**kwargs`` counts as passing every parameter it can reach."""
-    calls: dict[str, list[set[str]]] = {name: [] for name in constructors}
+    calls: dict[str, list[set[str]]] = {name: [] for name in signatures}
     for tree in CALLER_TREES:
         for path in sorted((ROOT / tree).rglob("*.py")):
             for call in ast.walk(ast.parse(path.read_text())):
@@ -146,13 +191,14 @@ def _passed_at_each_call(constructors) -> dict[str, list[set[str]]]:
                 name = getattr(func, "id", None) or getattr(func, "attr", None)
                 if name not in calls:
                     continue
-                params = constructors[name][0]
+                params, _, n_positional = signatures[name]
+                positional = params[:n_positional]  # the rest only by keyword
                 passed: set[str] = set()
                 for i, arg in enumerate(call.args):
                     if isinstance(arg, ast.Starred):
-                        passed.update(params[i:])
+                        passed.update(positional[i:])
                         break
-                    passed.update(params[i:i + 1])
+                    passed.update(positional[i:i + 1])
                 for kw in call.keywords:
                     passed.update(params if kw.arg is None else (kw.arg,))
                 calls[name].append(passed)
@@ -160,17 +206,17 @@ def _passed_at_each_call(constructors) -> dict[str, list[set[str]]]:
 
 
 def test_every_constructor_parameter_is_passed_by_some_call():
-    constructors = _constructors()
-    calls = _passed_at_each_call(constructors)
-    unpassed = [f"{name}.{param}" for name, (params, _) in constructors.items()
+    signatures = _signatures()
+    calls = _passed_at_each_call(signatures)
+    unpassed = [f"{name}.{param}" for name, (params, _, _) in signatures.items()
                 for param in params if not any(param in passed for passed in calls[name])]
     assert unpassed == []
 
 
 def test_every_constructor_default_is_left_out_by_some_call():
-    constructors = _constructors()
-    calls = _passed_at_each_call(constructors)
-    always_passed = [f"{name}.{param}" for name, (_, defaulted) in constructors.items()
+    signatures = _signatures()
+    calls = _passed_at_each_call(signatures)
+    always_passed = [f"{name}.{param}" for name, (_, defaulted, _) in signatures.items()
                      for param in sorted(defaulted)
                      if calls[name] and all(param in passed for passed in calls[name])]
     assert always_passed == []
