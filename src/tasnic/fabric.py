@@ -115,8 +115,7 @@ def format_mac(mac: bytes) -> str:
 class Link:
     """Full-duplex point-to-point segment between two data ports."""
 
-    __slots__ = ("a", "b", "rate_bps", "prop_delay_ns", "up", "up_since", "drops",
-                 "tx_frames", "topology")
+    __slots__ = ("a", "b", "rate_bps", "prop_delay_ns", "up", "up_since", "drops", "topology")
 
     def __init__(self, a: tuple[NodeId, PortKind], b: tuple[NodeId, PortKind],
                  rate_bps: int, prop_delay_ns: int, topology: "Topology"):
@@ -127,7 +126,6 @@ class Link:
         self.up = True
         self.up_since: SimTime = 0  # last down-to-up change; consulted for in-flight drops
         self.drops = 0
-        self.tx_frames = 0
         self.topology = topology  # whose link_epoch a state change moves
 
     def other_end(self, node_id: NodeId) -> tuple[NodeId, PortKind]:

@@ -15,11 +15,11 @@ from pathlib import Path
 
 from .engine import TICKS_PER_MS
 from .fabric import NodeId, encode_id
-from .frame import Frame, wire_bytes
+from .frame import wire_bytes
 from .metrics import CSV_HEADER, FlowRecorder, csv_row
 from .node import Network
-from .runtime import FRAGMENT_HEADER_BYTES, Message
-from .scenario import Scenario
+from .runtime import FRAGMENT_HEADER_BYTES
+from .scenario import FlowSpec, Scenario
 
 BACKLOG_OUTSTANDING = 16
 _PATTERN = bytes(range(256)) * 8  # shared payload content for generated traffic
@@ -30,29 +30,25 @@ def _payload(size: int) -> bytes:
     return (_PATTERN * reps)[:size]
 
 
-class _FlowGen:
-    __slots__ = ("network", "flow_id", "src", "dst_encoded", "pcp", "stop_ns", "payload",
-                 "backlogged", "rate_bps", "emitted", "active", "_t0")
+class _Flow(FlowRecorder):
+    """One flow of a run: the source of its traffic and the recorder of its
+    frames, which ``Network`` tells of each frame event.
 
-    def __init__(self, network: Network, flow_id: int, src: NodeId, dst_encoded: int,
-                 pcp: int, stop_ns: int, payload: bytes, backlogged: bool,
-                 rate_bps: int | None):
-        self.network = network
-        self.flow_id = flow_id
-        self.src = src
-        self.dst_encoded = dst_encoded
-        self.pcp = pcp
-        self.stop_ns = stop_ns
-        self.payload = payload
-        self.backlogged = backlogged
-        self.rate_bps = rate_bps
-        self.emitted = 0
-        self.active = False
-        self._t0 = 0
+    Each message is one frame (``frame_payload_bytes <= MAX_CHUNK``), so
+    ``offered_frames`` counts the messages sent."""
+
+    __slots__ = ("sim", "runtime", "dst_encoded", "payload", "backlogged", "rate_bps")
+
+    def __init__(self, network: Network, flow_id: int, spec: FlowSpec, stop_ns: int):
+        super().__init__(flow_id, str(spec.src), str(spec.dst), spec.pcp, spec.start, stop_ns)
+        self.sim = network.sim
+        self.runtime = network.nodes[spec.src].runtime
+        self.dst_encoded = encode_id(spec.dst)
+        self.payload = _payload(spec.frame_payload_bytes)
+        self.backlogged = spec.backlogged
+        self.rate_bps = spec.offered_rate_bps
 
     def begin(self) -> None:
-        self.active = True
-        self._t0 = self.network.sim.now
         if self.backlogged:
             for _ in range(BACKLOG_OUTSTANDING):
                 self._send_one()
@@ -60,51 +56,20 @@ class _FlowGen:
             self._emit_paced()
 
     def _send_one(self) -> None:
-        if self.network.sim.now >= self.stop_ns:
-            self.active = False
-            return
-        runtime = self.network.nodes[self.src].runtime
-        runtime.send_msg(self.payload, self.dst_encoded, self.pcp, flow_id=self.flow_id)
-        self.emitted += 1
+        if self.sim.now < self.stop_ns:
+            self.runtime.send_msg(self.payload, self.dst_encoded, self.pcp, flow_id=self.flow_id)
 
     def on_dequeued(self) -> None:
-        if self.active and self.backlogged:
+        """A frame of the flow left its origin: a backlogged flow sends the next."""
+        if self.backlogged:
             self._send_one()
 
     def _emit_paced(self) -> None:
-        if self.network.sim.now >= self.stop_ns:
-            self.active = False
-            return
         self._send_one()
         wire_bits = wire_bytes(FRAGMENT_HEADER_BYTES + len(self.payload)) * 8
-        next_t = self._t0 + (self.emitted * wire_bits * 1_000_000_000) // self.rate_bps
+        next_t = self.start_ns + (self.offered_frames * wire_bits * 1_000_000_000) // self.rate_bps
         if next_t < self.stop_ns:
-            self.network.sim.at(next_t, self._emit_paced, label=f"flowgen:{self.flow_id}")
-
-
-class _FlowTap:
-    """``Network.flows`` of a run: sends each call to the frame's flow."""
-
-    def __init__(self, recorders: list[FlowRecorder], gens: list[_FlowGen]):
-        self.recorders = recorders
-        self.gens = gens
-
-    def offered(self, frame: Frame) -> None:
-        self.recorders[frame.meta.flow_id].on_offered()
-
-    def dequeued(self, frame: Frame) -> None:
-        self.gens[frame.meta.flow_id].on_dequeued()
-
-    def dropped(self, frame: Frame, cause: str) -> None:
-        self.recorders[frame.meta.flow_id].on_drop(cause)
-
-    def delivered(self, frame: Frame) -> None:
-        self.recorders[frame.meta.flow_id].on_frame_delivered()
-
-    def message(self, msg: Message) -> None:
-        """Runtime message sink: a reassembled message of a flow."""
-        if msg.flow_id is not None:
-            self.recorders[msg.flow_id].on_message(msg)
+            self.sim.at(next_t, self._emit_paced, label=f"flowgen:{self.flow_id}")
 
 
 class PtpSlaveReport:
@@ -144,7 +109,7 @@ class RunResult:
             links.append({
                 "a": f"{link.a[0]}:{link.a[1].value}",
                 "b": f"{link.b[0]}:{link.b[1].value}",
-                "tx_frames": link.tx_frames,
+                "tx_frames": sum(net.nodes[n].ports[k].tx_frames for n, k in (link.a, link.b)),
                 "drops": link.drops,
             })
         ptp = {"enabled": net.ptp is not None}
@@ -183,22 +148,12 @@ def run_scenario(scenario: Scenario) -> RunResult:
     net = build_network(scenario)
     sim = net.sim
 
-    recorders: list[FlowRecorder] = []
-    gens: list[_FlowGen] = []
-    for i, f in enumerate(scenario.flows):
-        stop = f.stop if f.stop is not None else scenario.duration_ns
-        rec = FlowRecorder(i, str(f.src), str(f.dst), f.pcp, f.start, stop)
-        recorders.append(rec)
-        gen = _FlowGen(net, i, f.src, encode_id(f.dst), f.pcp, stop,
-                       _payload(f.frame_payload_bytes), f.backlogged,
-                       f.offered_rate_bps)
-        gens.append(gen)
-        sim.at(f.start, gen.begin, label=f"flowstart:{i}")
-
-    tap = _FlowTap(recorders, gens)
-    net.flows = tap
+    net.flows = [_Flow(net, i, f, f.stop if f.stop is not None else scenario.duration_ns)
+                 for i, f in enumerate(scenario.flows)]
+    for flow in net.flows:
+        sim.at(flow.start_ns, flow.begin, label=f"flowstart:{flow.flow_id}")
     for node in net.nodes.values():
-        node.runtime.message_sink = tap.message
+        node.runtime.message_sink = net.flow_message
 
     for node_id, cfg in scenario.schedules:
         net.nodes[node_id].runtime.set_conf(cfg)
@@ -226,7 +181,7 @@ def run_scenario(scenario: Scenario) -> RunResult:
 
     net.start()
     stats = sim.run_until(scenario.duration_ns)
-    return RunResult(scenario, net, recorders, ptp_offsets, stats.events_processed)
+    return RunResult(scenario, net, net.flows, ptp_offsets, stats.events_processed)
 
 
 def emit_report(result: RunResult, fmt: str, out_dir: str | Path) -> list[Path]:

@@ -476,11 +476,10 @@ class NicPort:
         if self.trace is not None:
             self.trace.append(TxRecord(now, tx_local, q.index, wire, ser, meta.flow_id))
         self.tx_frames += 1
-        self.link.tx_frames += 1
         self.busy_until = end = now + ser
         self.sim.at(end, self.kick, self._txdone_label)
         self.network.schedule_delivery(self, frame, now, end)
-        if meta.hops == 1:  # the flow observer hears a frame's first transmission only
+        if meta.hops == 1:  # a frame's flow hears of its first transmission only
             self.network.frame_dequeued(frame)
 
     def arrive(self) -> None:

@@ -8,13 +8,15 @@ whole path; routing reads ``FrameMeta.final_dst``.
 Each Node keeps a route table: the egress port per ``(final_dst, ingress)``,
 filled from ``next_hop`` on a miss and dropped when the topology's link
 epoch has moved since it was filled.
-The Network is built from a parsed Scenario alone and owns the shared
-pieces: the event engine, the topology and its link state, the sync
-service, frame delivery across links, and global offered/delivered/drop
-accounting.  Frames are observed in one way: the
-optional flow observer ``Network.flows`` gets ``offered``, ``dequeued``
-(the start of the frame's first transmission, at its origin), ``dropped``
-(with the cause) and ``delivered`` for each frame that carries a flow id.
+The Network is built from a parsed Scenario, which has already been
+validated, and owns the shared pieces: the event engine, the topology and
+its link state, the sync service, frame delivery across links, and global
+offered/delivered/drop accounting.  Frames are observed in one way: a frame
+that carries a flow id is counted at its flow, ``Network.flows[flow_id]``
+(empty unless a run fills it), through ``on_offered``, ``on_dequeued`` (the
+start of the frame's first transmission, at its origin), ``on_drop`` (with
+the cause) and ``on_frame_delivered``; ``Network.flow_message`` hands the
+flow its reassembled messages.
 """
 
 from __future__ import annotations
@@ -34,11 +36,12 @@ from .fabric import (
 from .frame import ETHERTYPE_PTP, ETHERTYPE_RUNTIME, MAX_WIRE_BYTES, Frame, FrameMeta, pad_payload
 from .nic import NicPort, TokenBucket
 from .ptp import PTP_PCP, PtpService
-from .qdisc import PriorityMap, classify, validate_map
+from .qdisc import PriorityMap, classify
 from .routing import next_hop
-from .runtime import NodeRuntime
+from .runtime import Message, NodeRuntime
 
 if TYPE_CHECKING:
+    from .harness import _Flow
     from .scenario import Scenario
 
 ROUTE_TRACE_CAP = 10_000  # route records a traced run keeps for routes.jsonl
@@ -84,6 +87,7 @@ class Node:
         """Route and enqueue a locally-originated frame."""
         if frame.meta.final_dst == self.node_id:
             # loopback: no wire involved, just the host processing delay
+            self.network.count_frame_delivered(frame)
             self.sim.at(self.sim.now + self.network.host.processing_delay_ns,
                         lambda: self.runtime.on_frame(frame), label=self.loopback_label)
             return
@@ -167,10 +171,6 @@ class Network:
         self.host = scenario.host
         self.trace = scenario.trace  # record each port's transmissions and each frame's route
         nic = scenario.nic
-        map_errors = validate_map(scenario.priority_map, nic.num_tx_queues, nic.time_aware_queues)
-        if map_errors:
-            raise ValueError("invalid priority map: " + "; ".join(map_errors))
-
         drift_by_node = scenario.resolve_drift(topology)
         self.nodes: dict[NodeId, Node] = {}
         for node_id in topology.nodes:
@@ -199,11 +199,9 @@ class Network:
             gm = scenario.ptp.grandmaster
             if gm is None:
                 gm = min(topology.nodes)
-            if not topology.has_node(gm):
-                raise ValueError(f"grandmaster {gm} is not a populated node")
             self.ptp = PtpService(self, gm, scenario.ptp.interval_ms)
 
-        self.flows = None  # the flow observer (module docstring), if any
+        self.flows: list[_Flow] = []  # the run's flows by flow id (module docstring)
         self.frames_offered = 0
         self.frames_delivered = 0
         self.drops_by_cause: dict[str, int] = {}
@@ -246,27 +244,33 @@ class Network:
 
     # -- accounting -------------------------------------------------------------
 
-    def _observed(self, frame: Frame) -> bool:
-        return self.flows is not None and frame.meta.flow_id is not None
-
     def count_offered(self, frame: Frame) -> None:
         self.frames_offered += 1
-        if self._observed(frame):
-            self.flows.offered(frame)
+        flow_id = frame.meta.flow_id
+        if flow_id is not None and self.flows:
+            self.flows[flow_id].on_offered()
 
     def frame_dequeued(self, frame: Frame) -> None:
-        if self._observed(frame):
-            self.flows.dequeued(frame)
+        flow_id = frame.meta.flow_id
+        if flow_id is not None and self.flows:
+            self.flows[flow_id].on_dequeued()
 
     def count_drop(self, frame: Frame, cause: str) -> None:
         self.drops_by_cause[cause] = self.drops_by_cause.get(cause, 0) + 1
-        if self._observed(frame):
-            self.flows.dropped(frame, cause)
+        flow_id = frame.meta.flow_id
+        if flow_id is not None and self.flows:
+            self.flows[flow_id].on_drop(cause)
 
     def count_frame_delivered(self, frame: Frame) -> None:
         self.frames_delivered += 1
-        if self._observed(frame):
-            self.flows.delivered(frame)
+        flow_id = frame.meta.flow_id
+        if flow_id is not None and self.flows:
+            self.flows[flow_id].on_frame_delivered()
+
+    def flow_message(self, msg: Message) -> None:
+        """Runtime message sink of a run: a reassembled message of a flow."""
+        if msg.flow_id is not None:
+            self.flows[msg.flow_id].on_message(msg)
 
     def record_route(self, frame: Frame) -> None:
         if len(self.route_traces) >= ROUTE_TRACE_CAP:

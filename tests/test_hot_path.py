@@ -50,10 +50,15 @@ def _calls_of(entries, code):
     return sum(entry.callcount for entry in entries if entry.code is code)
 
 
+def _hops(net):
+    """Frame-hops: transmissions started by every port of the run."""
+    return sum(p.tx_frames for node in net.nodes.values() for p in node.ports.values())
+
+
 def test_round_robin_hop_does_no_avoidable_python_calls():
     result, stats, _ = _profile()
     net = result.network
-    hops = sum(link.tx_frames for link in net.topology.links)
+    hops = _hops(net)
     assert hops > 500
     # identity: NodeId is a tuple and PortKind hashes by identity, so no
     # Python-level __eq__ or __hash__ (Enum.__hash__ included) runs
@@ -70,10 +75,13 @@ def test_round_robin_hop_does_no_avoidable_python_calls():
 
 
 def test_round_robin_hop_stays_within_its_call_budget():
-    result, stats, _ = _profile()
-    hops = sum(link.tx_frames for link in result.network.topology.links)
-    # 45.0 calls per hop before an idle port sent an arriving frame itself
-    assert sum(entry[1] for entry in stats.values()) <= 31 * hops
+    result, stats, entries = _profile()
+    hops = _hops(result.network)
+    # counted per code object: pstats keys functions by (file, line, name)
+    # and so merges every NamedTuple __new__ into one entry; 45.0 calls per
+    # hop before an idle port sent an arriving frame itself, 29.4 before each
+    # frame event reached its flow in one call
+    assert sum(entry.callcount for entry in entries) <= 29 * hops
     # an idle port sends the frame it is given; a busy one leaves it to txdone
     assert _calls_from(stats, "kick", "enqueue") == 0
     # every consume follows a ready_time at the same instant: nothing to refill
