@@ -37,7 +37,8 @@ class _Flow(FlowRecorder):
     Each message is one frame (``frame_payload_bytes <= MAX_CHUNK``), so
     ``offered_frames`` counts the messages sent."""
 
-    __slots__ = ("sim", "runtime", "dst_encoded", "payload", "backlogged", "rate_bps")
+    __slots__ = ("sim", "runtime", "dst_encoded", "payload", "backlogged", "rate_bps",
+                 "wire_bits", "flowgen_label")
 
     def __init__(self, network: Network, flow_id: int, spec: FlowSpec, stop_ns: int):
         super().__init__(flow_id, str(spec.src), str(spec.dst), spec.pcp, spec.start, stop_ns)
@@ -47,6 +48,8 @@ class _Flow(FlowRecorder):
         self.payload = _payload(spec.frame_payload_bytes)
         self.backlogged = spec.backlogged
         self.rate_bps = spec.offered_rate_bps
+        self.wire_bits = wire_bytes(FRAGMENT_HEADER_BYTES + len(self.payload)) * 8
+        self.flowgen_label = f"flowgen:{flow_id}"
 
     def begin(self) -> None:
         if self.backlogged:
@@ -66,10 +69,10 @@ class _Flow(FlowRecorder):
 
     def _emit_paced(self) -> None:
         self._send_one()
-        wire_bits = wire_bytes(FRAGMENT_HEADER_BYTES + len(self.payload)) * 8
-        next_t = self.start_ns + (self.offered_frames * wire_bits * 1_000_000_000) // self.rate_bps
+        next_t = (self.start_ns
+                  + (self.offered_frames * self.wire_bits * 1_000_000_000) // self.rate_bps)
         if next_t < self.stop_ns:
-            self.sim.at(next_t, self._emit_paced, label=f"flowgen:{self.flow_id}")
+            self.sim.at(next_t, self._emit_paced, label=self.flowgen_label)
 
 
 class PtpSlaveReport:

@@ -10,6 +10,9 @@ nearest-rank method on integer nanoseconds.
 from __future__ import annotations
 
 import math
+from array import array
+from collections.abc import Iterator
+from itertools import islice
 
 from .runtime import Message
 
@@ -24,6 +27,8 @@ def percentile(sorted_values: list[int], q: float) -> int:
 
 
 class DeliveredMessage:
+    """One delivered message of a flow, built from the flow's arrays when read."""
+
     __slots__ = ("send_true_ns", "deliver_true_ns", "latency_ns", "hops")
 
     def __init__(self, send_true_ns: int, deliver_true_ns: int, latency_ns: int, hops: int):
@@ -33,9 +38,31 @@ class DeliveredMessage:
         self.hops = hops
 
 
+class MessageView:
+    """Read-only view of a flow's delivered messages, in arrival order."""
+
+    __slots__ = ("_recorder",)
+
+    def __init__(self, recorder: FlowRecorder):
+        self._recorder = recorder
+
+    def __len__(self) -> int:
+        return len(self._recorder.latency_ns)
+
+    def __iter__(self) -> Iterator[DeliveredMessage]:
+        r = self._recorder
+        return (DeliveredMessage(s, d, lat, h) for s, d, lat, h in
+                zip(r.send_true_ns, r.deliver_true_ns, r.latency_ns, r.hops))
+
+
 class FlowRecorder:
+    """A flow's counters, and its delivered messages as four parallel arrays
+    in arrival order: 25 bytes per message (hops fit a byte, since they never
+    exceed ``routing.DEFAULT_TTL``)."""
+
     __slots__ = ("flow_id", "src", "dst", "pcp", "start_ns", "stop_ns", "offered_frames",
-                 "delivered_frames", "bytes_delivered", "drops", "messages")
+                 "delivered_frames", "bytes_delivered", "drops", "send_true_ns",
+                 "deliver_true_ns", "latency_ns", "hops")
 
     def __init__(self, flow_id: int, src: str, dst: str, pcp: int, start_ns: int,
                  stop_ns: int):
@@ -49,7 +76,14 @@ class FlowRecorder:
         self.delivered_frames = 0
         self.bytes_delivered = 0
         self.drops: dict[str, int] = {}
-        self.messages: list[DeliveredMessage] = []
+        self.send_true_ns = array("q")
+        self.deliver_true_ns = array("q")
+        self.latency_ns = array("q")
+        self.hops = array("B")
+
+    @property
+    def messages(self) -> MessageView:
+        return MessageView(self)
 
     def on_offered(self) -> None:
         self.offered_frames += 1
@@ -61,13 +95,10 @@ class FlowRecorder:
         self.drops[cause] = self.drops.get(cause, 0) + 1
 
     def on_message(self, msg: Message) -> None:
-        latency = msg.deliver_local_ts - msg.send_local_ts
-        self.messages.append(DeliveredMessage(
-            send_true_ns=msg.send_true_ns,
-            deliver_true_ns=msg.deliver_true_ns,
-            latency_ns=latency,
-            hops=msg.hops,
-        ))
+        self.send_true_ns.append(msg.send_true_ns)
+        self.deliver_true_ns.append(msg.deliver_true_ns)
+        self.latency_ns.append(msg.deliver_local_ts - msg.send_local_ts)
+        self.hops.append(msg.hops)
         self.bytes_delivered += len(msg.data)
 
     # -- summaries ------------------------------------------------------
@@ -80,15 +111,11 @@ class FlowRecorder:
     def in_flight_frames(self) -> int:
         return self.offered_frames - self.delivered_frames - self.dropped_frames
 
-    def latencies(self) -> list[int]:
-        return [m.latency_ns for m in self.messages]
-
     def jitter_ns(self) -> float:
-        lats = self.latencies()
+        lats = self.latency_ns
         if len(lats) < 2:
             return 0.0
-        diffs = [abs(b - a) for a, b in zip(lats, lats[1:])]
-        return sum(diffs) / len(diffs)
+        return sum(abs(b - a) for a, b in zip(lats, islice(lats, 1, None))) / (len(lats) - 1)
 
     def goodput_bps(self) -> float:
         window = self.stop_ns - self.start_ns
@@ -97,7 +124,7 @@ class FlowRecorder:
         return self.bytes_delivered * 8 * 1e9 / window
 
     def summary(self) -> dict:
-        lats = sorted(self.latencies())
+        lats = sorted(self.latency_ns)
         n = len(lats)
         return {
             "flow_id": self.flow_id,
@@ -108,7 +135,7 @@ class FlowRecorder:
             "delivered_frames": self.delivered_frames,
             "dropped_frames": self.dropped_frames,
             "in_flight_frames": self.in_flight_frames,
-            "delivered_messages": len(self.messages),
+            "delivered_messages": n,
             "bytes_delivered": self.bytes_delivered,
             "goodput_bps": round(self.goodput_bps(), 3),
             "latency_ns": {
@@ -118,8 +145,8 @@ class FlowRecorder:
             },
             "jitter_ns": round(self.jitter_ns(), 3),
             "hops": {
-                "min": min((m.hops for m in self.messages), default=0),
-                "max": max((m.hops for m in self.messages), default=0),
+                "min": min(self.hops, default=0),
+                "max": max(self.hops, default=0),
             },
             "drops": dict(sorted(self.drops.items())),
         }

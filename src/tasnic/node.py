@@ -87,6 +87,8 @@ class Node:
         """Route and enqueue a locally-originated frame."""
         if frame.meta.final_dst == self.node_id:
             # loopback: no wire involved, just the host processing delay
+            self.counters.rx_frames += 1
+            self.counters.delivered_local += 1
             self.network.count_frame_delivered(frame)
             self.sim.at(self.sim.now + self.network.host.processing_delay_ns,
                         lambda: self.runtime.on_frame(frame), label=self.loopback_label)

@@ -109,6 +109,11 @@ def test_one_frame_message_does_no_per_message_setup():
         assert _calls_of(entries, code) == 0, code.co_name
     # no reassembly deadline is scheduled for a message that fits one frame
     assert _calls_from(stats, "at", "on_frame") == 0
+    # a flow records a delivered message by appending to its arrays: no
+    # record object is built
+    assert _calls(stats, "on_message", "metrics.py") > 100
+    for name in ("__init__", "__new__"):
+        assert _calls_from(stats, name, "on_message") == 0, name
 
 
 def test_tx_queues_are_created_by_their_first_enqueue():

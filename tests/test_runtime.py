@@ -242,6 +242,10 @@ def test_loopback_message_to_self():
         # each fragment is delivered once, with no wire in between
         assert net.frames_offered == net.frames_delivered == -(-size // MAX_CHUNK)
         assert net.drops_by_cause == {}
+        # and counted at the node as at the network
+        counters = net.nodes[A].counters
+        assert net.frames_delivered == counters.rx_frames == counters.delivered_local
+        assert net.frames_delivered == sum(n.counters.delivered_local for n in net.nodes.values())
 
 
 def test_set_conf_round_trips_through_registers():

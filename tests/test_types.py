@@ -89,9 +89,11 @@ def test_value_types_compare_and_hash_by_field_and_refuse_assignment(cls, args):
 
 def test_state_classes_never_share_containers():
     one, two = FlowRecorder(0, "a", "b", 0, 0, 1), FlowRecorder(1, "a", "b", 0, 0, 1)
-    assert one.drops is not two.drops and one.messages is not two.messages
+    for name in ("drops", "send_true_ns", "deliver_true_ns", "latency_ns", "hops"):
+        assert getattr(one, name) is not getattr(two, name), name
     one.on_drop("crc")
-    assert two.drops == {}
+    one.hops.append(1)
+    assert two.drops == {} and len(two.hops) == 0
 
     s1, s2 = Scenario(), Scenario()
     for name in ("schedules", "faults", "flows"):
