@@ -27,9 +27,11 @@ class SchedulingError(Exception):
 class EventHandle(list):
     """A scheduled event, its own heap entry and its cancellation token.
 
-    The entry is the list ``[fire_at, seq, action, label]``.  ``seq`` is
-    unique, so the heap's list comparison never reaches the action.
-    Cancelling sets the action to None; the engine skips such an entry.
+    The entry is the list ``[fire_at, seq, action, label, simulator]``, with
+    no simulator once it fired or was cancelled.  ``seq`` is unique, so the
+    heap's list comparison never reaches the action.  Cancelling sets the
+    action to None; the engine skips such an entry, and the cancelled
+    entries leave the heap once they are more than half of it.
     """
 
     __slots__ = ()
@@ -52,6 +54,15 @@ class EventHandle(list):
 
     def cancel(self) -> None:
         self[2] = None
+        sim = self[4]
+        if sim is not None:  # still queued, and live
+            self[4] = None
+            heap = sim._heap
+            sim._cancelled += 1
+            if sim._cancelled * 2 > len(heap):  # in place: run_until holds the list
+                heap[:] = [entry for entry in heap if entry[2] is not None]
+                heapq.heapify(heap)
+                sim._cancelled = 0
 
 
 class RunStats(NamedTuple):
@@ -72,12 +83,13 @@ class Simulator:
         self.trace_hook = trace_hook
         self._heap: list[EventHandle] = []
         self._seq = 0
+        self._cancelled = 0  # cancelled entries still in the heap
 
     def at(self, when: SimTime, action: Callable[[], None], label: str = "") -> EventHandle:
         """Schedule ``action`` at absolute time ``when`` (>= now)."""
         if when < self.now:
             raise SchedulingError(f"scheduling at t={when} in the past (now={self.now})")
-        handle = EventHandle((when, self._seq, action, label))
+        handle = EventHandle((when, self._seq, action, label, self))
         heapq.heappush(self._heap, handle)
         self._seq += 1
         return handle
@@ -87,9 +99,11 @@ class Simulator:
         time when None); returns False, leaving it queued, when there is none."""
         heap = self._heap
         while heap and (limit is None or heap[0][0] <= limit):
-            fire_at, seq, action, label = heapq.heappop(heap)
+            fire_at, seq, action, label, _ = entry = heapq.heappop(heap)
             if action is None:
+                self._cancelled -= 1
                 continue
+            entry[4] = None
             self.now = fire_at
             self.events_processed += 1
             if self.trace_hook is not None:
@@ -107,9 +121,11 @@ class Simulator:
         pop = heapq.heappop
         hook = self.trace_hook
         while heap and heap[0][0] <= t_end:
-            fire_at, seq, action, label = pop(heap)
+            fire_at, seq, action, label, _ = entry = pop(heap)
             if action is None:
+                self._cancelled -= 1
                 continue
+            entry[4] = None  # fired: a later cancel leaves the count alone
             self.now = fire_at
             self.events_processed += 1
             if hook is not None:

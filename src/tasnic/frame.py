@@ -5,9 +5,9 @@ length and the serialization time.  Other modules take sizes from here.
 
 Wire layout is dst(6) src(6) tpid(2)=0x8100 tci(2) ethertype(2) payload
 (46..1500) fcs(4), so the wire length is 18 + payload + 4 and tops out at
-1522 bytes.  Simulation-only bookkeeping (final destination, TTL, flow tag,
-timestamps) lives in ``FrameMeta`` and occupies no wire bytes; it stands in
-for the L3 headers the fabric's software routing reads.
+1522 bytes.  A ``Frame`` also carries simulation-only bookkeeping (final
+destination, hops, flow tag, timestamps) in no wire bytes, as an ``sk_buff``
+does; it stands in for the L3 headers the fabric's software routing reads.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from __future__ import annotations
 import zlib
 
 from .fabric import NodeId
-from .routing import DEFAULT_TTL
 
 TPID = 0x8100
 ETHERTYPE_RUNTIME = 0x88B5
@@ -58,31 +57,14 @@ class SerializationTicks(dict):
         return ticks
 
 
-class FrameMeta:
-    __slots__ = ("final_dst", "ttl", "local_origin", "flow_id", "msg_id", "frag_index",
+class Frame:
+    __slots__ = ("dst_mac", "src_mac", "pcp", "ethertype", "payload", "fcs", "wire_bytes",
+                 "final_dst", "local_origin", "flow_id", "msg_id", "frag_index",
                  "send_local_ts", "send_true_ns", "hops", "route")
 
-    def __init__(self, final_dst: NodeId | None = None, ttl: int = DEFAULT_TTL,
-                 local_origin: bool = False, hops: int = 0,
-                 route: list[tuple[NodeId, str]] | None = None):
-        self.final_dst = final_dst          # L3-analog destination read by routing
-        self.ttl = ttl
-        self.local_origin = local_origin    # counts against the host injection cap
-        self.flow_id: int | None = None
-        self.msg_id: int | None = None
-        self.frag_index: int | None = None
-        self.send_local_ts: int | None = None  # sender clock at send_msg time
-        self.send_true_ns: int | None = None
-        self.hops = hops
-        self.route = route
-
-
-class Frame:
-    __slots__ = ("dst_mac", "src_mac", "pcp", "ethertype", "payload", "fcs", "meta",
-                 "wire_bytes")
-
     def __init__(self, dst_mac: bytes, src_mac: bytes, pcp: int, ethertype: int,
-                 payload: bytes, meta: FrameMeta | None = None):
+                 payload: bytes, final_dst: NodeId | None = None, local_origin: bool = False,
+                 route: list[tuple[NodeId, str]] | None = None):
         if not 0 <= pcp <= 7:
             raise ValueError(f"pcp {pcp} out of range")
         if not MIN_PAYLOAD <= len(payload) <= MAX_PAYLOAD:
@@ -93,22 +75,31 @@ class Frame:
         self.ethertype = ethertype
         self.payload = payload
         self.fcs: int | None = None
-        self.meta = FrameMeta() if meta is None else meta
         # a payload rewritten in flight keeps its length
         self.wire_bytes = HEADER_BYTES + len(payload) + FCS_BYTES
+        self.final_dst = final_dst          # L3-analog destination read by routing
+        self.local_origin = local_origin    # counts against the host injection cap
+        self.flow_id: int | None = None
+        self.msg_id: int | None = None
+        self.frag_index: int | None = None
+        self.send_local_ts: int | None = None  # sender clock at send_msg time
+        self.send_true_ns: int | None = None
+        self.hops = 0  # links taken, the one in flight included: the TTL count
+        self.route = route
 
-    def tci(self) -> int:
-        """802.1Q tag control: the pcp, with DEI and VLAN id 0."""
-        return self.pcp << 13
+    @property
+    def meta(self) -> Frame:
+        """The frame itself, for ``bench/tracing.py``'s ``counted_drop`` alone."""
+        return self
 
     def covered_bytes(self) -> bytes:
-        """The bytes the FCS covers: full header plus payload."""
-        tci = self.tci()
+        """The bytes the FCS covers: full header plus payload.  The 802.1Q tag
+        control is the pcp, with DEI and VLAN id 0."""
         return b"".join((
             self.dst_mac,
             self.src_mac,
             TPID.to_bytes(2, "big"),
-            tci.to_bytes(2, "big"),
+            (self.pcp << 13).to_bytes(2, "big"),
             self.ethertype.to_bytes(2, "big"),
             self.payload,
         ))

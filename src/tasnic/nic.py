@@ -325,7 +325,7 @@ class NicPort:
         # depth check
         if (idle and not self._rr_mask and self._pending is None
                 and not self.active_table.entries
-                and (self.bucket is None or not frame.meta.local_origin
+                and (self.bucket is None or not frame.local_origin
                      or self.bucket.ready_time(frame.wire_bytes * 8, now) <= now)):
             q.enqueued += 1
             q.dequeued += 1
@@ -431,7 +431,7 @@ class NicPort:
                 if (deadline_local is not None
                         and local + self.ser_ns[head.wire_bytes] > deadline_local):
                     continue
-                if bucket is not None and head.meta.local_origin:  # _token_ready, inline
+                if bucket is not None and head.local_origin:  # _token_ready, inline
                     ready = bucket.ready_time(head.wire_bytes * 8, now)
                     if ready > now:
                         if token_wake is None or ready < token_wake:
@@ -446,7 +446,7 @@ class NicPort:
 
     def _token_ready(self, frame: Frame, now: SimTime) -> SimTime | None:
         """None when the host budget allows the frame now, else the wake time."""
-        if self.bucket is None or not frame.meta.local_origin:
+        if self.bucket is None or not frame.local_origin:
             return None
         ready = self.bucket.ready_time(frame.wire_bytes * 8, now)
         return None if ready <= now else ready
@@ -464,8 +464,7 @@ class NicPort:
         """Put ``frame``, taken from ``q``, on the wire from ``now``; the
         transmission step that ``_transmit`` and an idle port's ``enqueue`` share."""
         wire = frame.wire_bytes
-        meta = frame.meta
-        if self.bucket is not None and meta.local_origin:
+        if self.bucket is not None and frame.local_origin:
             self.bucket.consume(wire * 8, now)
         ser = self.ser_ns[wire]
         is_ptp = frame.ethertype == ETHERTYPE_PTP and self.network.ptp is not None
@@ -474,12 +473,12 @@ class NicPort:
         if is_ptp:
             self.network.ptp.on_tx_start(self.node_id, frame, tx_local)  # one-step timestamp
         if self.trace is not None:
-            self.trace.append(TxRecord(now, tx_local, q.index, wire, ser, meta.flow_id))
+            self.trace.append(TxRecord(now, tx_local, q.index, wire, ser, frame.flow_id))
         self.tx_frames += 1
         self.busy_until = end = now + ser
         self.sim.at(end, self.kick, self._txdone_label)
         self.network.schedule_delivery(self, frame, now, end)
-        if meta.hops == 1:  # a frame's flow hears of its first transmission only
+        if frame.hops == 1:  # a frame's flow hears of its first transmission only
             self.network.frame_dequeued(frame)
 
     def arrive(self) -> None:
@@ -504,7 +503,7 @@ class NicPort:
         for frame in frames:
             self.link.drops += 1
             self.network.count_drop(frame, "link_down")
-            if frame.meta.hops == 1:
+            if frame.hops == 1:
                 self.network.frame_dequeued(frame)
 
     def _set_wake(self, when: SimTime) -> None:

@@ -4,7 +4,7 @@ A Node glues together its local clock, the per-port NIC egress machinery,
 the messaging runtime and the RX pipeline (FCS check of frames that carry
 one, local delivery with a fixed host processing delay, or software
 forwarding).  A frame's ``dst_mac`` names its final destination for the
-whole path; routing reads ``FrameMeta.final_dst``.
+whole path; routing reads ``Frame.final_dst``.
 Each Node keeps a route table: the egress port per ``(final_dst, ingress)``,
 filled from ``next_hop`` on a miss and dropped when the topology's link
 epoch has moved since it was filled.
@@ -33,11 +33,11 @@ from .fabric import (
     abs_coords,
     mac_of,
 )
-from .frame import ETHERTYPE_PTP, ETHERTYPE_RUNTIME, MAX_WIRE_BYTES, Frame, FrameMeta, pad_payload
+from .frame import ETHERTYPE_PTP, ETHERTYPE_RUNTIME, MAX_WIRE_BYTES, Frame, pad_payload
 from .nic import NicPort, TokenBucket
 from .ptp import PTP_PCP, PtpService
 from .qdisc import PriorityMap, classify
-from .routing import next_hop
+from .routing import DEFAULT_TTL, next_hop
 from .runtime import Message, NodeRuntime
 
 if TYPE_CHECKING:
@@ -85,7 +85,7 @@ class Node:
 
     def send_frame(self, frame: Frame) -> None:
         """Route and enqueue a locally-originated frame."""
-        if frame.meta.final_dst == self.node_id:
+        if frame.final_dst == self.node_id:
             # loopback: no wire involved, just the host processing delay
             self.counters.rx_frames += 1
             self.counters.delivered_local += 1
@@ -110,28 +110,26 @@ class Node:
             return port
 
     def _forward(self, frame: Frame, ingress: PortKind | None) -> None:
-        """Route a frame that came in on ``ingress`` (None: originated here), burn
-        a TTL step and enqueue it on the egress port."""
-        meta = frame.meta
+        """Route a frame that came in on ``ingress`` (None: originated here), count
+        the link it takes and enqueue it on the egress port."""
         if self._routes_epoch == self._topology.link_epoch:  # egress_port, inline on a hit
             try:
-                port = self._routes[(meta.final_dst, ingress)]
+                port = self._routes[(frame.final_dst, ingress)]
             except KeyError:
-                port = self.egress_port(meta.final_dst, ingress)
+                port = self.egress_port(frame.final_dst, ingress)
         else:
-            port = self.egress_port(meta.final_dst, ingress)
+            port = self.egress_port(frame.final_dst, ingress)
         if port is None:
             self._drop(frame, "no_route")
             return
         if ingress is not None:
             self.counters.forwarded += 1
-        if meta.ttl <= 0:
+        if frame.hops >= DEFAULT_TTL:
             self._drop(frame, "ttl_expired")
             return
-        meta.ttl -= 1
-        meta.hops += 1
-        if meta.route is not None:
-            meta.route.append((self.node_id, port.kind.value))
+        frame.hops += 1
+        if frame.route is not None:
+            frame.route.append((self.node_id, port.kind.value))
         if frame.ethertype == ETHERTYPE_PTP:
             port.enqueue(NicPort.MGMT_IDX, frame)
         else:
@@ -148,9 +146,9 @@ class Node:
         if frame.fcs is not None and not frame.fcs_ok():
             self._drop(frame, "crc")
             return
-        if frame.meta.final_dst == self.node_id:
+        if frame.final_dst == self.node_id:
             self.counters.delivered_local += 1
-            if frame.meta.route is not None:
+            if frame.route is not None:
                 self.network.record_route(frame)
             if frame.ethertype == ETHERTYPE_PTP:
                 # hardware fast path: the sync agent sees the frame directly
@@ -216,21 +214,18 @@ class Network:
     # -- frame construction ---------------------------------------------------
 
     def _build_frame(self, src: Node, dst: NodeId, ethertype: int, payload: bytes,
-                     pcp: int, local_origin: bool) -> Frame:
-        meta = FrameMeta(final_dst=dst, local_origin=local_origin,
-                         route=[] if self.trace else None)
+                     pcp: int) -> Frame:
         return Frame(dst_mac=self.nodes[dst].mac, src_mac=src.mac, pcp=pcp,
-                     ethertype=ethertype, payload=pad_payload(payload), meta=meta)
+                     ethertype=ethertype, payload=pad_payload(payload), final_dst=dst,
+                     local_origin=ethertype == ETHERTYPE_RUNTIME, route=[] if self.trace else None)
 
-    def build_runtime_frame(self, src: Node, dst: NodeId, payload: bytes,
-                            pcp: int) -> Frame:
-        return self._build_frame(src, dst, ETHERTYPE_RUNTIME, payload, pcp, local_origin=True)
+    def build_runtime_frame(self, src: Node, dst: NodeId, payload: bytes, pcp: int) -> Frame:
+        return self._build_frame(src, dst, ETHERTYPE_RUNTIME, payload, pcp)
 
     def send_protocol_frame(self, src_id: NodeId, dst: NodeId, payload: bytes) -> None:
         """Send a PTP message, the one protocol frame the fabric carries."""
         src = self.nodes[src_id]
-        src.send_frame(self._build_frame(src, dst, ETHERTYPE_PTP, payload, PTP_PCP,
-                                         local_origin=False))
+        src.send_frame(self._build_frame(src, dst, ETHERTYPE_PTP, payload, PTP_PCP))
 
     # -- wire-level delivery ---------------------------------------------------
 
@@ -248,24 +243,24 @@ class Network:
 
     def count_offered(self, frame: Frame) -> None:
         self.frames_offered += 1
-        flow_id = frame.meta.flow_id
+        flow_id = frame.flow_id
         if flow_id is not None and self.flows:
             self.flows[flow_id].on_offered()
 
     def frame_dequeued(self, frame: Frame) -> None:
-        flow_id = frame.meta.flow_id
+        flow_id = frame.flow_id
         if flow_id is not None and self.flows:
             self.flows[flow_id].on_dequeued()
 
     def count_drop(self, frame: Frame, cause: str) -> None:
         self.drops_by_cause[cause] = self.drops_by_cause.get(cause, 0) + 1
-        flow_id = frame.meta.flow_id
+        flow_id = frame.flow_id
         if flow_id is not None and self.flows:
             self.flows[flow_id].on_drop(cause)
 
     def count_frame_delivered(self, frame: Frame) -> None:
         self.frames_delivered += 1
-        flow_id = frame.meta.flow_id
+        flow_id = frame.flow_id
         if flow_id is not None and self.flows:
             self.flows[flow_id].on_frame_delivered()
 
@@ -278,11 +273,11 @@ class Network:
         if len(self.route_traces) >= ROUTE_TRACE_CAP:
             return
         self.route_traces.append({
-            "flow": frame.meta.flow_id,
-            "msg_id": frame.meta.msg_id,
-            "frag_index": frame.meta.frag_index,
-            "route": [[str(n), p] for n, p in frame.meta.route],
-            "delivered_to": str(frame.meta.final_dst),
+            "flow": frame.flow_id,
+            "msg_id": frame.msg_id,
+            "frag_index": frame.frag_index,
+            "route": [[str(n), p] for n, p in frame.route],
+            "delivered_to": str(frame.final_dst),
         })
 
     # -- fault injection -----------------------------------------------------

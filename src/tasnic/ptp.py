@@ -113,7 +113,7 @@ class PtpService:
 
     def on_tx_start(self, node_id: NodeId, frame: Frame, tx_local: int) -> None:
         """One-step timestamping: patch origin time at the originating port."""
-        if frame.meta.hops != 1:
+        if frame.hops != 1:
             return  # transit hop (hops counts link traversals, origin = 1)
         msg = PtpMessage.unpack(frame.payload)
         if msg.msg_type not in (MSG_SYNC, MSG_DELAY_REQ):

@@ -172,12 +172,11 @@ class NodeRuntime:
             header = _HEADER.pack(msg_id, idx, frag_count, size, src_id, dst)
             frame = network.build_runtime_frame(
                 node, dst_node, header + data[start:start + MAX_CHUNK], pcp)
-            meta = frame.meta
-            meta.flow_id = flow_id
-            meta.msg_id = msg_id
-            meta.frag_index = idx
-            meta.send_local_ts = send_local
-            meta.send_true_ns = now
+            frame.flow_id = flow_id
+            frame.msg_id = msg_id
+            frame.frag_index = idx
+            frame.send_local_ts = send_local
+            frame.send_true_ns = now
             network.count_offered(frame)
             node.send_frame(frame)
         return msg_id
@@ -196,7 +195,7 @@ class NodeRuntime:
                 data = payload[FRAGMENT_HEADER_BYTES:FRAGMENT_HEADER_BYTES + total_len]
                 if len(data) < total_len:
                     data += bytes(total_len - len(data))
-                self._deliver(frame, src_id, data, frame.meta.hops)
+                self._deliver(frame, src_id, data, frame.hops)
                 return
             part = _Reassembly(frag_count, total_len)
             sim = self.node.sim
@@ -213,7 +212,7 @@ class NodeRuntime:
         chunk = payload[FRAGMENT_HEADER_BYTES:FRAGMENT_HEADER_BYTES + length]
         part.buffer[start:start + len(chunk)] = chunk  # a short chunk leaves zeros
         part.received.add(frag_index)
-        part.max_hops = max(part.max_hops, frame.meta.hops)
+        part.max_hops = max(part.max_hops, frame.hops)
         if len(part.received) == part.frag_count:
             part.deadline_handle.cancel()
             del self._partials[key]
@@ -228,10 +227,9 @@ class NodeRuntime:
         """Hand a complete message to the pending receive, the sink or the
         completed list, stamped with this node's clock now."""
         self.messages_delivered += 1
-        meta = frame.meta
         now = self.node.sim.now
-        msg = Message(src_id, data, meta.send_local_ts, meta.send_true_ns,
-                      self.node.clock.read_ns(now), now, meta.flow_id, hops)
+        msg = Message(src_id, data, frame.send_local_ts, frame.send_true_ns,
+                      self.node.clock.read_ns(now), now, frame.flow_id, hops)
         pending = self._pending_recv
         if (pending is not None and pending.result is None
                 and src_id == pending.src_id and len(data) == pending.size):

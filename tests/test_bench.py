@@ -19,7 +19,9 @@ BENCH_RUN = Path(__file__).resolve().parents[1] / "bench" / "run.py"
 @pytest.mark.parametrize("args", [
     ["--seconds", "0"],
     ["--workload", "rpc", "--seconds", "0", "--trace", "1"],
-], ids=["every_workload", "rpc_traced"])
+    # mesh drops frames (link_down, ttl_expired), so the tracer's drop count runs
+    ["--workload", "mesh", "--seconds", "0", "--trace", "1"],
+], ids=["every_workload", "rpc_traced", "mesh_traced"])
 def test_bench_run_is_correct(args):
     proc = subprocess.run([sys.executable, str(BENCH_RUN), *args],
                           capture_output=True, text=True, timeout=300)

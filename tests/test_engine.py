@@ -166,3 +166,45 @@ def test_cancelling_a_fired_event_changes_nothing():
     handle.cancel()
     assert handle.cancelled and fired == ["x"]
     assert sim.run_until(5).events_processed == 0
+
+
+def test_cancelled_events_leave_the_heap():
+    # a closed loop that arms a far deadline each step and cancels the last
+    # one, as reassembly does for each multi-fragment message
+    sim = Simulator()
+    fired = []
+    deadline = None
+
+    def step(n):
+        nonlocal deadline
+        if deadline is not None:
+            deadline.cancel()
+        deadline = sim.at(sim.now + 10**9, lambda: fired.append(("deadline", n)))
+        if n:
+            sim.at(sim.now + 1, lambda: step(n - 1))
+
+    sim.at(0, lambda: step(1_000))
+    sim.run_until(2_000)
+    assert len(sim._heap) <= 2
+    sim.run_until(2 * 10**9)
+    assert fired == [("deadline", 0)]
+
+
+@given(st.lists(st.tuples(st.integers(min_value=0, max_value=50), st.booleans()),
+                min_size=1, max_size=60),
+       st.randoms(use_true_random=False))
+def test_cancelling_keeps_the_pop_order_and_bounds_the_heap(events, rnd):
+    records = []
+    sim = Simulator(trace_hook=lambda t, seq, label: records.append((t, seq)))
+    handles = [sim.at(t, lambda: None) for t, _ in events]
+    doomed = [h for h, (_, cancel) in zip(handles, events) if cancel]
+    rnd.shuffle(doomed)
+    for n_cancelled, handle in enumerate(doomed, start=1):
+        handle.cancel()
+        # at most one cancelled entry per live one
+        assert len(sim._heap) <= 2 * (len(handles) - n_cancelled)
+    handles[0].cancel()  # again, or for the first time: counted once either way
+    expected = sorted((h.fire_at, h.seq) for h in handles if not h.cancelled)
+    sim.run_until(50)
+    assert records == expected
+    assert sim._heap == [] and sim._cancelled == 0

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from tasnic.clock import LocalClock
 from tasnic.fabric import GridCoord, NodeId, PortKind, encode_id, mac_of
-from tasnic.frame import ETHERTYPE_RUNTIME, Frame, FrameMeta, serialization_ticks
+from tasnic.frame import ETHERTYPE_RUNTIME, Frame, serialization_ticks
 from tasnic.nic import (
     REG_COMMIT,
     REG_GUARDBAND_NS,
@@ -25,6 +25,7 @@ from tasnic.nic import (
 )
 from tasnic.nic import NicPort
 from tasnic.node import Network
+from tasnic.routing import DEFAULT_TTL
 from tasnic.runtime import ScheduleConfig
 from tasnic.scenario import parse_scenario
 from test_runtime import quiet_net
@@ -43,10 +44,9 @@ def two_node_net(cap_bps=None, queue_depth=4096, rate_bps=10_000_000_000, num_tx
 
 
 def make_frame(net, payload_len=1500, pcp=0):
-    meta = FrameMeta(final_dst=B, ttl=64, local_origin=True)
     return Frame(dst_mac=mac_of(GridCoord(0, 1)), src_mac=mac_of(GridCoord(0, 0)),
                  pcp=pcp, ethertype=ETHERTYPE_RUNTIME, payload=bytes(payload_len),
-                 meta=meta)
+                 final_dst=B, local_origin=True)
 
 
 def program(net, entries, window_us=100, guardband_ns=None):
@@ -300,7 +300,7 @@ def test_transit_frames_bypass_the_host_cap():
     net, port = two_node_net(cap_bps=1_000_000_000)
     for _ in range(10):
         frame = make_frame(net)
-        frame.meta.local_origin = False
+        frame.local_origin = False
         port.enqueue(0, frame)
     net.sim.run_until(1_000_000)
     starts = [r.true_start for r in port.trace]
@@ -308,7 +308,7 @@ def test_transit_frames_bypass_the_host_cap():
     assert all(b - a == 1218 for a, b in zip(starts, starts[1:]))
 
 
-@pytest.mark.xfail(strict=True, reason="FrameMeta.local_origin is never cleared on forwarding, "
+@pytest.mark.xfail(strict=True, reason="Frame.local_origin is never cleared on forwarding, "
                    "so every transit node charges a runtime frame to its own host budget")
 def test_runtime_frames_in_transit_leave_the_host_budget_alone():
     # README "Model notes": transit frames bypass the host injection budget
@@ -565,7 +565,7 @@ def test_forward_keeps_destination_mac():
     frame = net.build_runtime_frame(src, NodeId(0, 0, 1, 1), bytes(64), pcp=0)
     src._forward(frame, None)
     assert frame.dst_mac == mac_of(GridCoord(1, 1))
-    assert frame.meta.ttl == 63
+    assert frame.hops == 1
 
 
 @pytest.mark.parametrize("at", ["origin", "transit"])
@@ -593,7 +593,7 @@ def test_ttl_expiry_drops_at_next_forwarder():
     src = net.nodes[NodeId(0, 0, 0, 0)]
     dst = NodeId(0, 0, 1, 1)  # two hops away inside the tile
     frame = net.build_runtime_frame(src, dst, bytes(64), pcp=0)
-    frame.meta.ttl = 1
+    frame.hops = DEFAULT_TTL - 1  # one link left
     src.send_frame(frame)
     net.sim.run_until(1_000_000)
     assert net.drops_by_cause.get("ttl_expired") == 1
@@ -621,7 +621,7 @@ def test_origin_stamped_fcs_survives_a_multi_hop_path():
     frame.stamp_fcs()
     net.nodes[src].send_frame(frame)
     net.sim.run_until(1_000_000)
-    assert frame.meta.hops >= 3
+    assert frame.hops >= 3
     assert net.nodes[dst].counters.delivered_local == 1
     assert frame.fcs_ok()
     assert "crc" not in net.drops_by_cause

@@ -5,7 +5,6 @@ from tasnic.frame import (
     FCS_BYTES,
     HEADER_BYTES,
     Frame,
-    FrameMeta,
     pad_payload,
 )
 from tasnic.node import Network
@@ -33,7 +32,8 @@ def test_message_codec_round_trip():
 def test_one_step_timestamp_keeps_the_wire_length():
     net = sync_net({})
     frame = Frame(dst_mac=bytes(6), src_mac=bytes(6), pcp=7, ethertype=ETHERTYPE_PTP,
-                  payload=pad_payload(PtpMessage(MSG_SYNC, 0, 9).pack()), meta=FrameMeta(hops=1))
+                  payload=pad_payload(PtpMessage(MSG_SYNC, 0, 9).pack()))
+    frame.hops = 1  # at its origin port
     before = frame.wire_bytes
     net.ptp.on_tx_start(GM, frame, 123_456_789)
     assert PtpMessage.unpack(frame.payload) == PtpMessage(MSG_SYNC, 123_456_789, 9)

@@ -121,8 +121,8 @@ def test_out_of_order_fragments_reassemble():
         chunk = data[idx * MAX_CHUNK:(idx + 1) * MAX_CHUNK]
         header = FragmentHeader(0, idx, 3, len(data), src_id, dst_id)
         frame = net.build_runtime_frame(net.nodes[A], B, header.pack() + chunk, pcp=0)
-        frame.meta.send_local_ts = 0
-        frame.meta.send_true_ns = 0
+        frame.send_local_ts = 0
+        frame.send_true_ns = 0
         frames.append(frame)
     for frame in frames:
         runtime.on_frame(frame)

@@ -1,9 +1,11 @@
 """Guards on how the model's types are written.
 
-Values are NamedTuples and state is plain ``__slots__`` classes, so
-importing the package generates no code: nothing under ``src/tasnic``
-uses ``dataclasses``, and the CLI's import pulls in neither it, ``inspect``
-nor the process pool that only ``sweep --jobs`` uses.  A constructor (an
+Values are NamedTuples and state is plain ``__slots__`` classes.  Nothing
+under ``src/tasnic`` uses ``dataclasses``, and the CLI's import pulls in
+neither it, ``inspect`` nor the process pool that only ``sweep --jobs``
+uses.  The import still generates some code: each NamedTuple class
+``eval``s its ``__new__``, and typing compiles each field annotation into
+a ``ForwardRef``.  A constructor (an
 ``__init__`` or a NamedTuple's fields) and each uniquely named function or
 method takes only what some caller passes, and a default only where some
 call leaves it out.  No state is write-only: each attribute stored on
