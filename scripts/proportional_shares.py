@@ -22,8 +22,6 @@ from tasnic.harness import run_scenario
 from tasnic.runtime import MAX_CHUNK
 from tasnic.scenario import parse_scenario
 
-LINK_RATE = 10_000_000_000
-
 
 def main() -> int:
     doc = json.loads((ROOT / "scenarios" / "proportional_shares.json").read_text())
@@ -47,9 +45,10 @@ def main() -> int:
         schedule["entries"] = [[q, s] for q, s in zip(queues, slots)]
         doc["flows"] = [dict(template, pcp=q) for q in queues]
         doc["seed"] = case
-        report = run_scenario(parse_scenario(doc)).report()
+        scenario = parse_scenario(doc)
+        report = run_scenario(scenario).report()
         for flow, slot in zip(report["flows"], slots):
-            measured = flow["goodput_bps"] * MAX_WIRE_BYTES / MAX_CHUNK / LINK_RATE
+            measured = flow["goodput_bps"] * MAX_WIRE_BYTES / MAX_CHUNK / scenario.rate_bps
             target = slot / window
             err = measured - target
             worst = max(worst, abs(err))

@@ -25,11 +25,6 @@ BACKLOG_OUTSTANDING = 16
 _PATTERN = bytes(range(256)) * 8  # shared payload content for generated traffic
 
 
-def _payload(size: int) -> bytes:
-    reps = -(-size // len(_PATTERN))
-    return (_PATTERN * reps)[:size]
-
-
 class _Flow(FlowRecorder):
     """One flow of a run: the source of its traffic and the recorder of its
     frames, which ``Network`` tells of each frame event.
@@ -45,7 +40,8 @@ class _Flow(FlowRecorder):
         self.sim = network.sim
         self.runtime = network.nodes[spec.src].runtime
         self.dst_encoded = encode_id(spec.dst)
-        self.payload = _payload(spec.frame_payload_bytes)
+        size = spec.frame_payload_bytes
+        self.payload = (_PATTERN * -(-size // len(_PATTERN)))[:size]
         self.backlogged = spec.backlogged
         self.rate_bps = spec.offered_rate_bps
         self.wire_bits = wire_bytes(FRAGMENT_HEADER_BYTES + len(self.payload)) * 8

@@ -85,15 +85,6 @@ class FlowRecorder:
     def messages(self) -> MessageView:
         return MessageView(self)
 
-    def on_offered(self) -> None:
-        self.offered_frames += 1
-
-    def on_frame_delivered(self) -> None:
-        self.delivered_frames += 1
-
-    def on_drop(self, cause: str) -> None:
-        self.drops[cause] = self.drops.get(cause, 0) + 1
-
     def on_message(self, msg: Message) -> None:
         self.send_true_ns.append(msg.send_true_ns)
         self.deliver_true_ns.append(msg.deliver_true_ns)

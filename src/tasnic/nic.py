@@ -139,11 +139,10 @@ def validate_schedule(window_us: int, entries: tuple[tuple[int, int], ...],
 
 
 class TxQueue:
-    __slots__ = ("index", "depth", "pos", "frames", "enqueued", "dequeued", "drops")
+    __slots__ = ("index", "pos", "frames", "enqueued", "dequeued", "drops")
 
-    def __init__(self, index: int, depth: int, pos: int):
+    def __init__(self, index: int, pos: int):
         self.index = index
-        self.depth = depth
         self.pos = pos  # bit position in the port's backlog mask
         self.frames: deque[Frame] = deque()
         self.enqueued = 0
@@ -152,7 +151,11 @@ class TxQueue:
 
 
 class TokenBucket:
-    """Integer-exact token bucket (bits at rate_bps, remainder carried)."""
+    """Integer-exact token bucket (bits at rate_bps, remainder carried).
+
+    The port debits ``tokens`` itself when it sends a frame, always after a
+    ``ready_time`` at the same instant, which has refilled the bucket to it.
+    """
 
     def __init__(self, rate_bps: int, capacity_bits: int):
         self.rate_bps = rate_bps
@@ -177,11 +180,6 @@ class TokenBucket:
         dt = -(-deficit_units // self.rate_bps)
         return now + dt
 
-    def consume(self, bits: int, now: SimTime) -> None:
-        if now > self._last:  # no model path: each consume follows a ready_time at ``now``
-            self.ready_time(bits, now)
-        self.tokens -= bits
-
 
 class TxRecord(NamedTuple):
     true_start: SimTime
@@ -198,7 +196,6 @@ class RegisterFile:
     def __init__(self, port: "NicPort"):
         self._port = port
         self.shadow = port.committed_table.registers()
-        self.last_commit_ok = True
         self.last_commit_errors: list[str] = []
 
     def write(self, offset: int, value: int) -> None:
@@ -213,7 +210,7 @@ class RegisterFile:
 
     def read(self, offset: int) -> int:
         if offset == REG_COMMIT:
-            return 1 if self.last_commit_ok else 0
+            return 0 if self.last_commit_errors else 1
         if offset >= SHADOW_OFFSET:
             regs, base = self.shadow, offset - SHADOW_OFFSET
         else:
@@ -238,13 +235,9 @@ class RegisterFile:
         window = self.shadow[REG_WINDOW_US]
         guard = self.shadow[REG_GUARDBAND_NS]
         errors += validate_schedule(window, entries, guard, self._port.num_tx_queues)
-        if errors:
-            self.last_commit_ok = False
-            self.last_commit_errors = errors
-            return
-        self.last_commit_ok = True
-        self.last_commit_errors = []
-        self._port.arm_table(ScheduleTable(window, entries, guard))
+        self.last_commit_errors = errors
+        if not errors:
+            self._port.arm_table(ScheduleTable(window, entries, guard))
 
 
 class NicPort:
@@ -271,7 +264,7 @@ class NicPort:
         self.ser_ns = SerializationTicks(self.rate_bps)
         self.bucket = bucket
         self.queue_depth = queue_depth
-        self.mgmt_queue = TxQueue(MGMT_IDX, queue_depth, num_tx_queues)
+        self.mgmt_queue = TxQueue(MGMT_IDX, num_tx_queues)
         self._queues = {num_tx_queues: self.mgmt_queue}  # by bit position
         self.active_table = ScheduleTable(DEFAULT_WINDOW_US, (),
                                           default_guardband_ns(self.rate_bps))
@@ -318,13 +311,12 @@ class NicPort:
         try:
             q = self._queues[pos]
         except KeyError:
-            q = self._queues[pos] = TxQueue(idx, self.queue_depth, pos)
+            q = self._queues[pos] = TxQueue(idx, pos)
         now = self.sim.now
         idle = self.busy_until <= now
         # with nothing backlogged no queue is full, so this comes before the
         # depth check
-        if (idle and not self._rr_mask and self._pending is None
-                and not self.active_table.entries
+        if (idle and not self._rr_mask and not self.active_table.entries
                 and (self.bucket is None or not frame.local_origin
                      or self.bucket.ready_time(frame.wire_bytes * 8, now) <= now)):
             q.enqueued += 1
@@ -333,9 +325,9 @@ class NicPort:
             if self._wake is not None:
                 self._wake.cancel()
                 self._wake = None
-            self._send(q, frame, now, None)
+            self._send(q, frame, now)
             return True
-        if len(q.frames) >= q.depth:
+        if len(q.frames) >= self.queue_depth:
             q.drops += 1
             self.network.count_drop(frame, "queue_overflow")
             return False
@@ -349,7 +341,9 @@ class NicPort:
     # -- schedule management -------------------------------------------
 
     def arm_table(self, table: ScheduleTable) -> None:
-        """Register a committed table; it activates at the window boundary."""
+        """Register a committed table; it activates at the window boundary,
+        at once when no schedule is active, so a table is only pending while
+        the active one has entries."""
         self.committed_table = table
         local = self.clock.read_ns(self.sim.now)
         w = self.active_table.window_ns
@@ -369,9 +363,9 @@ class NicPort:
         now = self.sim.now
         if self.busy_until > now:
             return
-        if self._pending is None and not self.active_table.entries:
-            # plain round robin decides on queue state alone: no clock read
-            local = None
+        if not self.active_table.entries:
+            # plain round robin, with no table pending (arm_table), decides on
+            # queue state alone: no clock read
             nxt = self._rr_decide(None, None, None, now) if self._rr_mask else None
         else:
             local = self.clock.read_ns(now)
@@ -385,7 +379,7 @@ class NicPort:
             self._wake.cancel()
             self._wake = None
         if nxt is not None:
-            self._transmit(nxt, now, local)
+            self._transmit(nxt, now)
 
     def _decide(self, local: int, now: SimTime) -> TxQueue | SimTime | None:
         """The queue to transmit from now, else the true wake time, else None."""
@@ -404,8 +398,12 @@ class NicPort:
                 if (q is None or not q.frames or phase > end - table.guardband_ns
                         or phase + self.ser_ns[q.frames[0].wire_bytes] > end):
                     return self.clock.true_at_local(slot_end, now)
-                ready = self._token_ready(q.frames[0], now)
-                return q if ready is None else min(ready, self.clock.true_at_local(slot_end, now))
+                head = q.frames[0]
+                if self.bucket is not None and head.local_origin:  # the host budget
+                    ready = self.bucket.ready_time(head.wire_bytes * 8, now)
+                    if ready > now:
+                        return min(ready, self.clock.true_at_local(slot_end, now))
+                return q
         window_end = window_start + w
         return self._rr_decide(window_end - table.guardband_ns, window_end, local, now)
 
@@ -431,7 +429,7 @@ class NicPort:
                 if (deadline_local is not None
                         and local + self.ser_ns[head.wire_bytes] > deadline_local):
                     continue
-                if bucket is not None and head.local_origin:  # _token_ready, inline
+                if bucket is not None and head.local_origin:  # the host budget
                     ready = bucket.ready_time(head.wire_bytes * 8, now)
                     if ready > now:
                         if token_wake is None or ready < token_wake:
@@ -444,31 +442,25 @@ class NicPort:
         window_end = self.clock.true_at_local(window_end_local, now)
         return window_end if token_wake is None else min(token_wake, window_end)
 
-    def _token_ready(self, frame: Frame, now: SimTime) -> SimTime | None:
-        """None when the host budget allows the frame now, else the wake time."""
-        if self.bucket is None or not frame.local_origin:
-            return None
-        ready = self.bucket.ready_time(frame.wire_bytes * 8, now)
-        return None if ready <= now else ready
-
-    def _transmit(self, q: TxQueue, now: SimTime, tx_local: int | None) -> None:
-        """Start sending ``q``'s head frame; ``tx_local`` is the clock reading
-        the decision took, or None when it took none."""
+    def _transmit(self, q: TxQueue, now: SimTime) -> None:
+        """Start sending ``q``'s head frame."""
         frame = q.frames.popleft()
         q.dequeued += 1
         if not q.frames:
             self._rr_mask &= ~(1 << q.pos)
-        self._send(q, frame, now, tx_local)
+        self._send(q, frame, now)
 
-    def _send(self, q: TxQueue, frame: Frame, now: SimTime, tx_local: int | None) -> None:
+    def _send(self, q: TxQueue, frame: Frame, now: SimTime) -> None:
         """Put ``frame``, taken from ``q``, on the wire from ``now``; the
         transmission step that ``_transmit`` and an idle port's ``enqueue`` share."""
         wire = frame.wire_bytes
         if self.bucket is not None and frame.local_origin:
-            self.bucket.consume(wire * 8, now)
+            # the decision to send it called ready_time at ``now``, which
+            # refilled the bucket to this instant: only the debit is left
+            self.bucket.tokens -= wire * 8
         ser = self.ser_ns[wire]
         is_ptp = frame.ethertype == ETHERTYPE_PTP and self.network.ptp is not None
-        if tx_local is None and (is_ptp or self.trace is not None):
+        if is_ptp or self.trace is not None:
             tx_local = self.clock.read_ns(now)
         if is_ptp:
             self.network.ptp.on_tx_start(self.node_id, frame, tx_local)  # one-step timestamp

@@ -13,10 +13,11 @@ validated, and owns the shared pieces: the event engine, the topology and
 its link state, the sync service, frame delivery across links, and global
 offered/delivered/drop accounting.  Frames are observed in one way: a frame
 that carries a flow id is counted at its flow, ``Network.flows[flow_id]``
-(empty unless a run fills it), through ``on_offered``, ``on_dequeued`` (the
-start of the frame's first transmission, at its origin), ``on_drop`` (with
-the cause) and ``on_frame_delivered``; ``Network.flow_message`` hands the
-flow its reassembled messages.
+(empty unless a run fills it), whose ``offered_frames``, ``drops`` (by
+cause) and ``delivered_frames`` the Network bumps, and whose
+``on_dequeued`` it calls at the start of the frame's first transmission, at
+its origin; ``Network.flow_message`` hands the flow its reassembled
+messages.
 """
 
 from __future__ import annotations
@@ -55,9 +56,6 @@ class NodeCounters:
         self.delivered_local = 0
         self.forwarded = 0
         self.drops: dict[str, int] = {}
-
-    def drop(self, cause: str) -> None:
-        self.drops[cause] = self.drops.get(cause, 0) + 1
 
 
 class Node:
@@ -136,7 +134,8 @@ class Node:
             port.enqueue(self.queue_of_pcp[frame.pcp], frame)
 
     def _drop(self, frame: Frame, cause: str) -> None:
-        self.counters.drop(cause)
+        drops = self.counters.drops
+        drops[cause] = drops.get(cause, 0) + 1
         self.network.count_drop(frame, cause)
 
     # -- ingress -------------------------------------------------------------
@@ -245,7 +244,7 @@ class Network:
         self.frames_offered += 1
         flow_id = frame.flow_id
         if flow_id is not None and self.flows:
-            self.flows[flow_id].on_offered()
+            self.flows[flow_id].offered_frames += 1
 
     def frame_dequeued(self, frame: Frame) -> None:
         flow_id = frame.flow_id
@@ -256,13 +255,14 @@ class Network:
         self.drops_by_cause[cause] = self.drops_by_cause.get(cause, 0) + 1
         flow_id = frame.flow_id
         if flow_id is not None and self.flows:
-            self.flows[flow_id].on_drop(cause)
+            drops = self.flows[flow_id].drops
+            drops[cause] = drops.get(cause, 0) + 1
 
     def count_frame_delivered(self, frame: Frame) -> None:
         self.frames_delivered += 1
         flow_id = frame.flow_id
         if flow_id is not None and self.flows:
-            self.flows[flow_id].on_frame_delivered()
+            self.flows[flow_id].delivered_frames += 1
 
     def flow_message(self, msg: Message) -> None:
         """Runtime message sink of a run: a reassembled message of a flow."""

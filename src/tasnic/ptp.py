@@ -47,22 +47,19 @@ class PtpMessage(NamedTuple):
         return PtpMessage(*_WIRE.unpack(payload[:_WIRE.size]))
 
 
-class _Exchange:
-    __slots__ = ("t1", "t2", "t3")
-
-    def __init__(self) -> None:
-        self.t1: int | None = None
-        self.t2: int | None = None
-        self.t3: int | None = None
-
-
 class SlaveSync:
-    __slots__ = ("last_apply_local_ns", "pending_id", "pending", "estimates", "rounds_completed")
+    """A slave's servo state and its one pending exchange: ``pending_id`` and
+    the exchange's t1-t3, which each Sync resets."""
+
+    __slots__ = ("last_apply_local_ns", "pending_id", "t1", "t2", "t3", "estimates",
+                 "rounds_completed")
 
     def __init__(self) -> None:
         self.last_apply_local_ns: int | None = None  # the servo's last corrected reading
         self.pending_id: int | None = None
-        self.pending = _Exchange()
+        self.t1: int | None = None
+        self.t2: int | None = None
+        self.t3: int | None = None
         self.estimates: list[tuple[int, int]] = []  # (true_ns, est_ns)
         self.rounds_completed = 0
 
@@ -105,7 +102,7 @@ class PtpService:
         self._id_to_slave[eid] = slave
         state = self.slaves[slave]
         state.pending_id = eid
-        state.pending = _Exchange()
+        state.t1 = state.t2 = state.t3 = None
         # origin timestamp is patched in hardware as the frame leaves the wire
         self._send(self.grandmaster, slave, PtpMessage(MSG_SYNC, 0, eid))
 
@@ -124,7 +121,7 @@ class PtpService:
         if msg.msg_type == MSG_DELAY_REQ:
             state = self.slaves.get(node_id)
             if state is not None and state.pending_id == msg.exchange_id:
-                state.pending.t3 = tx_local
+                state.t3 = tx_local
 
     # -- protocol handlers --------------------------------------------------
 
@@ -135,21 +132,21 @@ class PtpService:
             state = self.slaves[node.node_id]
             if state.pending_id != msg.exchange_id:
                 return
-            state.pending.t1 = msg.origin_timestamp
-            state.pending.t2 = rx_local
+            state.t1 = msg.origin_timestamp
+            state.t2 = rx_local
             self._send(node.node_id, self.grandmaster, PtpMessage(MSG_DELAY_REQ, 0, msg.exchange_id))
         elif msg.msg_type == MSG_DELAY_REQ and node.node_id == self.grandmaster:
-            slave = self._id_to_slave.get(msg.exchange_id)
+            # each exchange sends one Delay-Req: its entry is done with
+            slave = self._id_to_slave.pop(msg.exchange_id, None)
             if slave is None:
                 return
             self._send(self.grandmaster, slave,
                        PtpMessage(MSG_DELAY_RESP, rx_local, msg.exchange_id))
         elif msg.msg_type == MSG_DELAY_RESP and node.node_id in self.slaves:
             state = self.slaves[node.node_id]
-            ex = state.pending
-            if state.pending_id != msg.exchange_id or None in (ex.t1, ex.t2, ex.t3):
+            if state.pending_id != msg.exchange_id or None in (state.t1, state.t2, state.t3):
                 return
-            est = ptp_offset_estimate(ex.t1, ex.t2, ex.t3, msg.origin_timestamp)
+            est = ptp_offset_estimate(state.t1, state.t2, state.t3, msg.origin_timestamp)
             now = self.network.sim.now
             state.last_apply_local_ns = apply_servo(node.clock, est, now,
                                                     state.last_apply_local_ns)

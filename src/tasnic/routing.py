@@ -1,6 +1,6 @@
 """Per-node forwarding decisions: dimension-order routing with fault bypass.
 
-The rule is hierarchical and stateless apart from the frame's TTL:
+The rule is hierarchical and stateless apart from the frame's hop count:
 
 1. resolve the tile column first: pick the shorter torus wrap direction
    (east on ties) whose crossing link is actually up, steer intra-tile to

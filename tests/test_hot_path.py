@@ -3,16 +3,21 @@
 A 1 ms round-robin run on 2x2 tiles runs under cProfile, and the tests count
 calls, never time, so they are deterministic.  Each assertion names
 Python-level work that one frame-hop or one one-frame message once did and
-no longer does.
+no longer does.  One more test checks the condition under which a port may
+debit its host budget with no refill call of its own.
 """
 
 import cProfile
+import json
 import pstats
+from pathlib import Path
+
+import pytest
 
 from tasnic.fabric import NodeId
 from tasnic.frame import MAX_WIRE_BYTES, Frame, wire_bytes
 from tasnic.harness import build_network, run_scenario
-from tasnic.nic import TxQueue
+from tasnic.nic import NicPort, TxQueue
 from tasnic.runtime import FRAGMENT_HEADER_BYTES, FragmentHeader
 from tasnic.scenario import parse_scenario
 
@@ -26,6 +31,11 @@ DOC = {
               for src, dst, pcp in [("0.0.0.0", "1.1.1.1", 0), ("1.1.0.1", "0.0.1.0", 1),
                                     ("0.1.1.1", "1.0.0.0", 2), ("1.0.1.0", "0.1.0.1", 0)]],
 }
+
+# the slot scheduler and the host cap: 1 ms of criterion 1's scenario
+PARTITION = {**json.loads((Path(__file__).resolve().parents[1] / "scenarios"
+                           / "bandwidth_partition.json").read_text()),
+             "duration_ns": 1_000_000}
 
 
 def _profile():
@@ -44,6 +54,11 @@ def _calls(stats, name, file_suffix=""):
 
 def _calls_from(stats, name, caller):
     return sum(count[1] for (_, _, func), entry in stats.items() if func == name
+               for (_, _, caller_func), count in entry[4].items() if caller_func == caller)
+
+
+def _calls_made_by(stats, caller):
+    return sum(count[1] for entry in stats.values()
                for (_, _, caller_func), count in entry[4].items() if caller_func == caller)
 
 
@@ -82,15 +97,36 @@ def test_round_robin_hop_stays_within_its_call_budget():
     # and so merges every NamedTuple __new__ into one entry; 45.0 calls per
     # hop before an idle port sent an arriving frame itself, 29.4 before each
     # frame event reached its flow in one call, 28.0 before a frame was one
-    # object
-    assert sum(entry.callcount for entry in entries) <= 28 * hops
+    # object, 27.8 before the port debited the host budget and bumped the
+    # flow's counters itself
+    assert sum(entry.callcount for entry in entries) <= 27 * hops
     # an idle port sends the frame it is given; a busy one leaves it to txdone
     assert _calls_from(stats, "kick", "enqueue") == 0
-    # every consume follows a ready_time at the same instant: nothing to refill
-    assert _calls_from(stats, "ready_time", "consume") == 0
+    # a frame event reaches its flow's counters with no call
+    for caller in ("count_offered", "count_frame_delivered"):
+        assert _calls_made_by(stats, caller) == 0, caller
     # each arrival pops its port's in-flight FIFO; none needs a bound partial
     assert _calls(stats, "_arrive") == 0
     assert 0 < _calls(stats, "arrive", "nic.py") <= hops
+
+
+@pytest.mark.parametrize("doc", [DOC, PARTITION], ids=["round_robin", "slot_schedule"])
+def test_the_host_budget_is_refilled_to_the_instant_of_each_debit(doc, monkeypatch):
+    """``_send`` debits ``bucket.tokens`` without a refill: each host-charged
+    frame must find the bucket refilled to now by the decision's ready_time."""
+    send = NicPort._send
+    charged, stale = [0], []
+
+    def checked_send(port, q, frame, now):
+        if port.bucket is not None and frame.local_origin:
+            charged[0] += 1
+            if port.bucket._last != port.sim.now:
+                stale.append((port.bucket._last, port.sim.now))
+        send(port, q, frame, now)
+    monkeypatch.setattr(NicPort, "_send", checked_send)
+    run_scenario(parse_scenario(doc))
+    assert charged[0] > 100
+    assert stale == []
 
 
 def test_one_frame_message_does_no_per_message_setup():

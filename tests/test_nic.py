@@ -1,6 +1,7 @@
 import random
 import time
 import tracemalloc
+from functools import partial
 
 import pytest
 from hypothesis import Phase, given, settings
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from tasnic.clock import LocalClock
 from tasnic.fabric import GridCoord, NodeId, PortKind, encode_id, mac_of
 from tasnic.frame import ETHERTYPE_RUNTIME, Frame, serialization_ticks
+from tasnic.harness import RunResult
 from tasnic.nic import (
     REG_COMMIT,
     REG_GUARDBAND_NS,
@@ -26,7 +28,7 @@ from tasnic.nic import (
 from tasnic.nic import NicPort
 from tasnic.node import Network
 from tasnic.routing import DEFAULT_TTL
-from tasnic.runtime import ScheduleConfig
+from tasnic.runtime import MAX_CHUNK, FragmentHeader, ScheduleConfig
 from tasnic.scenario import parse_scenario
 from test_runtime import quiet_net
 
@@ -281,7 +283,7 @@ def test_default_schedule_is_plain_round_robin():
 def test_token_bucket_arithmetic():
     bucket = TokenBucket(1_000_000_000, 12_176)
     assert bucket.ready_time(12_176, 0) == 0
-    bucket.consume(12_176, 0)
+    bucket.tokens -= 12_176  # the port's debit after a ready_time at the same instant
     # refill at 1 Gbps: 12 176 bits need 12 176 ns
     assert bucket.ready_time(12_176, 0) == 12_176
     assert bucket.ready_time(12_176, 5_000) == 12_176
@@ -393,7 +395,7 @@ def test_round_robin_resumes_after_the_queue_of_a_direct_send():
 
 def test_an_idle_port_without_host_budget_queues_the_frame_and_wakes_when_it_refills():
     net, port = two_node_net(cap_bps=1_000_000_000)
-    port.bucket.consume(port.bucket.tokens, 0)
+    port.bucket.tokens = 0
     frame = make_frame(net)
     ready = port.bucket.ready_time(frame.wire_bytes * 8, 0)
     assert ready > 0
@@ -413,6 +415,91 @@ def test_of_two_frames_in_one_nanosecond_the_second_starts_at_the_first_txdone()
     assert first.true_start == 5_000
     assert second.true_start == 5_000 + first.ser_ns
     assert net.nodes[B].counters.rx_frames == 2
+
+
+NUM_SCRIPT_QUEUES = 8
+
+
+class _QueueThenKick(NicPort):
+    """A port without the idle-port direct send: ``enqueue`` always queues
+    the frame, and an idle port then decides in ``kick``."""
+
+    def enqueue(self, idx, frame):
+        pos = self.num_tx_queues if idx == NicPort.MGMT_IDX else idx
+        q = self._queues.get(pos)
+        if q is None:
+            q = self._queues[pos] = TxQueue(idx, pos)
+        if len(q.frames) >= self.queue_depth:
+            q.drops += 1
+            self.network.count_drop(frame, "queue_overflow")
+            return False
+        q.frames.append(frame)
+        q.enqueued += 1
+        self._rr_mask |= 1 << pos
+        if self.busy_until <= self.sim.now:
+            self.kick()
+        return True
+
+
+def _scripted_run(script, cap_bps, queue_depth, schedule_at, outage, queue_then_kick):
+    """Replay ``script``'s arrivals on A's port toward B, commit a schedule at
+    ``schedule_at`` and take the link down over ``outage`` (each when not
+    None), and return everything the run shows."""
+    scenario = parse_scenario({
+        "grid": {"G_r": 1, "G_c": 1, "populated": [str(A), str(B)]},
+        "host": {"injection_cap_bps": cap_bps}, "ptp": {"enabled": False},
+        "nic": {"num_tx_queues": NUM_SCRIPT_QUEUES, "queue_depth": queue_depth},
+        "trace": True})
+    net = Network(scenario)
+    events = []
+    net.sim.trace_hook = lambda fire_at, seq, label: events.append((fire_at, seq, label))
+    if queue_then_kick:
+        for node in net.nodes.values():
+            for p in node.ports.values():
+                p.__class__ = _QueueThenKick
+    src = net.nodes[A]
+    port = src.ports[PortKind.INTRA_H]
+    for k, (at, idx, size, host_fed) in enumerate(script):
+        header = FragmentHeader(k, 0, 1, size, encode_id(A), encode_id(B)).pack()
+        frame = net.build_runtime_frame(src, B, header + bytes(size), pcp=0)
+        frame.local_origin = host_fed
+        net.sim.at(at, partial(port.enqueue, idx, frame), label="script")
+    if schedule_at is not None:
+        cfg = ScheduleConfig(PortKind.INTRA_H, 10, ((1, 4), (NUM_SCRIPT_QUEUES - 1, 3)), None)
+        net.sim.at(schedule_at, partial(src.runtime.set_conf, cfg), label="script")
+    if outage is not None:
+        down, up = outage
+        net.schedule_link_state(port.link, False, down)
+        net.schedule_link_state(port.link, True, up)
+    net.sim.run_until(2_000_000)
+    traces = {(str(n.node_id), kind.value): p.trace
+              for n in net.nodes.values() for kind, p in n.ports.items()}
+    queues = [(q.index, q.enqueued, q.dequeued, q.drops, len(q.frames))
+              for n in net.nodes.values() for p in n.ports.values()
+              for q in (*p.queues, p.mgmt_queue)]
+    report = RunResult(scenario, net, [], {}, net.sim.events_processed).report()
+    return events, traces, queues, report
+
+
+_instant = st.integers(0, 40).map(lambda k: k * 1_000)  # arrivals often share one
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(script=st.lists(st.tuples(
+           _instant,
+           st.sampled_from([NicPort.MGMT_IDX, *range(NUM_SCRIPT_QUEUES)]),
+           st.integers(1, MAX_CHUNK),  # message bytes
+           st.sampled_from([True, True, False])),  # fed by the host: charged to its budget
+       min_size=1, max_size=40),
+       cap_bps=st.sampled_from([1_000_000_000, 4_000_000_000, None]),
+       queue_depth=st.sampled_from([64, 2]),
+       schedule_at=st.none() | _instant.map(lambda t: t + 500),
+       outage=st.none() | st.tuples(_instant, _instant).map(
+           lambda ts: (min(ts) + 250, max(ts) + 750)))
+def test_an_idle_ports_direct_send_is_the_decision_kick_makes(script, cap_bps, queue_depth,
+                                                              schedule_at, outage):
+    args = (script, cap_bps, queue_depth, schedule_at, outage)
+    assert _scripted_run(*args, queue_then_kick=False) == _scripted_run(*args, queue_then_kick=True)
 
 
 # -- round robin over backlogged queues ------------------------------------------
@@ -441,8 +528,9 @@ def _rotated_scan(port, deadline_local, window_end_local, local, now):
         ser = serialization_ticks(head.wire_bytes, port.rate_bps)
         if deadline_local is not None and local + ser > deadline_local:
             continue
-        ready = port._token_ready(head, now)
-        if ready is not None:
+        ready = (port.bucket.ready_time(head.wire_bytes * 8, now)
+                 if port.bucket is not None and head.local_origin else now)
+        if ready > now:
             token_wake = ready if token_wake is None else min(token_wake, ready)
             continue
         return q

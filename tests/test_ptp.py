@@ -1,3 +1,5 @@
+from pathlib import Path
+
 from tasnic.engine import TICKS_PER_S
 from tasnic.fabric import NodeId
 from tasnic.frame import (
@@ -7,9 +9,12 @@ from tasnic.frame import (
     Frame,
     pad_payload,
 )
+from tasnic.harness import run_scenario
 from tasnic.node import Network
 from tasnic.ptp import MSG_DELAY_REQ, MSG_DELAY_RESP, MSG_SYNC, PtpMessage
-from tasnic.scenario import parse_scenario
+from tasnic.scenario import load_scenario, parse_scenario
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 GM = NodeId(0, 0, 0, 0)
 
@@ -47,6 +52,14 @@ def test_exchanges_complete_every_interval():
     net.sim.run_until(2 * TICKS_PER_S)
     for state in net.ptp.slaves.values():
         assert state.rounds_completed in (7, 8)  # one round per 250 ms
+
+
+def test_the_grandmaster_forgets_each_exchange_its_delay_request_closes():
+    net = run_scenario(load_scenario(SCENARIOS / "ptp_defaults.json")).network
+    rounds = sum(state.rounds_completed for state in net.ptp.slaves.values())
+    assert rounds >= 100  # 40 rounds per slave over 10 s
+    # at most the one exchange per slave whose Delay-Req is still on its way
+    assert len(net.ptp._id_to_slave) <= len(net.ptp.slaves)
 
 
 def test_slaves_converge_within_five_quanta():
