@@ -116,23 +116,26 @@ class Simulator:
         """Process every event with fire_at <= t_end, then set now = t_end."""
         if t_end < self.now:
             raise SchedulingError(f"run_until({t_end}) is before now={self.now}")
-        start_count = self.events_processed
         heap = self._heap
         pop = heapq.heappop
         hook = self.trace_hook
-        while heap and heap[0][0] <= t_end:
-            fire_at, seq, action, label, _ = entry = pop(heap)
-            if action is None:
-                self._cancelled -= 1
-                continue
-            entry[4] = None  # fired: a later cancel leaves the count alone
-            self.now = fire_at
-            self.events_processed += 1
-            if hook is not None:
-                hook(fire_at, seq, label)
-            action()
+        fired = 0
+        try:
+            while heap and heap[0][0] <= t_end:
+                fire_at, seq, action, label, _ = entry = pop(heap)
+                if action is None:
+                    self._cancelled -= 1
+                    continue
+                entry[4] = None  # fired: a later cancel leaves the count alone
+                self.now = fire_at
+                fired += 1
+                if hook is not None:
+                    hook(fire_at, seq, label)
+                action()
+        finally:  # an action that raises still counts, as in step
+            self.events_processed += fired
         self.now = t_end
-        return RunStats(self.events_processed - start_count, self.now)
+        return RunStats(fired, self.now)
 
 
 def rng_stream(seed: int, *key: object) -> random.Random:

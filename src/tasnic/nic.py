@@ -167,12 +167,14 @@ class TokenBucket:
     def ready_time(self, bits: int, now: SimTime) -> SimTime:
         """Earliest instant at which ``bits`` tokens are available; refills up to ``now``."""
         if now > self._last:
-            gained, self._rem = divmod((now - self._last) * self.rate_bps + self._rem,
-                                       1_000_000_000)
-            self.tokens += gained
-            if self.tokens >= self.capacity:
-                self.tokens = self.capacity
-                self._rem = 0
+            if self.tokens < self.capacity:  # a full bucket carries no remainder
+                units = (now - self._last) * self.rate_bps + self._rem
+                self.tokens += units // 1_000_000_000
+                if self.tokens >= self.capacity:
+                    self.tokens = self.capacity
+                    self._rem = 0
+                else:
+                    self._rem = units % 1_000_000_000
             self._last = now
         if self.tokens >= bits:
             return now
@@ -257,6 +259,7 @@ class NicPort:
         self.node_id = node_id
         self.kind = kind
         self.link = link
+        self.prop_delay_ns = link.prop_delay_ns
         self.clock = clock
         self.sim = sim
         self.num_tx_queues = num_tx_queues
@@ -281,6 +284,9 @@ class NicPort:
         self._txdone_label = f"txdone:{node_id}:{kind.value}"
         self._wake_label = f"wake:{node_id}:{kind.value}"
         self._commit_label = f"commit:{node_id}:{kind.value}"
+        # bound once: each transmission schedules a kick and an arrival
+        self._kick = self.kick
+        self.arrive_action = self.arrive
         # the link's far end, set by attach_peer once every node exists
         self.peer: Node | None = None
         self.peer_kind: PortKind | None = None
@@ -354,7 +360,7 @@ class NicPort:
         else:
             self._pending, self._pending_at_local = table, effective
             when = self.clock.true_at_local(effective, self.sim.now)
-            self.sim.at(when, self.kick, label=self._commit_label)
+            self.sim.at(when, self._kick, label=self._commit_label)
 
     # -- scheduler -----------------------------------------------------
 
@@ -402,6 +408,10 @@ class NicPort:
                 if self.bucket is not None and head.local_origin:  # the host budget
                     ready = self.bucket.ready_time(head.wire_bytes * 8, now)
                     if ready > now:
+                        # the reading never falls as true time runs: tokens
+                        # due before the slot end need no clock inversion
+                        if self.clock.read_ns(ready) < slot_end:
+                            return ready
                         return min(ready, self.clock.true_at_local(slot_end, now))
                 return q
         window_end = window_start + w
@@ -439,6 +449,8 @@ class NicPort:
                 return q
         if window_end_local is None:
             return token_wake
+        if token_wake is not None and self.clock.read_ns(token_wake) < window_end_local:
+            return token_wake  # due before the window end: no inversion, as in _decide
         window_end = self.clock.true_at_local(window_end_local, now)
         return window_end if token_wake is None else min(token_wake, window_end)
 
@@ -468,7 +480,7 @@ class NicPort:
             self.trace.append(TxRecord(now, tx_local, q.index, wire, ser, frame.flow_id))
         self.tx_frames += 1
         self.busy_until = end = now + ser
-        self.sim.at(end, self.kick, self._txdone_label)
+        self.sim.at(end, self._kick, self._txdone_label)
         self.network.schedule_delivery(self, frame, now, end)
         if frame.hops == 1:  # a frame's flow hears of its first transmission only
             self.network.frame_dequeued(frame)
@@ -503,5 +515,5 @@ class NicPort:
             self._wake.cancel()
         if when <= self.sim.now:
             when = self.sim.now + 1
-        self._wake = self.sim.at(when, self.kick, label=self._wake_label)
+        self._wake = self.sim.at(when, self._kick, label=self._wake_label)
 

@@ -34,7 +34,7 @@ from .fabric import (
     abs_coords,
     mac_of,
 )
-from .frame import ETHERTYPE_PTP, ETHERTYPE_RUNTIME, MAX_WIRE_BYTES, Frame, pad_payload
+from .frame import ETHERTYPE_PTP, ETHERTYPE_RUNTIME, MAX_WIRE_BYTES, MIN_PAYLOAD, Frame
 from .nic import NicPort, TokenBucket
 from .ptp import PTP_PCP, PtpService
 from .qdisc import PriorityMap, classify
@@ -212,19 +212,22 @@ class Network:
 
     # -- frame construction ---------------------------------------------------
 
-    def _build_frame(self, src: Node, dst: NodeId, ethertype: int, payload: bytes,
-                     pcp: int) -> Frame:
-        return Frame(dst_mac=self.nodes[dst].mac, src_mac=src.mac, pcp=pcp,
-                     ethertype=ethertype, payload=pad_payload(payload), final_dst=dst,
-                     local_origin=ethertype == ETHERTYPE_RUNTIME, route=[] if self.trace else None)
-
     def build_runtime_frame(self, src: Node, dst: NodeId, payload: bytes, pcp: int) -> Frame:
-        return self._build_frame(src, dst, ETHERTYPE_RUNTIME, payload, pcp)
+        """A runtime frame, padded to the minimum payload; it counts against
+        the host budget."""
+        if len(payload) < MIN_PAYLOAD:
+            payload += bytes(MIN_PAYLOAD - len(payload))
+        return Frame(self.nodes[dst].mac, src.mac, pcp, ETHERTYPE_RUNTIME, payload, dst, True,
+                     [] if self.trace else None)
 
     def send_protocol_frame(self, src_id: NodeId, dst: NodeId, payload: bytes) -> None:
-        """Send a PTP message, the one protocol frame the fabric carries."""
+        """Send a PTP message, the one protocol frame the fabric carries; it is
+        not host-fed."""
         src = self.nodes[src_id]
-        src.send_frame(self._build_frame(src, dst, ETHERTYPE_PTP, payload, PTP_PCP))
+        if len(payload) < MIN_PAYLOAD:
+            payload += bytes(MIN_PAYLOAD - len(payload))
+        src.send_frame(Frame(self.nodes[dst].mac, src.mac, PTP_PCP, ETHERTYPE_PTP, payload,
+                             dst, False, [] if self.trace else None))
 
     # -- wire-level delivery ---------------------------------------------------
 
@@ -236,7 +239,7 @@ class Network:
         The port's frames arrive in the order they were sent: each starts after
         the last one ended, and the link's propagation delay is fixed."""
         port.in_flight.append((frame, tx_start))
-        self.sim.at(tx_end + port.link.prop_delay_ns, port.arrive, port.arrive_label)
+        self.sim.at(tx_end + port.prop_delay_ns, port.arrive_action, port.arrive_label)
 
     # -- accounting -------------------------------------------------------------
 

@@ -9,6 +9,7 @@ import pytest
 from tasnic.cli import main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 
 def write_scenario(tmp_path, name="s.json", **overrides):
@@ -224,3 +225,26 @@ def test_sweep_jobs_capped_at_scenario_count(tmp_path, monkeypatch):
     assert pools == [2]
     assert (out / "one" / "report.json").exists()
     assert (out / "two" / "report.json").exists()
+
+
+# bandwidth_partition's 200 ms take seconds to trace; 20 ms cross 200 of its
+# schedule windows
+SHORTENED_NS = {"bandwidth_partition.json": 20_000_000}
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in SCENARIOS.glob("*.json")))
+def test_traced_runs_do_not_depend_on_the_hash_seed(tmp_path, name):
+    doc = json.loads((SCENARIOS / name).read_text())
+    doc["duration_ns"] = SHORTENED_NS.get(name, doc["duration_ns"])
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    written = {}
+    for hash_seed in ("0", "12345"):
+        out = tmp_path / f"out-{hash_seed}"
+        subprocess.run([sys.executable, "-m", "tasnic.cli", "run", "--scenario", str(path),
+                        "--out", str(out), "--trace"], check=True, capture_output=True,
+                       timeout=60,
+                       env={**os.environ, "PYTHONPATH": str(SRC), "PYTHONHASHSEED": hash_seed})
+        written[hash_seed] = {f.name: f.read_bytes() for f in sorted(out.iterdir())}
+    assert {"report.json", "traces.jsonl", "routes.jsonl"} <= written["0"].keys()
+    assert written["0"] == written["12345"]

@@ -176,3 +176,26 @@ def test_true_at_local_jumps_over_a_coarse_quantum():
         t = clock.true_at_local(10_000, true_now)
         assert clock.read_ns(t) == 10**12
         assert clock.read_ns(t - 1) == 0
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.floats(-200.0, 200.0), st.integers(1, 64), st.integers(0, 10**9),
+       st.integers(-10**5, 10**5), st.integers(0, 10**9), st.floats(-200.0, 200.0),
+       st.integers(0, 10**9), st.integers(1, 10**6), st.integers(-10**4, 2 * 10**6))
+def test_a_reading_below_the_target_answers_a_token_wait_without_inversion(
+        drift, quantum, step_at, step_ns, adjust_at, adj, later, wait, ahead):
+    # the port's token wait in a slot: ready while the reading at ready is
+    # below the slot end, else the earlier of ready and the inverted slot end
+    clock = LocalClock(drift_ppm=drift, quantum_ns=quantum)
+    if step_at <= adjust_at:
+        clock.step(step_ns, step_at)
+        clock.set_rate_adj(adj, adjust_at)
+    else:
+        clock.set_rate_adj(adj, adjust_at)
+        clock.step(step_ns, step_at)
+    now = max(step_at, adjust_at) + later
+    ready = now + wait
+    target = clock.read_ns(now) + ahead
+    inverted = min(ready, clock.true_at_local(target, now))
+    shortcut = ready if clock.read_ns(ready) < target else inverted
+    assert shortcut == inverted

@@ -168,6 +168,23 @@ def test_cancelling_a_fired_event_changes_nothing():
     assert sim.run_until(5).events_processed == 0
 
 
+def test_run_until_counts_the_event_whose_action_raises():
+    sim = Simulator()
+    fired = []
+
+    def boom():
+        raise RuntimeError("boom")
+
+    sim.at(1, lambda: fired.append(1))
+    sim.at(4, boom)
+    sim.at(7, lambda: fired.append(7))
+    with pytest.raises(RuntimeError, match="boom"):
+        sim.run_until(10)
+    assert (sim.events_processed, sim.now, fired) == (2, 4, [1])
+    assert sim.run_until(10).events_processed == 1
+    assert (sim.events_processed, sim.now, fired) == (3, 10, [1, 7])
+
+
 def test_cancelled_events_leave_the_heap():
     # a closed loop that arms a far deadline each step and cancels the last
     # one, as reassembly does for each multi-fragment message

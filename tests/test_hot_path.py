@@ -1,10 +1,11 @@
 """Call-count guard on the per-hop and per-message paths.
 
-A 1 ms round-robin run on 2x2 tiles runs under cProfile, and the tests count
-calls, never time, so they are deterministic.  Each assertion names
-Python-level work that one frame-hop or one one-frame message once did and
-no longer does.  One more test checks the condition under which a port may
-debit its host budget with no refill call of its own.
+A 1 ms round-robin run on 2x2 tiles, and 1 ms of criterion 1's slot
+schedule, run under cProfile, and the tests count calls, never time, so they
+are deterministic.  Each assertion names Python-level work that one
+frame-hop or one one-frame message once did and no longer does.  One more
+test checks the condition under which a port may debit its host budget with
+no refill call of its own.
 """
 
 import cProfile
@@ -14,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from tasnic.clock import LocalClock
 from tasnic.fabric import NodeId
 from tasnic.frame import MAX_WIRE_BYTES, Frame, wire_bytes
 from tasnic.harness import build_network, run_scenario
@@ -38,8 +40,8 @@ PARTITION = {**json.loads((Path(__file__).resolve().parents[1] / "scenarios"
              "duration_ns": 1_000_000}
 
 
-def _profile():
-    scenario = parse_scenario(DOC)
+def _profile(doc=DOC):
+    scenario = parse_scenario(doc)
     profile = cProfile.Profile()
     profile.enable()
     result = run_scenario(scenario)
@@ -98,8 +100,9 @@ def test_round_robin_hop_stays_within_its_call_budget():
     # hop before an idle port sent an arriving frame itself, 29.4 before each
     # frame event reached its flow in one call, 28.0 before a frame was one
     # object, 27.8 before the port debited the host budget and bumped the
-    # flow's counters itself
-    assert sum(entry.callcount for entry in entries) <= 27 * hops
+    # flow's counters itself, 26.5 before a frame was built with no helper
+    # call and a bucket refilled with no divmod
+    assert sum(entry.callcount for entry in entries) <= 26 * hops
     # an idle port sends the frame it is given; a busy one leaves it to txdone
     assert _calls_from(stats, "kick", "enqueue") == 0
     # a frame event reaches its flow's counters with no call
@@ -108,6 +111,20 @@ def test_round_robin_hop_stays_within_its_call_budget():
     # each arrival pops its port's in-flight FIFO; none needs a bound partial
     assert _calls(stats, "_arrive") == 0
     assert 0 < _calls(stats, "arrive", "nic.py") <= hops
+
+
+def test_slot_schedule_hop_stays_within_its_call_budget():
+    result, _, entries = _profile(PARTITION)
+    hops = _hops(result.network)
+    assert hops > 500
+    # 36.9 calls per hop before a port waiting for host tokens inside a slot
+    # stopped inverting the clock, a frame was built with no helper call and
+    # a bucket refilled with no divmod
+    assert sum(entry.callcount for entry in entries) <= 34 * hops
+    # the tokens come before the slot end in most waits: those read the
+    # clock once and invert nothing (204 inversions for 204 wakes before)
+    inversions = _calls_of(entries, LocalClock.true_at_local.__code__)
+    assert 0 < inversions < _calls_of(entries, NicPort._set_wake.__code__)
 
 
 @pytest.mark.parametrize("doc", [DOC, PARTITION], ids=["round_robin", "slot_schedule"])
@@ -139,7 +156,7 @@ def test_one_frame_message_does_no_per_message_setup():
     for name in ("decode_id", "has_node"):
         assert _calls_from(stats, name, "send_msg") == len(destinations) == 4, name
     for name in ("mac_of", "abs_coords"):
-        assert _calls_from(stats, name, "_build_frame") == 0, name
+        assert _calls_from(stats, name, "build_runtime_frame") == 0, name
     # the fragment header is packed and unpacked by the struct alone: no
     # FragmentHeader is built, packed or unpacked on the message path
     for code in (FragmentHeader.__new__.__code__, FragmentHeader.pack.__code__,

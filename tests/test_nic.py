@@ -289,6 +289,51 @@ def test_token_bucket_arithmetic():
     assert bucket.ready_time(12_176, 5_000) == 12_176
 
 
+class _DivmodBucket:
+    """``TokenBucket.ready_time`` as it was: every refill goes through divmod,
+    a full bucket's included."""
+
+    def __init__(self, rate_bps, capacity_bits):
+        self.rate_bps, self.capacity = rate_bps, capacity_bits
+        self.tokens, self._last, self._rem = capacity_bits, 0, 0
+
+    def ready_time(self, bits, now):
+        if now > self._last:
+            gained, self._rem = divmod((now - self._last) * self.rate_bps + self._rem,
+                                       1_000_000_000)
+            self.tokens += gained
+            if self.tokens >= self.capacity:
+                self.tokens = self.capacity
+                self._rem = 0
+            self._last = now
+        if self.tokens >= bits:
+            return now
+        deficit_units = (bits - self.tokens) * 1_000_000_000 - self._rem
+        return now + -(-deficit_units // self.rate_bps)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.integers(1, 4 * 10**10), st.integers(1, 20_000),
+       st.lists(st.tuples(st.integers(0, 50_000), st.booleans(), st.integers(1, 20_000)),
+                min_size=1, max_size=60))
+def test_a_full_bucket_carries_no_remainder(rate_bps, capacity, steps):
+    # each step calls ready_time, at a later instant or at the one it last
+    # returned, and debits the frame when it is allowed now, as the port does
+    bucket, reference = TokenBucket(rate_bps, capacity), _DivmodBucket(rate_bps, capacity)
+    now = ready = 0
+    for dt, to_ready, bits in steps:
+        now = max(now, ready) if to_ready else now + dt
+        bits = min(bits, capacity)
+        ready = bucket.ready_time(bits, now)
+        assert ready == reference.ready_time(bits, now)
+        if ready == now:
+            bucket.tokens -= bits
+            reference.tokens -= bits
+        state = (bucket.tokens, bucket._rem, bucket._last)
+        assert state == (reference.tokens, reference._rem, reference._last)
+        assert bucket.tokens != capacity or bucket._rem == 0
+
+
 def test_host_cap_paces_local_frames():
     net, port = two_node_net(cap_bps=1_000_000_000)
     for _ in range(900):
