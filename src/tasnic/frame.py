@@ -1,20 +1,22 @@
 """L2 frames: 802.1Q-tagged Ethernet with an IEEE CRC-32 FCS.
 
-This module owns frame-size arithmetic: the payload limits, the wire
-length and the serialization time.  Other modules take sizes from here.
+This module owns frame-size arithmetic: the payload limits and padding, the
+wire length and the serialization time.  Other modules take sizes from here.
 
 Wire layout is dst(6) src(6) tpid(2)=0x8100 tci(2) ethertype(2) payload
 (46..1500) fcs(4), so the wire length is 18 + payload + 4 and tops out at
-1522 bytes.  A ``Frame`` also carries simulation-only bookkeeping (final
-destination, hops, flow tag, timestamps) in no wire bytes, as an ``sk_buff``
-does; it stands in for the L3 headers the fabric's software routing reads.
+1522 bytes.  A ``Frame`` zero-pads a short payload, as the MAC does, and
+names its two ends by node id, from which ``fabric.mac_of`` derives the
+MACs.  It also carries simulation-only bookkeeping (hops, flow tag,
+timestamps) in no wire bytes, as an ``sk_buff`` does; its final destination
+stands in for the L3 headers the fabric's software routing reads.
 """
 
 from __future__ import annotations
 
 import zlib
 
-from .fabric import NodeId
+from .fabric import NodeId, abs_coords, mac_of
 
 TPID = 0x8100
 ETHERTYPE_RUNTIME = 0x88B5
@@ -58,30 +60,30 @@ class SerializationTicks(dict):
 
 
 class Frame:
-    __slots__ = ("dst_mac", "src_mac", "pcp", "ethertype", "payload", "fcs", "wire_bytes",
-                 "final_dst", "local_origin", "flow_id", "msg_id", "frag_index",
-                 "send_local_ts", "send_true_ns", "hops", "route")
+    __slots__ = ("src", "final_dst", "pcp", "ethertype", "payload", "fcs", "wire_bytes",
+                 "local_origin", "flow_id", "send_local_ts", "send_true_ns", "hops", "route")
 
-    def __init__(self, dst_mac: bytes, src_mac: bytes, pcp: int, ethertype: int,
-                 payload: bytes, final_dst: NodeId | None = None, local_origin: bool = False,
+    def __init__(self, src: NodeId, final_dst: NodeId, pcp: int, ethertype: int,
+                 payload: bytes, local_origin: bool = False,
                  route: list[tuple[NodeId, str]] | None = None):
         if not 0 <= pcp <= 7:
             raise ValueError(f"pcp {pcp} out of range")
-        if not MIN_PAYLOAD <= len(payload) <= MAX_PAYLOAD:
-            raise ValueError(f"payload of {len(payload)} bytes is not in 46..1500")
-        self.dst_mac = dst_mac
-        self.src_mac = src_mac
+        size = len(payload)
+        if size < MIN_PAYLOAD:
+            payload = payload + bytes(MIN_PAYLOAD - size)  # a new buffer: the caller's stays
+            size = MIN_PAYLOAD
+        elif size > MAX_PAYLOAD:
+            raise ValueError(f"payload of {size} bytes is above {MAX_PAYLOAD}")
+        self.src = src
+        self.final_dst = final_dst          # L3-analog destination read by routing
         self.pcp = pcp
         self.ethertype = ethertype
         self.payload = payload
         self.fcs: int | None = None
         # a payload rewritten in flight keeps its length
-        self.wire_bytes = HEADER_BYTES + len(payload) + FCS_BYTES
-        self.final_dst = final_dst          # L3-analog destination read by routing
+        self.wire_bytes = HEADER_BYTES + size + FCS_BYTES
         self.local_origin = local_origin    # counts against the host injection cap
         self.flow_id: int | None = None
-        self.msg_id: int | None = None
-        self.frag_index: int | None = None
         self.send_local_ts: int | None = None  # sender clock at send_msg time
         self.send_true_ns: int | None = None
         self.hops = 0  # links taken, the one in flight included: the TTL count
@@ -93,11 +95,11 @@ class Frame:
         return self
 
     def covered_bytes(self) -> bytes:
-        """The bytes the FCS covers: full header plus payload.  The 802.1Q tag
-        control is the pcp, with DEI and VLAN id 0."""
+        """The bytes the FCS covers: header (MACs of both ends) and payload.
+        The 802.1Q tag control is the pcp, with DEI and VLAN id 0."""
         return b"".join((
-            self.dst_mac,
-            self.src_mac,
+            mac_of(abs_coords(self.final_dst)),
+            mac_of(abs_coords(self.src)),
             TPID.to_bytes(2, "big"),
             (self.pcp << 13).to_bytes(2, "big"),
             self.ethertype.to_bytes(2, "big"),
@@ -109,9 +111,3 @@ class Frame:
 
     def fcs_ok(self) -> bool:
         return self.fcs is not None and self.fcs == crc32(self.covered_bytes())
-
-
-def pad_payload(data: bytes) -> bytes:
-    if len(data) >= MIN_PAYLOAD:
-        return data
-    return data + bytes(MIN_PAYLOAD - len(data))

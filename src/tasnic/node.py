@@ -3,8 +3,8 @@
 A Node glues together its local clock, the per-port NIC egress machinery,
 the messaging runtime and the RX pipeline (FCS check of frames that carry
 one, local delivery with a fixed host processing delay, or software
-forwarding).  A frame's ``dst_mac`` names its final destination for the
-whole path; routing reads ``Frame.final_dst``.
+forwarding).  Routing reads ``Frame.final_dst``, the node id a frame's
+destination MAC is derived from, for the whole path.
 Each Node keeps a route table: the egress port per ``(final_dst, ingress)``,
 filled from ``next_hop`` on a miss and dropped when the topology's link
 epoch has moved since it was filled.
@@ -31,15 +31,13 @@ from .fabric import (
     Link,
     NodeId,
     PortKind,
-    abs_coords,
-    mac_of,
 )
-from .frame import ETHERTYPE_PTP, ETHERTYPE_RUNTIME, MAX_WIRE_BYTES, MIN_PAYLOAD, Frame
+from .frame import ETHERTYPE_PTP, ETHERTYPE_RUNTIME, MAX_WIRE_BYTES, Frame
 from .nic import NicPort, TokenBucket
 from .ptp import PTP_PCP, PtpService
 from .qdisc import PriorityMap, classify
 from .routing import DEFAULT_TTL, next_hop
-from .runtime import Message, NodeRuntime
+from .runtime import FragmentHeader, Message, NodeRuntime
 
 if TYPE_CHECKING:
     from .harness import _Flow
@@ -64,7 +62,6 @@ class Node:
         self.network = network
         self.sim = network.sim
         self.node_id = node_id
-        self.mac = mac_of(abs_coords(node_id))
         self.clock = clock
         # TX queue of each pcp (a Frame's pcp is 0..7), classified once
         self.queue_of_pcp = tuple(classify(pcp, priority_map) for pcp in range(8))
@@ -213,21 +210,15 @@ class Network:
     # -- frame construction ---------------------------------------------------
 
     def build_runtime_frame(self, src: Node, dst: NodeId, payload: bytes, pcp: int) -> Frame:
-        """A runtime frame, padded to the minimum payload; it counts against
-        the host budget."""
-        if len(payload) < MIN_PAYLOAD:
-            payload += bytes(MIN_PAYLOAD - len(payload))
-        return Frame(self.nodes[dst].mac, src.mac, pcp, ETHERTYPE_RUNTIME, payload, dst, True,
+        """A runtime frame; it counts against the host budget."""
+        return Frame(src.node_id, dst, pcp, ETHERTYPE_RUNTIME, payload, True,
                      [] if self.trace else None)
 
     def send_protocol_frame(self, src_id: NodeId, dst: NodeId, payload: bytes) -> None:
         """Send a PTP message, the one protocol frame the fabric carries; it is
         not host-fed."""
-        src = self.nodes[src_id]
-        if len(payload) < MIN_PAYLOAD:
-            payload += bytes(MIN_PAYLOAD - len(payload))
-        src.send_frame(Frame(self.nodes[dst].mac, src.mac, PTP_PCP, ETHERTYPE_PTP, payload,
-                             dst, False, [] if self.trace else None))
+        self.nodes[src_id].send_frame(Frame(src_id, dst, PTP_PCP, ETHERTYPE_PTP, payload,
+                                            False, [] if self.trace else None))
 
     # -- wire-level delivery ---------------------------------------------------
 
@@ -275,10 +266,14 @@ class Network:
     def record_route(self, frame: Frame) -> None:
         if len(self.route_traces) >= ROUTE_TRACE_CAP:
             return
+        msg_id = frag_index = None  # a sync frame has neither
+        if frame.ethertype == ETHERTYPE_RUNTIME:
+            header = FragmentHeader.unpack(frame.payload)
+            msg_id, frag_index = header.msg_id, header.frag_index
         self.route_traces.append({
             "flow": frame.flow_id,
-            "msg_id": frame.msg_id,
-            "frag_index": frame.frag_index,
+            "msg_id": msg_id,
+            "frag_index": frag_index,
             "route": [[str(n), p] for n, p in frame.route],
             "delivered_to": str(frame.final_dst),
         })

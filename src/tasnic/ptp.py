@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, NamedTuple
 from .clock import apply_servo, ptp_offset_estimate
 from .engine import TICKS_PER_MS
 from .fabric import NodeId
-from .frame import Frame, pad_payload
+from .frame import Frame
 
 if TYPE_CHECKING:  # pragma: no cover
     from .node import Network, Node
@@ -115,9 +115,9 @@ class PtpService:
         msg = PtpMessage.unpack(frame.payload)
         if msg.msg_type not in (MSG_SYNC, MSG_DELAY_REQ):
             return
-        payload = pad_payload(PtpMessage(msg.msg_type, tx_local, msg.exchange_id).pack())
-        assert len(payload) == len(frame.payload)  # Frame.wire_bytes stays right
-        frame.payload = payload
+        # the stamped message takes the place of the old one: the length stays
+        frame.payload = (PtpMessage(msg.msg_type, tx_local, msg.exchange_id).pack()
+                         + frame.payload[_WIRE.size:])
         if msg.msg_type == MSG_DELAY_REQ:
             state = self.slaves.get(node_id)
             if state is not None and state.pending_id == msg.exchange_id:

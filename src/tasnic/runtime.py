@@ -4,6 +4,9 @@
 0x88B5), each starting with an 18-byte fragment header; ``recv_msg`` blocks
 the calling application context until a matching message has been fully
 reassembled, realized by driving the event engine rather than busy-waiting.
+Bad arguments raise ``MessageError`` first: ``send_msg`` wants 1 byte or
+more and a pcp in 0..7 before it takes a msg_id, and ``recv_msg`` a size of
+1 or more and a timeout that is not negative before it runs the engine.
 A message that fits one frame is delivered as its frame arrives, with no
 reassembly state and no deadline.  The fragments of a multi-frame message
 are reassembled in a buffer of ``total_len`` bytes; a partial message that
@@ -39,7 +42,7 @@ REASSEMBLY_DEADLINE_NS = TICKS_PER_S
 
 
 class MessageError(Exception):
-    """Bad send_msg arguments."""
+    """Bad send_msg or recv_msg arguments."""
 
 
 class ReceiveTimeout(Exception):
@@ -151,6 +154,8 @@ class NodeRuntime:
         """Transfer ``data`` to the node with encoded id ``dst``; returns msg_id."""
         if len(data) < 1:
             raise MessageError("size must be >= 1")
+        if not 0 <= pcp <= 7:
+            raise MessageError(f"pcp {pcp} is not in 0..7")
         node = self.node
         network = node.network
         dest = self._destinations.get(dst)
@@ -173,8 +178,6 @@ class NodeRuntime:
             frame = network.build_runtime_frame(
                 node, dst_node, header + data[start:start + MAX_CHUNK], pcp)
             frame.flow_id = flow_id
-            frame.msg_id = msg_id
-            frame.frag_index = idx
             frame.send_local_ts = send_local
             frame.send_true_ns = now
             network.count_offered(frame)
@@ -246,6 +249,10 @@ class NodeRuntime:
         Blocking is realized by advancing the simulation from the caller's
         application context; it must not be invoked from inside an event.
         """
+        if size < 1:
+            raise MessageError("size must be >= 1")
+        if timeout is not None and timeout < 0:
+            raise MessageError(f"timeout {timeout} is negative")
         for i, msg in enumerate(self._completed):
             if msg.src_id == src and len(msg.data) == size:
                 return self._completed.pop(i).data

@@ -5,12 +5,11 @@ from pathlib import Path
 import pytest
 
 from tasnic import frame as frame_module
-from tasnic.fabric import GridCoord, mac_of
+from tasnic.fabric import NodeId, abs_coords, mac_of
 from tasnic.frame import (
     ETHERTYPE_RUNTIME,
     Frame,
     crc32,
-    pad_payload,
     serialization_ticks,
     wire_bytes,
 )
@@ -48,9 +47,11 @@ def test_crc32_matches_reference_on_random_inputs():
         assert crc32(data) == crc32_reference(data)
 
 
+A, B = NodeId(0, 0, 0, 0), NodeId(0, 0, 0, 1)
+
+
 def _frame(payload=b"x" * 100, pcp=2):
-    return Frame(dst_mac=mac_of(GridCoord(0, 1)), src_mac=mac_of(GridCoord(0, 0)),
-                 pcp=pcp, ethertype=ETHERTYPE_RUNTIME, payload=payload)
+    return Frame(src=A, final_dst=B, pcp=pcp, ethertype=ETHERTYPE_RUNTIME, payload=payload)
 
 
 def test_wire_length_accounting():
@@ -61,17 +62,33 @@ def test_wire_length_accounting():
 
 def test_payload_bounds_enforced():
     with pytest.raises(ValueError):
-        _frame(payload=bytes(45))
-    with pytest.raises(ValueError):
         _frame(payload=bytes(1501))
     with pytest.raises(ValueError):
         _frame(pcp=8)
 
 
-def test_pad_payload_reaches_minimum():
-    assert len(pad_payload(b"abc")) == 46
-    assert pad_payload(b"abc")[:3] == b"abc"
-    assert len(pad_payload(bytes(100))) == 100
+def test_a_short_payload_is_zero_padded_to_the_minimum():
+    frame = _frame(payload=b"\xff" * 45)
+    assert frame.wire_bytes == 68
+    assert frame.payload == b"\xff" * 45 + bytes(1)
+    assert _frame(payload=bytes(45)).payload == bytes(46)
+    short = bytearray(b"abc")
+    assert _frame(payload=short).payload == b"abc" + bytes(43)
+    assert short == b"abc"  # the caller's buffer is left as it was
+    assert len(_frame(payload=bytes(100)).payload) == 100
+
+
+def test_the_fcs_covers_both_ends_macs():
+    frame = _frame()
+    assert frame.covered_bytes()[:12] == mac_of(abs_coords(B)) + mac_of(abs_coords(A))
+    frame.stamp_fcs()
+    assert frame.fcs_ok()
+    for end in ("final_dst", "src"):
+        stamped = getattr(frame, end)
+        setattr(frame, end, NodeId(0, 0, 1, 1))
+        assert not frame.fcs_ok(), end
+        setattr(frame, end, stamped)
+    assert frame.fcs_ok()
 
 
 def test_fcs_round_trip_and_single_bit_detection():

@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tasnic.fabric import NodeId, PortKind
+from tasnic.fabric import NodeId, PortKind, encode_id
 from tasnic.harness import emit_report, run_scenario
+from tasnic.node import Network
 from tasnic.scenario import ScenarioError, parse_scenario
 
 
@@ -112,6 +113,30 @@ def test_trace_files_written_when_enabled(tmp_path):
     assert names == {"report.json", "traces.jsonl", "routes.jsonl"}
     routes = [json.loads(l) for l in (tmp_path / "routes.jsonl").read_text().splitlines()]
     assert routes and routes[0]["route"]
+
+
+def test_routes_name_a_fragment_by_its_header_and_a_sync_frame_by_null(tmp_path, monkeypatch):
+    # a 1-byte and a 3,000-byte message (msg_ids 0 and 1, the second in
+    # three fragments) cross the tile while the clocks sync
+    src, dst = NodeId(0, 0, 0, 0), NodeId(0, 0, 1, 1)
+    start = Network.start
+
+    def start_and_send(net):
+        start(net)
+        for size in (1, 3000):
+            net.nodes[src].runtime.send_msg(bytes(size), encode_id(dst))
+    monkeypatch.setattr(Network, "start", start_and_send)
+    res = run_scenario(parse_scenario(small_doc(trace=True, flows=[])))
+    emit_report(res, "json", tmp_path)
+    rows = [json.loads(l) for l in (tmp_path / "routes.jsonl").read_text().splitlines()]
+    fragments = [r for r in rows if r["msg_id"] is not None]
+    assert sorted((r["msg_id"], r["frag_index"]) for r in fragments) == [(0, 0), (1, 0), (1, 1),
+                                                                          (1, 2)]
+    assert all(r["delivered_to"] == str(dst) and len(r["route"]) == 2 for r in fragments)
+    sync = [r for r in rows if r["msg_id"] is None]
+    assert sync and all(r["frag_index"] is None for r in sync)
+    # every frame delivered to its destination left one row
+    assert len(rows) == sum(node.counters.delivered_local for node in res.network.nodes.values())
 
 
 def test_fault_schedule_applies_and_counts_drops():

@@ -8,7 +8,7 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from tasnic.clock import LocalClock
-from tasnic.fabric import GridCoord, NodeId, PortKind, encode_id, mac_of
+from tasnic.fabric import GridCoord, NodeId, PortKind, abs_coords, encode_id, mac_of
 from tasnic.frame import ETHERTYPE_RUNTIME, Frame, serialization_ticks
 from tasnic.harness import RunResult
 from tasnic.nic import (
@@ -46,9 +46,8 @@ def two_node_net(cap_bps=None, queue_depth=4096, rate_bps=10_000_000_000, num_tx
 
 
 def make_frame(net, payload_len=1500, pcp=0):
-    return Frame(dst_mac=mac_of(GridCoord(0, 1)), src_mac=mac_of(GridCoord(0, 0)),
-                 pcp=pcp, ethertype=ETHERTYPE_RUNTIME, payload=bytes(payload_len),
-                 final_dst=B, local_origin=True)
+    return Frame(src=A, final_dst=B, pcp=pcp, ethertype=ETHERTYPE_RUNTIME,
+                 payload=bytes(payload_len), local_origin=True)
 
 
 def program(net, entries, window_us=100, guardband_ns=None):
@@ -695,9 +694,11 @@ def test_forward_keeps_destination_mac():
     net = quiet_net((3, 3))
     src = net.nodes[NodeId(1, 2, 0, 0)]
     # another tile, several hops away: the first hop's peer is not the destination
-    frame = net.build_runtime_frame(src, NodeId(0, 0, 1, 1), bytes(64), pcp=0)
+    dst = NodeId(0, 0, 1, 1)
+    frame = net.build_runtime_frame(src, dst, bytes(64), pcp=0)
     src._forward(frame, None)
-    assert frame.dst_mac == mac_of(GridCoord(1, 1))
+    assert frame.final_dst == dst
+    assert frame.covered_bytes()[:6] == mac_of(abs_coords(dst)) == mac_of(GridCoord(1, 1))
     assert frame.hops == 1
 
 

@@ -6,8 +6,8 @@ from tasnic.frame import (
     ETHERTYPE_PTP,
     FCS_BYTES,
     HEADER_BYTES,
+    MIN_PAYLOAD,
     Frame,
-    pad_payload,
 )
 from tasnic.harness import run_scenario
 from tasnic.node import Network
@@ -36,12 +36,13 @@ def test_message_codec_round_trip():
 
 def test_one_step_timestamp_keeps_the_wire_length():
     net = sync_net({})
-    frame = Frame(dst_mac=bytes(6), src_mac=bytes(6), pcp=7, ethertype=ETHERTYPE_PTP,
-                  payload=pad_payload(PtpMessage(MSG_SYNC, 0, 9).pack()))
+    frame = Frame(src=GM, final_dst=NodeId(0, 0, 0, 1), pcp=7, ethertype=ETHERTYPE_PTP,
+                  payload=PtpMessage(MSG_SYNC, 0, 9).pack())
     frame.hops = 1  # at its origin port
     before = frame.wire_bytes
     net.ptp.on_tx_start(GM, frame, 123_456_789)
     assert PtpMessage.unpack(frame.payload) == PtpMessage(MSG_SYNC, 123_456_789, 9)
+    assert len(frame.payload) == MIN_PAYLOAD
     assert frame.wire_bytes == before == HEADER_BYTES + len(frame.payload) + FCS_BYTES
 
 

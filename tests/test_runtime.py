@@ -92,6 +92,30 @@ def test_an_unpopulated_destination_is_rejected_every_time_and_takes_no_msg_id()
     assert [runtime.send_msg(b"hi", encode_id(B)) for _ in range(2)] == [0, 1]
 
 
+def test_a_pcp_outside_0_to_7_is_rejected_before_the_lookup_and_takes_no_msg_id():
+    net = quiet_net()
+    runtime = net.nodes[A].runtime
+    for dst in (NodeId(5, 5, 0, 0), B):  # refused before an absent node is looked up
+        for pcp in (8, -1):
+            with pytest.raises(MessageError):
+                runtime.send_msg(b"hello", encode_id(dst), pcp=pcp)
+    assert net.frames_offered == 0
+    assert runtime._destinations == {}
+    assert [runtime.send_msg(b"hi", encode_id(B), pcp=7) for _ in range(2)] == [0, 1]
+
+
+def test_recv_msg_refuses_a_size_below_1_and_a_negative_timeout_before_the_engine_runs():
+    net = quiet_net()
+    net.nodes[A].runtime.send_msg(b"hi", encode_id(B))
+    net.sim.run_until(10)
+    runtime = net.nodes[B].runtime
+    for size, timeout in ((0, 1_000), (-1, None), (2, -5)):
+        with pytest.raises(MessageError):
+            runtime.recv_msg(size, encode_id(A), timeout)
+    assert (net.sim.now, net.sim.events_processed) == (10, 0)
+    assert runtime.recv_msg(2, encode_id(A), timeout=50_000_000) == b"hi"
+
+
 def test_round_trip_identity_multi_fragment():
     net = quiet_net()
     rng = random.Random(99)

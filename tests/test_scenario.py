@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tasnic.fabric import NodeId
+from tasnic.fabric import NodeId, abs_coords, mac_of
 from tasnic.harness import build_network, run_scenario
 from tasnic.nic import MAX_SCHEDULE_ENTRIES, default_guardband_ns
 from tasnic.runtime import ScheduleConfig
@@ -93,7 +93,8 @@ def test_largest_grid_is_128_tiles_per_side():
     # the last row's absolute coordinate, 2*127+1, is the largest MAC byte
     sc = parse_scenario(minimal_doc(grid={"G_r": 128, "G_c": 1, "populated": ["127.0.1.1"]},
                                     flows=[]))
-    assert build_network(sc).nodes[NodeId(127, 0, 1, 1)].mac[4] == 255
+    node = build_network(sc).nodes[NodeId(127, 0, 1, 1)]
+    assert mac_of(abs_coords(node.node_id))[4] == 255
 
 
 def test_oversubscribed_schedule_names_the_port():

@@ -9,7 +9,9 @@ a ``ForwardRef``.  A constructor (an
 ``__init__`` or a NamedTuple's fields) and each uniquely named function or
 method takes only what some caller passes, and a default only where some
 call leaves it out.  No state is write-only: each attribute stored on
-``self`` is read somewhere.
+``self`` is read somewhere.  Each frame fact has one owner: ``frame.py``
+alone names the minimum payload, a MAC is derived from a node id where it
+is needed and never stored, and a frame's fragment ids live in its payload.
 """
 
 import ast
@@ -23,6 +25,7 @@ import pytest
 
 from tasnic.engine import RunStats
 from tasnic.fabric import GridCoord, NodeId, PortKind
+from tasnic.frame import Frame
 from tasnic.metrics import FlowRecorder
 from tasnic.nic import TxQueue, TxRecord
 from tasnic.ptp import PtpMessage
@@ -240,3 +243,27 @@ def test_no_state_is_write_only():
               if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
     write_only = [f"{where}: self.{name}" for name, where in stored.items() if name not in loaded]
     assert write_only == []
+
+
+def _named(tree: ast.AST, name: str, calls_only: bool = False) -> bool:
+    """Whether ``tree`` names ``name`` (as a bare name, an attribute or an
+    import), or with ``calls_only`` calls it."""
+    for node in ast.walk(tree):
+        if calls_only:
+            node = node.func if isinstance(node, ast.Call) else None
+        elif isinstance(node, ast.ImportFrom) and any(a.name == name for a in node.names):
+            return True
+        if getattr(node, "id", None) == name or getattr(node, "attr", None) == name:
+            return True
+    return False
+
+
+def test_each_frame_fact_has_one_owner():
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted((SRC / "tasnic").glob("*.py"))}
+    assert [name for name, tree in trees.items() if _named(tree, "MIN_PAYLOAD")] == ["frame.py"]
+    assert [name for name, tree in trees.items()
+            if _named(tree, "mac_of", calls_only=True)] == ["fabric.py", "frame.py"]
+    stored = [slot for slot in Frame.__slots__
+              if slot.endswith("_mac") or slot in ("msg_id", "frag_index")]
+    assert stored == []
