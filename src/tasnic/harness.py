@@ -151,8 +151,6 @@ def run_scenario(scenario: Scenario) -> RunResult:
                  for i, f in enumerate(scenario.flows)]
     for flow in net.flows:
         sim.at(flow.start_ns, flow.begin, label=f"flowstart:{flow.flow_id}")
-    for node in net.nodes.values():
-        node.runtime.message_sink = net.flow_message
 
     for node_id, cfg in scenario.schedules:
         net.nodes[node_id].runtime.set_conf(cfg)

@@ -16,8 +16,8 @@ that carries a flow id is counted at its flow, ``Network.flows[flow_id]``
 (empty unless a run fills it), whose ``offered_frames``, ``drops`` (by
 cause) and ``delivered_frames`` the Network bumps, and whose
 ``on_dequeued`` it calls at the start of the frame's first transmission, at
-its origin; ``Network.flow_message`` hands the flow its reassembled
-messages.
+its origin; the destination's ``NodeRuntime`` hands the flow each of its
+messages as it completes.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from .nic import NicPort, TokenBucket
 from .ptp import PTP_PCP, PtpService
 from .qdisc import PriorityMap, classify
 from .routing import DEFAULT_TTL, next_hop
-from .runtime import FragmentHeader, Message, NodeRuntime
+from .runtime import FragmentHeader, NodeRuntime
 
 if TYPE_CHECKING:
     from .harness import _Flow
@@ -257,11 +257,6 @@ class Network:
         flow_id = frame.flow_id
         if flow_id is not None and self.flows:
             self.flows[flow_id].delivered_frames += 1
-
-    def flow_message(self, msg: Message) -> None:
-        """Runtime message sink of a run: a reassembled message of a flow."""
-        if msg.flow_id is not None:
-            self.flows[msg.flow_id].on_message(msg)
 
     def record_route(self, frame: Frame) -> None:
         if len(self.route_traces) >= ROUTE_TRACE_CAP:

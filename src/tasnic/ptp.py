@@ -4,7 +4,10 @@ One grandmaster periodically runs a two-way exchange with every other
 node: Sync (master to slave, carrying the hardware departure timestamp),
 Delay-Req (slave to master) and Delay-Resp (master to slave, carrying the
 request's arrival timestamp).  The slave computes the classic offset
-estimate ((t2-t1) - (t4-t3)) / 2 and feeds its servo.
+estimate ((t2-t1) - (t4-t3)) / 2 and feeds its servo.  The grandmaster keeps
+no per-exchange state: it sends each Delay-Resp to the node the Delay-Req
+frame names as its source (``Frame.src``), and each slave matches the
+exchange id against its one pending exchange.
 
 Sync frames ride the regular data links (EtherType 0x88F7) but are queued
 on each port's dedicated management queue, so they never occupy a
@@ -75,7 +78,6 @@ class PtpService:
             n: SlaveSync() for n in network.topology.nodes if n != grandmaster
         }
         self._next_exchange_id = 1
-        self._id_to_slave: dict[int, NodeId] = {}
 
     def start(self) -> None:
         ordered = sorted(self.slaves)
@@ -99,7 +101,6 @@ class PtpService:
     def _send_sync(self, slave: NodeId) -> None:
         eid = self._next_exchange_id
         self._next_exchange_id += 1
-        self._id_to_slave[eid] = slave
         state = self.slaves[slave]
         state.pending_id = eid
         state.t1 = state.t2 = state.t3 = None
@@ -136,11 +137,7 @@ class PtpService:
             state.t2 = rx_local
             self._send(node.node_id, self.grandmaster, PtpMessage(MSG_DELAY_REQ, 0, msg.exchange_id))
         elif msg.msg_type == MSG_DELAY_REQ and node.node_id == self.grandmaster:
-            # each exchange sends one Delay-Req: its entry is done with
-            slave = self._id_to_slave.pop(msg.exchange_id, None)
-            if slave is None:
-                return
-            self._send(self.grandmaster, slave,
+            self._send(self.grandmaster, frame.src,
                        PtpMessage(MSG_DELAY_RESP, rx_local, msg.exchange_id))
         elif msg.msg_type == MSG_DELAY_RESP and node.node_id in self.slaves:
             state = self.slaves[node.node_id]

@@ -1,12 +1,17 @@
 """Node-level messaging and configuration primitives.
 
 ``send_msg`` splits application data into tagged Ethernet frames (EtherType
-0x88B5), each starting with an 18-byte fragment header; ``recv_msg`` blocks
-the calling application context until a matching message has been fully
-reassembled, realized by driving the event engine rather than busy-waiting.
-Bad arguments raise ``MessageError`` first: ``send_msg`` wants 1 byte or
-more and a pcp in 0..7 before it takes a msg_id, and ``recv_msg`` a size of
-1 or more and a timeout that is not negative before it runs the engine.
+0x88B5), each starting with an 18-byte fragment header.  A completed
+message goes one way: to ``Network.flows[flow_id]`` when it carries a flow
+id and the run has flows, else to the node's ``inbox``, which keeps it until
+a ``recv_msg`` takes it.  ``recv_msg`` blocks the calling application
+context until a matching message is in the inbox, realized by driving the
+event engine rather than busy-waiting; it scans each entry once and leaves
+the ones it does not match in place.
+Bad arguments raise first: ``send_msg`` wants 1 byte or more and a pcp in
+0..7 before it takes a msg_id, and ``recv_msg`` a size of 1 or more and a
+timeout that is not negative before it runs the engine (``MessageError``);
+either raises ``AddressError`` for a peer that is no populated node.
 A message that fits one frame is delivered as its frame arrives, with no
 reassembly state and no deadline.  The fragments of a multi-frame message
 are reassembled in a buffer of ``total_len`` bytes; a partial message that
@@ -25,7 +30,7 @@ carries up to ``MAX_CHUNK`` (1482) data bytes, the maximum payload minus the hea
 from __future__ import annotations
 
 import struct
-from typing import TYPE_CHECKING, Callable, NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .engine import TICKS_PER_S, EventHandle, SimTime
 from .fabric import AddressError, NodeId, PortKind, decode_id, encode_id
@@ -114,17 +119,9 @@ class _Reassembly:
         self.deadline_handle: EventHandle | None = None
 
 
-class _PendingRecv:
-    __slots__ = ("src_id", "size", "result")
-
-    def __init__(self, src_id: int, size: int):
-        self.src_id = src_id
-        self.size = size
-        self.result: Message | None = None
-
-
 class _Destination:
-    """A checked destination of ``send_msg`` and the msg_id its next message takes."""
+    """A checked peer of ``send_msg`` or ``recv_msg`` and the msg_id the next
+    message sent to it takes."""
 
     __slots__ = ("node_id", "next_msg_id")
 
@@ -141,9 +138,7 @@ class NodeRuntime:
         self._src_id = encode_id(node.node_id)
         self._destinations: dict[int, _Destination] = {}  # by encoded id
         self._partials: dict[tuple[int, int], _Reassembly] = {}
-        self._completed: list[Message] = []
-        self._pending_recv: _PendingRecv | None = None
-        self.message_sink: Callable[[Message], None] | None = None
+        self.inbox: list[Message] = []  # delivered messages no flow of the run takes
         self.expired_partials = 0
         self.messages_delivered = 0
 
@@ -160,10 +155,7 @@ class NodeRuntime:
         network = node.network
         dest = self._destinations.get(dst)
         if dest is None:
-            dst_node = decode_id(dst)
-            if not network.topology.has_node(dst_node):
-                raise AddressError(f"destination {dst_node} is not a populated node")
-            dest = self._destinations[dst] = _Destination(dst_node)
+            dest = self._destination(dst)
         dst_node = dest.node_id
         msg_id = dest.next_msg_id
         dest.next_msg_id = (msg_id + 1) & 0xFFFF
@@ -183,6 +175,14 @@ class NodeRuntime:
             network.count_offered(frame)
             node.send_frame(frame)
         return msg_id
+
+    def _destination(self, peer: int) -> _Destination:
+        """Decode and check the encoded id ``peer`` and cache it as a destination."""
+        node_id = decode_id(peer)
+        if not self.node.network.topology.has_node(node_id):
+            raise AddressError(f"node {node_id} is not a populated node")
+        dest = self._destinations[peer] = _Destination(node_id)
+        return dest
 
     # -- receiving ---------------------------------------------------------
 
@@ -227,21 +227,19 @@ class NodeRuntime:
             self.expired_partials += 1
 
     def _deliver(self, frame: Frame, src_id: int, data: bytes, hops: int) -> None:
-        """Hand a complete message to the pending receive, the sink or the
-        completed list, stamped with this node's clock now."""
+        """Hand a complete message, stamped with this node's clock now, to its
+        flow if the run has flows, else to the inbox."""
         self.messages_delivered += 1
-        now = self.node.sim.now
+        node = self.node
+        now = node.sim.now
+        flow_id = frame.flow_id
         msg = Message(src_id, data, frame.send_local_ts, frame.send_true_ns,
-                      self.node.clock.read_ns(now), now, frame.flow_id, hops)
-        pending = self._pending_recv
-        if (pending is not None and pending.result is None
-                and src_id == pending.src_id and len(data) == pending.size):
-            pending.result = msg
-            return
-        if self.message_sink is not None:
-            self.message_sink(msg)
-            return
-        self._completed.append(msg)
+                      node.clock.read_ns(now), now, flow_id, hops)
+        flows = node.network.flows
+        if flow_id is not None and flows:
+            flows[flow_id].on_message(msg)
+        else:
+            self.inbox.append(msg)
 
     def recv_msg(self, size: int, src: int, timeout: SimTime | None = None) -> bytes:
         """Block until ``size`` bytes from ``src`` have arrived; returns them.
@@ -253,15 +251,19 @@ class NodeRuntime:
             raise MessageError("size must be >= 1")
         if timeout is not None and timeout < 0:
             raise MessageError(f"timeout {timeout} is negative")
-        for i, msg in enumerate(self._completed):
-            if msg.src_id == src and len(msg.data) == size:
-                return self._completed.pop(i).data
+        if src not in self._destinations:
+            self._destination(src)
+        inbox = self.inbox
         sim = self.node.sim
         deadline = sim.now + timeout if timeout is not None else None
-        pending = _PendingRecv(src, size)
-        self._pending_recv = pending
-        try:
-            while pending.result is None:
+        scanned = 0
+        while True:
+            for i in range(scanned, len(inbox)):
+                msg = inbox[i]
+                if msg.src_id == src and len(msg.data) == size:
+                    return inbox.pop(i).data
+            scanned = len(inbox)
+            while len(inbox) == scanned:
                 if not sim.step(deadline):
                     if deadline is not None:
                         sim.run_until(deadline)
@@ -269,9 +271,6 @@ class NodeRuntime:
                             f"no {size}-byte message from {decode_id(src)} within {timeout} ns")
                     raise ReceiveStalled(
                         "event queue drained with the receive still incomplete")
-            return pending.result.data
-        finally:
-            self._pending_recv = None
 
     # -- schedule configuration ---------------------------------------------
 

@@ -148,13 +148,15 @@ def test_the_host_budget_is_refilled_to_the_instant_of_each_debit(doc, monkeypat
 
 def test_one_frame_message_does_no_per_message_setup():
     result, stats, entries = _profile()
-    assert sum(node.runtime.messages_delivered for node in result.network.nodes.values()) > 100
-    # the node's own id is encoded once, and a destination MAC is the node's own
+    delivered = sum(node.runtime.messages_delivered for node in result.network.nodes.values())
+    assert delivered > 100
+    # the node's own id is encoded once
     assert _calls_from(stats, "encode_id", "send_msg") == 0
     # each destination is decoded and checked by its first message only
     destinations = {flow["dst"] for flow in DOC["flows"]}
     for name in ("decode_id", "has_node"):
-        assert _calls_from(stats, name, "send_msg") == len(destinations) == 4, name
+        assert _calls_from(stats, name, "_destination") == len(destinations) == 4, name
+    # a frame names its ends by node id: no MAC is derived to build one
     for name in ("mac_of", "abs_coords"):
         assert _calls_from(stats, name, "build_runtime_frame") == 0, name
     # the fragment header is packed and unpacked by the struct alone: no
@@ -169,6 +171,8 @@ def test_one_frame_message_does_no_per_message_setup():
     assert _calls(stats, "on_message", "metrics.py") > 100
     for name in ("__init__", "__new__"):
         assert _calls_from(stats, name, "on_message") == 0, name
+    # the runtime hands each delivered message to its flow itself: no relay
+    assert _calls(stats, "on_message") == _calls_from(stats, "on_message", "_deliver") == delivered
 
 
 def test_building_a_frame_runs_one_python_init():

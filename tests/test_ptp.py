@@ -1,5 +1,3 @@
-from pathlib import Path
-
 from tasnic.engine import TICKS_PER_S
 from tasnic.fabric import NodeId
 from tasnic.frame import (
@@ -9,12 +7,9 @@ from tasnic.frame import (
     MIN_PAYLOAD,
     Frame,
 )
-from tasnic.harness import run_scenario
 from tasnic.node import Network
 from tasnic.ptp import MSG_DELAY_REQ, MSG_DELAY_RESP, MSG_SYNC, PtpMessage
-from tasnic.scenario import load_scenario, parse_scenario
-
-SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+from tasnic.scenario import parse_scenario
 
 GM = NodeId(0, 0, 0, 0)
 
@@ -55,12 +50,23 @@ def test_exchanges_complete_every_interval():
         assert state.rounds_completed in (7, 8)  # one round per 250 ms
 
 
-def test_the_grandmaster_forgets_each_exchange_its_delay_request_closes():
-    net = run_scenario(load_scenario(SCENARIOS / "ptp_defaults.json")).network
-    rounds = sum(state.rounds_completed for state in net.ptp.slaves.values())
-    assert rounds >= 100  # 40 rounds per slave over 10 s
-    # at most the one exchange per slave whose Delay-Req is still on its way
-    assert len(net.ptp._id_to_slave) <= len(net.ptp.slaves)
+def test_each_delay_response_goes_to_the_sender_of_its_delay_request(monkeypatch):
+    sent = []
+    send = Network.send_protocol_frame
+
+    def recorded(net, src_id, dst, payload):
+        sent.append((src_id, dst, PtpMessage.unpack(payload)))
+        send(net, src_id, dst, payload)
+    monkeypatch.setattr(Network, "send_protocol_frame", recorded)
+    net = sync_net({NodeId(0, 0, 0, 1): 5.0, NodeId(0, 0, 1, 1): -5.0})
+    net.start()
+    net.sim.run_until(TICKS_PER_S)
+    requester = {msg.exchange_id: src for src, dst, msg in sent if msg.msg_type == MSG_DELAY_REQ}
+    answered = {msg.exchange_id: dst for src, dst, msg in sent if msg.msg_type == MSG_DELAY_RESP}
+    assert answered.items() <= requester.items()
+    assert len(answered) >= 3 * len(net.ptp.slaves)  # one exchange per slave per 250 ms
+    assert set(answered.values()) == set(net.ptp.slaves)
+    assert all(src == GM for src, _, msg in sent if msg.msg_type == MSG_DELAY_RESP)
 
 
 def test_slaves_converge_within_five_quanta():

@@ -116,6 +116,35 @@ def test_recv_msg_refuses_a_size_below_1_and_a_negative_timeout_before_the_engin
     assert runtime.recv_msg(2, encode_id(A), timeout=50_000_000) == b"hi"
 
 
+def test_recv_msg_from_an_unpopulated_node_raises_before_the_engine_runs():
+    from tasnic.fabric import AddressError
+    net = quiet_net(ptp={})  # sync events keep the queue from draining
+    net.start()
+    runtime = net.nodes[A].runtime
+    absent = encode_id(NodeId(5, 5, 0, 0))
+    for timeout in (1_000_000_000, None):
+        with pytest.raises(AddressError):
+            runtime.recv_msg(5, absent, timeout)
+    assert (net.sim.now, net.sim.events_processed) == (0, 0)
+    assert absent not in runtime._destinations
+
+
+def test_recv_msg_takes_the_first_match_from_the_inbox_and_leaves_the_rest():
+    net = quiet_net()
+    sender, runtime = net.nodes[A].runtime, net.nodes[B].runtime
+    sender.send_msg(b"early", encode_id(B), flow_id=0)  # a flow id, but the run has no flows
+    sender.send_msg(bytes(3000), encode_id(B))
+    sender.send_msg(b"late", encode_id(B))
+    assert runtime.recv_msg(4, encode_id(A), timeout=10_000_000) == b"late"
+    # the two that arrived first, during the wait, match nothing and stay in order
+    assert [(msg.data, msg.flow_id) for msg in runtime.inbox] == [
+        (b"early", 0), (bytes(3000), None)]
+    events = net.sim.events_processed
+    assert runtime.recv_msg(5, encode_id(A), timeout=0) == b"early"
+    assert net.sim.events_processed == events
+    assert [msg.data for msg in runtime.inbox] == [bytes(3000)]
+
+
 def test_round_trip_identity_multi_fragment():
     net = quiet_net()
     rng = random.Random(99)
@@ -169,10 +198,9 @@ def test_partial_message_expires_and_counts():
 
 
 def _sink(net, node):
-    """Collect every message ``node`` completes, with the time it completed."""
-    got = []
-    net.nodes[node].runtime.message_sink = lambda msg: got.append((net.sim.now, msg))
-    return got
+    """The inbox of ``node``: each message it completes on a network with no
+    flows, in order, each completed at its ``deliver_true_ns``."""
+    return net.nodes[node].runtime.inbox
 
 
 def _crafted(net, msg_id, frag_index, frag_count, total_len, chunk):
@@ -189,9 +217,10 @@ def test_message_sizes_around_one_frame_arrive_whole(size):
     net.sim.run_until(1_000_000)  # far enough for the drifts to show
     net.nodes[A].runtime.send_msg(data, encode_id(FAR), flow_id=3)
     net.sim.run_until(10_000_000)
-    [(now, msg)] = got
+    [msg] = got
+    now = msg.deliver_true_ns
     assert (msg.src_id, msg.data, msg.flow_id, msg.hops) == (encode_id(A), data, 3, 2)
-    assert (msg.send_true_ns, msg.deliver_true_ns) == (1_000_000, now)
+    assert msg.send_true_ns == 1_000_000 < now
     assert msg.send_local_ts == net.nodes[A].clock.read_ns(1_000_000)
     assert msg.deliver_local_ts == net.nodes[FAR].clock.read_ns(now)
     assert msg.deliver_local_ts != now  # the receiver's own clock, not true time
@@ -239,7 +268,7 @@ def test_a_short_chunk_is_zero_filled_to_the_message_length():
     runtime.on_frame(_crafted(net, 0, 0, 1, 100, one))
     runtime.on_frame(_crafted(net, 1, 0, 2, 2000, first))
     runtime.on_frame(_crafted(net, 1, 1, 2, 2000, second))
-    assert [msg.data for _, msg in got] == [
+    assert [msg.data for msg in got] == [
         one + bytes(50), first + bytes(MAX_CHUNK - 1000) + second]
 
 
