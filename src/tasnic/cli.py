@@ -2,7 +2,7 @@
 
     tasnic run --scenario FILE --out DIR [--format json|csv] [--seed N] [--trace]
     tasnic validate --scenario FILE [--dump-topology]
-    tasnic sweep --dir SCENARIOS --out DIR [--jobs N] [--format json|csv]
+    tasnic sweep --dir SCENARIOS --out DIR [--format json|csv]
 
 Exit codes: 0 success, 1 validation error, 2 I/O error.
 """
@@ -25,8 +25,8 @@ def _load(path: str) -> Scenario | int:
     """The scenario at ``path``, or the exit code once its errors are printed."""
     try:
         return load_scenario(path)
-    except FileNotFoundError:
-        print(f"error: scenario file {path} not found", file=sys.stderr)
+    except OSError as exc:
+        print(f"error: cannot read scenario: {exc}", file=sys.stderr)
         return EXIT_IO
     except ScenarioError as exc:
         for err in exc.errors:
@@ -34,23 +34,30 @@ def _load(path: str) -> Scenario | int:
         return EXIT_VALIDATION
 
 
-def _cmd_run(args) -> int:
-    scenario = _load(args.scenario)
+def _run_file(path: str, out: str, fmt: str, seed: int | None = None,
+              trace: bool = False) -> int:
+    """Load, run and report the scenario at ``path`` into ``out``; prints the
+    written paths and returns the exit code."""
+    scenario = _load(path)
     if isinstance(scenario, int):
         return scenario
-    if args.seed is not None:
-        scenario.seed = args.seed
-    if args.trace:
+    if seed is not None:
+        scenario.seed = seed
+    if trace:
         scenario.trace = True
     result = run_scenario(scenario)
     try:
-        written = emit_report(result, args.format, args.out)
+        written = emit_report(result, fmt, out)
     except OSError as exc:
         print(f"error: cannot write report: {exc}", file=sys.stderr)
         return EXIT_IO
-    for path in written:
-        print(path)
+    for written_path in written:
+        print(written_path)
     return EXIT_OK
+
+
+def _cmd_run(args) -> int:
+    return _run_file(args.scenario, args.out, args.format, args.seed, args.trace)
 
 
 def _cmd_validate(args) -> int:
@@ -63,17 +70,6 @@ def _cmd_validate(args) -> int:
     return EXIT_OK
 
 
-def _run_one(paths: tuple[str, str, str]) -> tuple[str, int]:
-    scenario_path, out_dir, fmt = paths
-    try:
-        scenario = load_scenario(scenario_path)
-    except ScenarioError:
-        return scenario_path, EXIT_VALIDATION
-    result = run_scenario(scenario)
-    emit_report(result, fmt, out_dir)
-    return scenario_path, EXIT_OK
-
-
 def _cmd_sweep(args) -> int:
     src = Path(args.dir)
     if not src.is_dir():
@@ -83,21 +79,11 @@ def _cmd_sweep(args) -> int:
     if not files:
         print(f"error: no scenario files in {src}", file=sys.stderr)
         return EXIT_VALIDATION
-    jobs = [(str(f), str(Path(args.out) / f.stem), args.format) for f in files]
     worst = EXIT_OK
-    workers = min(args.jobs, len(jobs))
-    if workers > 1:
-        # imported here: the pool machinery is a fifth of the CLI's cold import
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for path, code in pool.map(_run_one, jobs):
-                print(f"{'ok' if code == 0 else 'FAILED'}: {path}")
-                worst = max(worst, code)
-    else:
-        for job in jobs:
-            path, code = _run_one(job)
-            print(f"{'ok' if code == 0 else 'FAILED'}: {path}")
-            worst = max(worst, code)
+    for path in files:
+        code = _run_file(str(path), str(Path(args.out) / path.stem), args.format)
+        print(f"{'ok' if code == EXIT_OK else 'FAILED'}: {path}")
+        worst = max(worst, code)
     return worst
 
 
@@ -122,7 +108,6 @@ def main(argv: list[str] | None = None) -> int:
     p_sweep = sub.add_parser("sweep", help="run every scenario in a directory")
     p_sweep.add_argument("--dir", required=True)
     p_sweep.add_argument("--out", required=True)
-    p_sweep.add_argument("--jobs", type=int, default=1)
     p_sweep.add_argument("--format", choices=("json", "csv"), default="json")
     p_sweep.set_defaults(fn=_cmd_sweep)
 

@@ -3,7 +3,8 @@
 A Node glues together its local clock, the per-port NIC egress machinery,
 the messaging runtime and the RX pipeline (FCS check of frames that carry
 one, local delivery with a fixed host processing delay, or software
-forwarding).  Routing reads ``Frame.final_dst``, the node id a frame's
+forwarding); a frame a node sends to itself enters that pipeline with no
+wire in between.  Routing reads ``Frame.final_dst``, the node id a frame's
 destination MAC is derived from, for the whole path.
 Each Node keeps a route table: the egress port per ``(final_dst, ingress)``,
 filled from ``next_hop`` on a miss and dropped when the topology's link
@@ -69,7 +70,6 @@ class Node:
         self.bucket: TokenBucket | None = None
         self.ports: dict[PortKind, NicPort] = {}
         self.hostrx_label = f"hostrx:{node_id}"
-        self.loopback_label = f"loopback:{node_id}"
         self.reasm_deadline_label = f"reasm-deadline:{node_id}"
         self.runtime = NodeRuntime(self)
         self._topology = network.topology
@@ -81,12 +81,7 @@ class Node:
     def send_frame(self, frame: Frame) -> None:
         """Route and enqueue a locally-originated frame."""
         if frame.final_dst == self.node_id:
-            # loopback: no wire involved, just the host processing delay
-            self.counters.rx_frames += 1
-            self.counters.delivered_local += 1
-            self.network.count_frame_delivered(frame)
-            self.sim.at(self.sim.now + self.network.host.processing_delay_ns,
-                        lambda: self.runtime.on_frame(frame), label=self.loopback_label)
+            self.handle_rx(frame, None)  # no wire: straight to the host step
             return
         self._forward(frame, None)
 
@@ -137,7 +132,7 @@ class Node:
 
     # -- ingress -------------------------------------------------------------
 
-    def handle_rx(self, frame: Frame, ingress: PortKind) -> None:
+    def handle_rx(self, frame: Frame, ingress: PortKind | None) -> None:
         self.counters.rx_frames += 1
         if frame.fcs is not None and not frame.fcs_ok():
             self._drop(frame, "crc")

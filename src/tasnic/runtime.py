@@ -8,8 +8,9 @@ a ``recv_msg`` takes it.  ``recv_msg`` blocks the calling application
 context until a matching message is in the inbox, realized by driving the
 event engine rather than busy-waiting; it scans each entry once and leaves
 the ones it does not match in place.
-Bad arguments raise first: ``send_msg`` wants 1 byte or more and a pcp in
-0..7 before it takes a msg_id, and ``recv_msg`` a size of 1 or more and a
+Bad arguments raise first: ``send_msg`` wants a size in 1..``MAX_MESSAGE_BYTES``
+(the 65,535 fragments a u16 ``frag_count`` can count) and a pcp in 0..7
+before it takes a msg_id, and ``recv_msg`` a size in the same range and a
 timeout that is not negative before it runs the engine (``MessageError``);
 either raises ``AddressError`` for a peer that is no populated node.
 A message that fits one frame is delivered as its frame arrives, with no
@@ -43,6 +44,7 @@ if TYPE_CHECKING:  # pragma: no cover
 _HEADER = struct.Struct(">HHHIII")
 FRAGMENT_HEADER_BYTES = _HEADER.size  # 18
 MAX_CHUNK = MAX_PAYLOAD - FRAGMENT_HEADER_BYTES  # 1482 usable bytes per frame
+MAX_MESSAGE_BYTES = 0xFFFF * MAX_CHUNK  # 97,122,870: frag_count is a u16
 REASSEMBLY_DEADLINE_NS = TICKS_PER_S
 
 
@@ -147,8 +149,10 @@ class NodeRuntime:
     def send_msg(self, data: bytes, dst: int, pcp: int = 0,
                  flow_id: int | None = None) -> int:
         """Transfer ``data`` to the node with encoded id ``dst``; returns msg_id."""
-        if len(data) < 1:
-            raise MessageError("size must be >= 1")
+        size = len(data)
+        frag_count = -(-size // MAX_CHUNK)
+        if not 1 <= frag_count <= 0xFFFF:
+            raise MessageError(f"size {size} is not in 1..{MAX_MESSAGE_BYTES}")
         if not 0 <= pcp <= 7:
             raise MessageError(f"pcp {pcp} is not in 0..7")
         node = self.node
@@ -159,8 +163,6 @@ class NodeRuntime:
         dst_node = dest.node_id
         msg_id = dest.next_msg_id
         dest.next_msg_id = (msg_id + 1) & 0xFFFF
-        size = len(data)
-        frag_count = -(-size // MAX_CHUNK)
         now = node.sim.now
         send_local = node.clock.read_ns(now)
         src_id = self._src_id
@@ -247,8 +249,8 @@ class NodeRuntime:
         Blocking is realized by advancing the simulation from the caller's
         application context; it must not be invoked from inside an event.
         """
-        if size < 1:
-            raise MessageError("size must be >= 1")
+        if not 1 <= size <= MAX_MESSAGE_BYTES:
+            raise MessageError(f"size {size} is not in 1..{MAX_MESSAGE_BYTES}")
         if timeout is not None and timeout < 0:
             raise MessageError(f"timeout {timeout} is negative")
         if src not in self._destinations:

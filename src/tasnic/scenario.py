@@ -477,11 +477,14 @@ def parse_scenario(doc: dict) -> Scenario:
 
 
 def load_scenario(path: str | Path) -> Scenario:
-    text = Path(path).read_text()
+    data = Path(path).read_bytes()
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ScenarioError([f"{path}: not valid JSON ({exc})"]) from exc
+        # decoded here, not by json.loads, which would also take UTF-16 and UTF-32
+        doc = json.loads(data.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:
+        # bytes that are not UTF-8, bad JSON, an integer over Python's digit
+        # limit, or nesting deeper than the recursion limit
+        raise ScenarioError([f"{path}: not readable as JSON ({exc})"]) from exc
     if not isinstance(doc, dict):
         raise ScenarioError([f"{path}: top level must be an object"])
     return parse_scenario(doc)

@@ -171,6 +171,52 @@ def test_missing_file_exit_two(tmp_path):
     assert main(["validate", "--scenario", str(tmp_path / "nope.json")]) == 2
 
 
+DEEP = b"[" * 100_000 + b"]" * 100_000
+
+
+# Each case: a command line ({tmp} is the test's directory), the files it
+# finds there (None: a valid scenario), its exit code, the start of its one
+# stderr line, and its stdout. Every path written and printed must exist.
+@pytest.mark.parametrize("argv, files, code, stderr, stdout", [
+    ("run --scenario {tmp}/nope.json --out {tmp}/out", {}, 2,
+     "error: cannot read scenario: [Errno 2] No such file or directory", []),
+    ("validate --scenario {tmp}", {}, 2, "error: cannot read scenario: [Errno 21]", []),
+    ("run --scenario {tmp}/s.json --out {tmp}/out", {"s.json": b'{"seed": \xff}'}, 1,
+     "validation: {tmp}/s.json: not readable as JSON ('utf-8' codec can't decode byte 0xff",
+     []),
+    ("validate --scenario {tmp}/s.json", {"s.json": b'{"seed": ' + b"9" * 5000 + b"}"}, 1,
+     "validation: {tmp}/s.json: not readable as JSON (Exceeds the limit (4300 digits)", []),
+    ("run --scenario {tmp}/s.json --out {tmp}/out", {"s.json": DEEP}, 1,
+     "validation: {tmp}/s.json: not readable as JSON (maximum recursion depth exceeded", []),
+    ("sweep --dir {tmp}/in --out {tmp}/file/out", {"in/s.json": None, "file": b""}, 2,
+     "error: cannot write report: [Errno 20] Not a directory", ["FAILED: {tmp}/in/s.json"]),
+    ("sweep --dir {tmp}/in --out {tmp}/out",
+     {"in/good.json": None, "in/bad.json": b'{"seed": 1.5}'}, 1,
+     "validation: seed: 1.5 is not an integer",
+     ["FAILED: {tmp}/in/bad.json", "{tmp}/out/good/report.json", "ok: {tmp}/in/good.json"]),
+], ids=["missing_file", "directory", "not_utf8", "integer_over_digit_limit", "deep_nesting",
+        "sweep_report_unwritable", "sweep_one_invalid_file"])
+def test_outside_input_fails_with_one_message_and_no_traceback(tmp_path, argv, files, code,
+                                                               stderr, stdout):
+    for name, data in files.items():
+        (tmp_path / name).parent.mkdir(exist_ok=True)
+        if data is None:
+            write_scenario(tmp_path, name=name)
+        else:
+            (tmp_path / name).write_bytes(data)
+    proc = subprocess.run([sys.executable, "-m", "tasnic.cli",
+                           *argv.format(tmp=tmp_path).split()],
+                          capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert proc.returncode == code
+    assert "Traceback" not in proc.stderr
+    [line] = proc.stderr.splitlines()
+    assert line.startswith(stderr.format(tmp=tmp_path))
+    assert proc.stdout.splitlines() == [out.format(tmp=tmp_path) for out in stdout]
+    assert all(Path(out).is_file() for out in proc.stdout.splitlines()
+               if not out.startswith(("ok:", "FAILED:")))
+
+
 def test_run_writes_json_report(tmp_path):
     path = write_scenario(tmp_path)
     out = tmp_path / "out"
@@ -196,33 +242,6 @@ def test_sweep_runs_every_scenario(tmp_path):
     write_scenario(tmp_path, name="two.json", seed=5)
     out = tmp_path / "out"
     assert main(["sweep", "--dir", str(tmp_path), "--out", str(out)]) == 0
-    assert (out / "one" / "report.json").exists()
-    assert (out / "two" / "report.json").exists()
-
-
-def test_sweep_jobs_capped_at_scenario_count(tmp_path, monkeypatch):
-    # An in-process stand-in for the pool: records the worker count, forks nothing.
-    pools = []
-
-    class FakePool:
-        def __init__(self, max_workers):
-            pools.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", FakePool)
-    write_scenario(tmp_path, name="one.json")
-    write_scenario(tmp_path, name="two.json", seed=5)
-    out = tmp_path / "out"
-    assert main(["sweep", "--dir", str(tmp_path), "--out", str(out), "--jobs", "64"]) == 0
-    assert pools == [2]
     assert (out / "one" / "report.json").exists()
     assert (out / "two" / "report.json").exists()
 

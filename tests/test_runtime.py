@@ -11,6 +11,7 @@ from tasnic.node import Network
 from tasnic.runtime import (
     FRAGMENT_HEADER_BYTES,
     MAX_CHUNK,
+    MAX_MESSAGE_BYTES,
     ConfigError,
     FragmentHeader,
     MessageError,
@@ -114,6 +115,37 @@ def test_recv_msg_refuses_a_size_below_1_and_a_negative_timeout_before_the_engin
             runtime.recv_msg(size, encode_id(A), timeout)
     assert (net.sim.now, net.sim.events_processed) == (10, 0)
     assert runtime.recv_msg(2, encode_id(A), timeout=50_000_000) == b"hi"
+
+
+def test_a_message_over_65535_fragments_is_refused_before_it_takes_a_msg_id():
+    class Oversized:  # its length passes the cap with no 97 MB behind it
+        def __len__(self):
+            return MAX_MESSAGE_BYTES + 1
+
+    assert MAX_MESSAGE_BYTES == 0xFFFF * MAX_CHUNK
+    net = quiet_net()
+    runtime = net.nodes[A].runtime
+    with pytest.raises(MessageError):
+        runtime.send_msg(Oversized(), encode_id(B))
+    assert runtime._destinations == {}
+    assert runtime.send_msg(b"hi", encode_id(B)) == 0
+    with pytest.raises(MessageError):  # with the destination cached
+        runtime.send_msg(Oversized(), encode_id(B))
+    assert runtime._destinations[encode_id(B)].next_msg_id == 1
+    with pytest.raises(MessageError):  # such a message could never arrive
+        net.nodes[B].runtime.recv_msg(MAX_MESSAGE_BYTES + 1, encode_id(A), timeout=1_000)
+    assert (net.frames_offered, net.sim.events_processed) == (1, 0)
+
+
+def test_the_fragment_cap_is_65535_fragments(monkeypatch):
+    monkeypatch.setattr("tasnic.runtime.MAX_CHUNK", 1)
+    net = quiet_net()
+    runtime = net.nodes[A].runtime
+    with pytest.raises(MessageError):
+        runtime.send_msg(bytes(0x10000), encode_id(B))
+    assert net.frames_offered == 0
+    assert runtime.send_msg(bytes(0xFFFF), encode_id(B)) == 0
+    assert net.frames_offered == 0xFFFF
 
 
 def test_recv_msg_from_an_unpopulated_node_raises_before_the_engine_runs():
@@ -287,11 +319,18 @@ def test_recv_without_timeout_raises_when_stalled():
 
 def test_loopback_message_to_self():
     for size in (400, 2 * MAX_CHUNK + 1):
-        net = quiet_net()
+        net = quiet_net(trace=True)
+        labels = []
+        net.sim.trace_hook = lambda t, seq, label: labels.append(label)
         data = random.Random(size).randbytes(size)
         net.nodes[A].runtime.send_msg(data, encode_id(A))
         got = net.nodes[A].runtime.recv_msg(size, encode_id(A), timeout=1_000_000)
         assert got == data
+        # each fragment takes the host step a received frame takes, over an empty route
+        frags = -(-size // MAX_CHUNK)
+        assert labels == [f"hostrx:{A}"] * frags
+        assert [(r["frag_index"], r["route"]) for r in net.route_traces] == [
+            (i, []) for i in range(frags)]
         # each fragment is delivered once, with no wire in between
         assert net.frames_offered == net.frames_delivered == -(-size // MAX_CHUNK)
         assert net.drops_by_cause == {}

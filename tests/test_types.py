@@ -2,8 +2,8 @@
 
 Values are NamedTuples and state is plain ``__slots__`` classes.  Nothing
 under ``src/tasnic`` uses ``dataclasses``, and the CLI's import pulls in
-neither it, ``inspect`` nor the process pool that only ``sweep --jobs``
-uses.  The import still generates some code: each NamedTuple class
+neither it, ``inspect`` nor ``concurrent.futures``: the simulator runs in
+one process.  The import still generates some code: each NamedTuple class
 ``eval``s its ``__new__``, and typing compiles each field annotation into
 a ``ForwardRef``.  A constructor (an
 ``__init__`` or a NamedTuple's fields) and each uniquely named function or
