@@ -126,7 +126,7 @@ class Link:
         self.up = True
         self.up_since: SimTime = 0  # last down-to-up change; consulted for in-flight drops
         self.drops = 0
-        self.topology = topology  # whose link_epoch a state change moves
+        self.topology = topology  # whose route tables a state change clears
 
     def other_end(self, node_id: NodeId) -> tuple[NodeId, PortKind]:
         if node_id == self.a[0]:
@@ -136,15 +136,16 @@ class Link:
         raise ValueError(f"{node_id} is not an endpoint of this link")
 
     def set_state(self, up: bool, at: SimTime) -> bool:
-        """The only writer of link state; True on a change, which moves the
-        topology's link epoch (a redundant up keeps ``up_since``). A running
-        network calls it through ``Network.schedule_link_state``."""
+        """The only writer of link state; True on a real change, which empties
+        the topology's route tables (a redundant up keeps ``up_since``). A
+        running network calls it through ``Network.schedule_link_state``."""
         if up == self.up:
             return False
         if up:
             self.up_since = at
         self.up = up
-        self.topology.link_epoch += 1
+        for table in self.topology.route_tables:
+            table.clear()
         return True
 
     def up_throughout(self, start: SimTime) -> bool:
@@ -157,9 +158,8 @@ class Topology:
 
     ``ports[node][kind]`` is the link on that port, or None when the port is
     unconnected (an absent peer, or the out-of-band management port).
-    ``link_epoch`` counts the state changes of all its links: anything
-    derived from link state (a node's route table) is valid for as long as
-    the count it was built at is still current.
+    ``route_tables`` holds each node's route table, the one thing derived
+    from link state; a link that changes state empties them all.
     """
 
     def __init__(self, g_r: int, g_c: int, populated: list[NodeId],
@@ -170,7 +170,7 @@ class Topology:
         self._present = set(self.nodes)
         self.ports: dict[NodeId, dict[PortKind, Link | None]] = {}
         self.links: list[Link] = []
-        self.link_epoch = 0
+        self.route_tables: list[dict] = []
         self._link_by_ends: dict[frozenset, Link] = {}
         self._rate = rate_bps
         self._prop = prop_delay_ns

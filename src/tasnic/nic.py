@@ -378,7 +378,7 @@ class NicPort:
             if self._pending is not None and local >= self._pending_at_local:
                 self.active_table, self._pending = self._pending, None
             nxt = self._decide(local, now)
-        if nxt is not None and isinstance(nxt, int):
+        if nxt is not None and isinstance(nxt, int):  # no call when nothing is due
             self._set_wake(nxt)
             return
         if self._wake is not None:

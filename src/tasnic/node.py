@@ -7,8 +7,8 @@ forwarding); a frame a node sends to itself enters that pipeline with no
 wire in between.  Routing reads ``Frame.final_dst``, the node id a frame's
 destination MAC is derived from, for the whole path.
 Each Node keeps a route table: the egress port per ``(final_dst, ingress)``,
-filled from ``next_hop`` on a miss and dropped when the topology's link
-epoch has moved since it was filled.
+filled from ``next_hop`` on a miss and emptied by ``Link.set_state`` when a
+link of its topology changes state (``Topology.route_tables``).
 The Network is built from a parsed Scenario, which has already been
 validated, and owns the shared pieces: the event engine, the topology and
 its link state, the sync service, frame delivery across links, and global
@@ -73,8 +73,8 @@ class Node:
         self.reasm_deadline_label = f"reasm-deadline:{node_id}"
         self.runtime = NodeRuntime(self)
         self._topology = network.topology
-        self._routes_epoch = self._topology.link_epoch
         self._routes: dict[tuple[NodeId, PortKind | None], NicPort | None] = {}
+        self._topology.route_tables.append(self._routes)
 
     # -- egress ------------------------------------------------------------
 
@@ -87,10 +87,7 @@ class Node:
 
     def egress_port(self, dst: NodeId, ingress: PortKind | None) -> NicPort | None:
         """The port ``next_hop`` picks toward ``dst`` under the current link
-        states, read from the route table of the current link epoch."""
-        if self._routes_epoch != self._topology.link_epoch:
-            self._routes = {}
-            self._routes_epoch = self._topology.link_epoch
+        states, from the node's route table (``Link.set_state`` empties it)."""
         key = (dst, ingress)
         try:
             return self._routes[key]
@@ -102,12 +99,9 @@ class Node:
     def _forward(self, frame: Frame, ingress: PortKind | None) -> None:
         """Route a frame that came in on ``ingress`` (None: originated here), count
         the link it takes and enqueue it on the egress port."""
-        if self._routes_epoch == self._topology.link_epoch:  # egress_port, inline on a hit
-            try:
-                port = self._routes[(frame.final_dst, ingress)]
-            except KeyError:
-                port = self.egress_port(frame.final_dst, ingress)
-        else:
+        try:  # egress_port, inline on a hit
+            port = self._routes[(frame.final_dst, ingress)]
+        except KeyError:
             port = self.egress_port(frame.final_dst, ingress)
         if port is None:
             self._drop(frame, "no_route")

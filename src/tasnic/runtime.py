@@ -9,10 +9,12 @@ context until a matching message is in the inbox, realized by driving the
 event engine rather than busy-waiting; it scans each entry once and leaves
 the ones it does not match in place.
 Bad arguments raise first: ``send_msg`` wants a size in 1..``MAX_MESSAGE_BYTES``
-(the 65,535 fragments a u16 ``frag_count`` can count) and a pcp in 0..7
-before it takes a msg_id, and ``recv_msg`` a size in the same range and a
-timeout that is not negative before it runs the engine (``MessageError``);
-either raises ``AddressError`` for a peer that is no populated node.
+(the 65,535 fragments a u16 ``frag_count`` can count), a pcp in 0..7 and,
+on a network whose run has flows, a flow id that is None or indexes
+``Network.flows``, before it takes a msg_id; ``recv_msg`` wants a size in
+the same range and a timeout that is not negative before it runs the engine
+(``MessageError``); either raises ``AddressError`` for a peer that is no
+populated node.
 A message that fits one frame is delivered as its frame arrives, with no
 reassembly state and no deadline.  The fragments of a multi-frame message
 are reassembled in a buffer of ``total_len`` bytes; a partial message that
@@ -157,6 +159,9 @@ class NodeRuntime:
             raise MessageError(f"pcp {pcp} is not in 0..7")
         node = self.node
         network = node.network
+        flows = network.flows  # indexed by flow id, so the last holds the largest
+        if flow_id is not None and flows and not 0 <= flow_id <= flows[-1].flow_id:
+            raise MessageError(f"flow id {flow_id} names no flow of the run")
         dest = self._destinations.get(dst)
         if dest is None:
             dest = self._destination(dst)

@@ -149,7 +149,7 @@ def test_tile_plus_two_shape():
 
 def test_link_up_throughout_interval_logic():
     # Link state changes in time order; each (start, end) interval is asked
-    # at its end time, as Network._arrive does on a frame arrival.
+    # at its end time, as NicPort.arrive does on a frame arrival.
     topo = build_topology(1, 1)
     link = topo.links[0]
     assert link.up_throughout(0)  # (0, 999)

@@ -1,0 +1,153 @@
+"""Property tests over whole runs: the model keeps its symmetry under a shift
+by whole tiles, and a scheduled port keeps its slot rules."""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tasnic.fabric import DATA_PORT_KINDS, NodeId, PortKind, all_node_ids, build_topology
+from tasnic.harness import run_scenario
+from tasnic.scenario import parse_scenario
+
+# -- translation by whole tiles -------------------------------------------------
+
+
+@st.composite
+def _translation_cases(draw):
+    """A full torus, its flows and an optional fault (as node pairs), and a
+    shift in tiles."""
+    g_r, g_c = draw(st.sampled_from([(1, 2), (1, 3), (1, 4), (2, 1), (2, 2), (2, 3),
+                                     (3, 1), (3, 2), (3, 3)]))
+    nodes = all_node_ids(g_r, g_c)
+    flows = []
+    for _ in range(draw(st.integers(1, 6))):
+        src, dst = draw(st.lists(st.sampled_from(nodes), min_size=2, max_size=2, unique=True))
+        # 20 Gb/s outruns the host cap and fills the source queue
+        flows.append((src, dst, draw(st.integers(0, 2)), draw(st.integers(0, 50_000)),
+                      draw(st.sampled_from([10_000_000, 1_000_000_000, 20_000_000_000]))))
+    fault = None
+    if draw(st.booleans()):  # on a port of the first flow's source, which carries traffic
+        src = flows[0][0]
+        link = draw(st.sampled_from([build_topology(g_r, g_c).ports[src][kind]
+                                     for kind in DATA_PORT_KINDS]))
+        down = draw(st.integers(0, 200_000))
+        fault = (link.a[0], link.b[0], down, down + draw(st.integers(1, 100_000)))
+    shift = draw(st.sampled_from([(d_r, d_c) for d_r in range(g_r) for d_c in range(g_c)
+                                  if d_r or d_c]))
+    return g_r, g_c, flows, fault, shift
+
+
+def _translation_doc(g_r, g_c, flows, fault, shift):
+    d_r, d_c = shift
+
+    def at(node):
+        return str(NodeId((node.grc + d_r) % g_r, (node.gcc + d_c) % g_c, node.lrc, node.lcc))
+
+    doc = {
+        "grid": {"G_r": g_r, "G_c": g_c},
+        # the default seeded drift is keyed by node id: a shift would move
+        # local-clock latencies, so the clocks keep true time
+        "ptp": {"enabled": False, "drift_ppm": 0},
+        "flows": [{"src": at(src), "dst": at(dst), "pcp": pcp, "start": start,
+                   "offered_rate_bps": rate, "frame_payload_bytes": 64}
+                  for src, dst, pcp, start, rate in flows],
+        "duration_ns": 300_000,
+    }
+    if fault is not None:
+        a, b, down, up = fault
+        doc["faults"] = [{"a": at(a), "b": at(b), "time_ns": down, "state": "down"},
+                         {"a": at(a), "b": at(b), "time_ns": up, "state": "up"}]
+    return doc
+
+
+@given(_translation_cases())
+@settings(derandomize=True, max_examples=20, deadline=None)
+def test_a_shift_by_whole_tiles_changes_no_flow_summary(case):
+    g_r, g_c, flows, fault, shift = case
+
+    def outcome(shift):
+        report = run_scenario(parse_scenario(_translation_doc(g_r, g_c, flows, fault, shift))
+                              ).report()
+        summaries = [{k: v for k, v in s.items() if k not in ("src", "dst")}
+                     for s in report["flows"]]
+        return summaries, report["totals"]["events_processed"]
+
+    assert outcome(shift) == outcome((0, 0))
+
+
+# -- the slot rules ---------------------------------------------------------------
+
+SCHEDULED = NodeId(0, 0, 1, 1)  # the west single node: every frame it sends leaves by
+FAR_NODES = ("0.1.0.0", "0.1.1.1", "0.2.0.0")  # its external port
+
+
+@st.composite
+def _slot_cases(draw):
+    """A schedule for the scheduled port, its flows and the run's settings."""
+    window_us = draw(st.integers(10, 200))
+    queues = draw(st.permutations([0, 1, 2]))[:draw(st.integers(1, 3))]
+    entries, left = [], window_us
+    for q in queues:
+        if left < 1:
+            break
+        slot = draw(st.integers(1, left))
+        entries.append([q, slot])
+        left -= slot
+    guardband = draw(st.one_of(st.none(), st.just(0), st.integers(1, 3_000)))
+    flows = []
+    for _ in range(draw(st.integers(1, 4))):
+        flow = {"src": str(SCHEDULED), "dst": draw(st.sampled_from(FAR_NODES)),
+                "pcp": draw(st.integers(0, 2)), "start": draw(st.integers(0, 100_000)),
+                "frame_payload_bytes": draw(st.sampled_from([64, 700, 1482]))}
+        if draw(st.booleans()):
+            flow["backlogged"] = True
+        else:
+            flow["offered_rate_bps"] = draw(st.sampled_from([50_000_000, 1_000_000_000,
+                                                             5_000_000_000]))
+        flows.append(flow)
+    cap = draw(st.sampled_from([None, 2_250_000_000, 9_000_000_000]))
+    ptp = {"enabled": draw(st.booleans()), "interval_ms": 1,
+           "drift_ppm": draw(st.integers(0, 100))}
+    return window_us, entries, guardband, flows, cap, ptp
+
+
+@given(_slot_cases())
+@settings(derandomize=True, max_examples=30, deadline=None)
+def test_a_scheduled_port_keeps_its_slot_rules_and_each_flow_its_frames(case):
+    window_us, entries, guardband, flows, cap, ptp = case
+    schedule = {"node": str(SCHEDULED), "port": "external", "window_us": window_us,
+                "entries": entries}
+    if guardband is not None:
+        schedule["guardband_ns"] = guardband
+    result = run_scenario(parse_scenario({
+        "grid": {"preset": "tile_plus_two"}, "host": {"injection_cap_bps": cap},
+        "ptp": ptp, "priority_map": {"num_classes": 3, "prio_to_tc": [0, 1, 2],
+                                     "tc_to_queue": [0, 1, 2]},
+        "schedules": [schedule], "flows": flows, "duration_ns": 1_000_000, "trace": True}))
+    net = result.network
+    port = net.nodes[SCHEDULED].ports[PortKind.EXTERNAL]
+    table = port.active_table
+    window, guard = table.window_ns, table.guardband_ns
+    assert table.entries == tuple(map(tuple, entries))
+    scheduled = {q for q, _ in table.entries}
+    for rec in port.trace:
+        phase = rec.local_start % window
+        end = phase + rec.ser_ns
+        for slot_end, queue in table.slots_ns:
+            if phase < slot_end:
+                assert rec.queue_idx == queue, rec
+                assert phase <= slot_end - guard and end <= slot_end, rec
+                break
+        else:  # leftover time: an unscheduled queue or the management queue (-1)
+            assert rec.queue_idx not in scheduled, rec
+            assert end <= window - guard, rec
+    held = {}  # the frames of each flow still queued or on a wire at the end
+    for node in net.nodes.values():
+        for p in node.ports.values():
+            frames = [f for q in p._queues.values() for f in q.frames]
+            frames += [f for f, _ in p.in_flight]
+            for frame in frames:
+                held[frame.flow_id] = held.get(frame.flow_id, 0) + 1
+    for flow in result.report()["flows"]:
+        assert flow["in_flight_frames"] == held.get(flow["flow_id"], 0), flow
+        assert (flow["offered_frames"] == flow["delivered_frames"] + flow["dropped_frames"]
+                + flow["in_flight_frames"])

@@ -1,6 +1,8 @@
 from collections import deque
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import tasnic.node
 from tasnic.fabric import DATA_PORT_KINDS, NodeId, PortKind, build_topology, tile_plus_two_nodes
@@ -254,19 +256,17 @@ def test_redundant_link_state_keeps_the_epoch_and_the_tables(next_hop_calls):
     topo = net.topology
     node, dst = net.nodes[NodeId(0, 0, 0, 0)], NodeId(1, 1, 1, 1)
     link = topo.links[0]
-    epoch = topo.link_epoch
     node.egress_port(dst, None)
     link.set_state(True, 5)
-    assert topo.link_epoch == epoch and link.up_since == 0
+    assert link.up_since == 0
     node.egress_port(dst, None)
     assert len(next_hop_calls) == 1
 
     link.set_state(False, 10)
     link.set_state(False, 20)
-    assert topo.link_epoch == epoch + 1
     link.set_state(True, 30)
     link.set_state(True, 40)
-    assert topo.link_epoch == epoch + 2 and link.up_since == 30
+    assert link.up_since == 30
     node.egress_port(dst, None)
     assert len(next_hop_calls) == 2
 
@@ -278,9 +278,53 @@ def test_link_state_of_another_topology_keeps_the_tables(next_hop_calls):
     node.egress_port(dst, None)
     for link in other.links:
         link.set_state(False, 0)
-    assert topo.link_epoch == 0
     node.egress_port(dst, None)
     assert len(next_hop_calls) == 1
     topo.links[0].set_state(False, 0)
     node.egress_port(dst, None)
     assert len(next_hop_calls) == 2
+
+
+# A step of the route-table property test: a state change on a link of the
+# network's topology or of another one, a lookup of a fresh key, or a lookup
+# of a key already asked (``again`` picks one of them).
+_route_table_steps = st.lists(st.one_of(
+    st.tuples(st.just("set"), st.integers(0, 23), st.booleans()),
+    st.tuples(st.just("foreign"), st.integers(0, 23), st.booleans()),
+    st.tuples(st.just("lookup"), st.integers(0, 15), st.integers(0, 15), st.integers(0, 3)),
+    st.tuples(st.just("again"), st.integers(0, 1 << 16)),
+), max_size=60)
+
+
+@given(steps=_route_table_steps)
+@settings(derandomize=True, max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_route_tables_answer_as_next_hop_and_only_a_real_change_clears_them(
+        next_hop_calls, steps):
+    net, other = quiet_net((2, 2)), build_topology(2, 2)
+    topo = net.topology
+    assert len(topo.links) == len(other.links) == 24 and len(topo.nodes) == 16
+    ingresses = (None, *DATA_PORT_KINDS)
+    asked = []      # every key looked up, in order
+    cached = set()  # the keys looked up since the last real change
+    for step in steps:
+        if step[0] == "set":
+            if topo.links[step[1]].set_state(step[2], 0):
+                cached.clear()
+            continue
+        if step[0] == "foreign":
+            other.links[step[1]].set_state(step[2], 0)
+            continue
+        if step[0] == "lookup":
+            key = (topo.nodes[step[1]], topo.nodes[step[2]], ingresses[step[3]])
+        elif asked:
+            key = asked[step[1] % len(asked)]
+        else:
+            continue
+        node_id, dst, ingress = key
+        before = len(next_hop_calls)
+        kind = table_kind(net.nodes[node_id], dst, ingress)
+        assert kind == next_hop(topo, node_id, dst, ingress), key
+        assert len(next_hop_calls) - before == (0 if key in cached else 1), key
+        asked.append(key)
+        cached.add(key)

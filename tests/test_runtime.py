@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from tasnic.engine import Simulator
 from tasnic.fabric import NodeId, PortKind, encode_id
+from tasnic.harness import run_scenario
 from tasnic.nic import SHADOW_OFFSET
 from tasnic.node import Network
 from tasnic.runtime import (
@@ -103,6 +104,22 @@ def test_a_pcp_outside_0_to_7_is_rejected_before_the_lookup_and_takes_no_msg_id(
     assert net.frames_offered == 0
     assert runtime._destinations == {}
     assert [runtime.send_msg(b"hi", encode_id(B), pcp=7) for _ in range(2)] == [0, 1]
+
+
+def test_a_flow_id_that_names_no_flow_of_the_run_is_refused_before_it_takes_a_msg_id():
+    result = run_scenario(parse_scenario({
+        "grid": {"G_r": 1, "G_c": 1}, "duration_ns": 100_000,
+        "flows": [{"src": str(A), "dst": str(B), "offered_rate_bps": 1_000_000_000}]}))
+    net = result.network
+    runtime = net.nodes[A].runtime
+    dest = runtime._destinations[encode_id(B)]
+    msg_id, offered = dest.next_msg_id, net.frames_offered
+    for flow_id in (-1, 5):
+        with pytest.raises(MessageError):
+            runtime.send_msg(b"hello", encode_id(B), flow_id=flow_id)
+    assert (dest.next_msg_id, net.frames_offered) == (msg_id, offered)
+    assert runtime.send_msg(b"hello", encode_id(B), flow_id=0) == msg_id
+    assert net.flows[0].offered_frames == offered + 1
 
 
 def test_recv_msg_refuses_a_size_below_1_and_a_negative_timeout_before_the_engine_runs():
