@@ -157,7 +157,7 @@ def run_scenario(scenario: Scenario) -> RunResult:
 
     for fault in scenario.faults:
         link = net.topology.link_between(fault.a, fault.b)
-        net.schedule_link_state(link, fault.up, fault.time_ns)
+        net.schedule_link_state(link, fault.state == "up", fault.time_ns)
 
     ptp_offsets: dict[NodeId, PtpSlaveReport] = {}
     if net.ptp is not None:

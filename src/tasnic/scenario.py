@@ -1,17 +1,20 @@
-"""Scenario files: schema, validation, defaults and the provenance digest.
+"""Scenario files: the key table, validation, defaults and the provenance digest.
 
-A parsed ``Scenario`` holds its settings as values (``GridSpec``,
+``KEYS`` declares each key of the format once, by section and by item: its
+name, reader, default and bounds.  ``parse_scenario`` reads the document
+through it, ``canonical_dict`` writes the digest form from it, ``Scenario()``
+takes its defaults from it, and each value type (``GridSpec``,
 ``HostSettings``, ``PtpSettings``, ``NicSettings``, ``FaultSpec``,
-``FlowSpec``) and is the only configuration a ``Network`` is built from.
+``FlowSpec``) has a field for each key of its table.  A parsed ``Scenario`` is
+the only configuration a ``Network`` is built from.
 
-JSON is the reference encoding.  Node ids appear either as 4-element
-arrays [Grc, Gcc, Lrc, Lcc] or dotted strings "Grc.Gcc.Lrc.Lcc".  The
-``grid`` section takes explicit dimensions (plus an optional ``populated``
-subset) or the ``"preset": "tile_plus_two"`` lab shape.  Every loaded
-scenario is fully validated: each key must be one the format names, the
-topology must build, the priority map must be acceptable, schedules must be
-committable, and flows and faults must reference populated nodes and
-existing links.
+JSON is the reference encoding; node ids are 4-element arrays [Grc, Gcc,
+Lrc, Lcc] or dotted strings "Grc.Gcc.Lrc.Lcc".  What a table cannot say is
+code after the read: the ``grid``'s ``tile_plus_two`` preset or its
+dimensions and ``populated`` subset, the free-form ``ptp.drift_ppm``, and the
+checks across fields (the topology builds, the priority map is acceptable,
+each port has at most one committable schedule, times fall within the run,
+and flows and faults name populated nodes and existing links).
 """
 
 from __future__ import annotations
@@ -19,8 +22,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from collections import namedtuple
 from pathlib import Path
-from typing import NamedTuple
 
 from .clock import MAX_RATE_ADJ_PPM
 from .engine import rng_stream
@@ -95,43 +98,96 @@ def _ints(value, path: str, errors: list[str]) -> tuple[int, ...]:
                  for i, v in enumerate(_expect(value, list, path, errors)))
 
 
+# Each key of the format, once: (key, reader, default[, lo[, hi]]), by section
+# ("" is the top level) and by item of a list, in the order the keys are read.
+# A reader is "int"; "int?", an int or null; "ints", a list of ints; "slots",
+# a list of [queue, slot_us]; "bool"; "node", a node id; "node?", a node id
+# or null; or "json", any value, which the code after the read checks.  A
+# missing key reads as its default would, and hi=INT64_MAX marks a time or rate.
+DEFAULT_MAP = PriorityMap()
+KEYS = {
+    "grid": (("G_r", "int", 1), ("G_c", "int", 1),
+             ("populated", "json", None),  # None: every position of the grid
+             ("preset", "json", None)),
+    "link": (("rate_bps", "int", DEFAULT_LINK_RATE_BPS, 1, INT64_MAX),
+             ("prop_delay_ns", "int", DEFAULT_PROP_DELAY_NS, 0, INT64_MAX)),
+    "host": (("injection_cap_bps", "int?", 2_250_000_000, 0, INT64_MAX),  # 0 or None: uncapped
+             ("processing_delay_ns", "int", 10_000, 0, INT64_MAX)),
+    "ptp": (("enabled", "bool", True),
+            ("grandmaster", "node?", None),  # None: lowest populated id
+            ("interval_ms", "int", 250, 1, INT64_MAX),
+            ("quantization_ns", "int", 8, 1, INT64_MAX),
+            ("convergence_rounds", "int", 10, 0),
+            ("drift_ppm", "json", None)),  # None (seeded 10 ppm), number, or mapping
+    "nic": (("num_tx_queues", "int", 8, 1, MAX_TX_QUEUES),
+            ("time_aware_queues", "ints", (0, 1, 2)),
+            ("queue_depth", "int", 1024, 1)),
+    "priority_map": (("num_classes", "int", DEFAULT_MAP.num_classes),
+                     ("prio_to_tc", "ints", DEFAULT_MAP.prio_to_tc),
+                     ("tc_to_queue", "ints", DEFAULT_MAP.tc_to_queue)),
+    "": (("duration_ns", "int", 1_000_000_000, 1, INT64_MAX), ("seed", "int", 0),
+         ("trace", "bool", False)),
+    "schedules": (("node", "node", None), ("port", "json", "external"), ("entries", "slots", ()),
+                  ("window_us", "int", DEFAULT_WINDOW_US, None, INT64_MAX),
+                  ("guardband_ns", "int?", None, None, INT64_MAX)),  # None: the port default
+    "faults": (("a", "node", None), ("b", "node", None),
+               ("time_ns", "int", 0, None, INT64_MAX), ("state", "json", "down")),
+    "flows": (("src", "node", None), ("dst", "node", None), ("pcp", "int", 0, 0, 7),
+              ("start", "int", 0, None, INT64_MAX),
+              ("stop", "int?", None, None, INT64_MAX),  # None runs to the scenario end
+              ("backlogged", "bool", False),
+              ("offered_rate_bps", "int?", None, 1, INT64_MAX),
+              ("frame_payload_bytes", "int", MAX_CHUNK, 1, MAX_CHUNK)),
+}
+DEFAULTS = {name: tuple(entry[2] for entry in keys) for name, keys in KEYS.items()}
+
+
 class _Object:
     """One JSON object of a scenario document at ``path`` (``""``, ``"link"``, ``"flows[3]"``).
     Every read records its key, and ``close`` names each key that nothing read."""
 
-    __slots__ = ("value", "path", "errors", "read")
+    __slots__ = ("value", "path", "errors", "seen")
 
     def __init__(self, value, path: str, errors: list[str]):
         self.value = _expect(value, dict, path, errors)
         self.path = path
         self.errors = errors
-        self.read: set[str] = set()
+        self.seen: set[str] = set()
 
     def at(self, key: str) -> str:
         return f"{self.path}.{key}" if self.path else key
 
     def get(self, key: str, default=None):
-        self.read.add(key)
+        self.seen.add(key)
         return self.value.get(key, default)
 
-    def int(self, key: str, default, lo: int | None = None, hi: int | None = None,
-            null: bool = False):
-        """``null``: a JSON null reads as None."""
-        value = self.get(key, default)
-        return None if value is None and null else _int(value, self.at(key), self.errors, lo, hi)
+    def read(self, key: str, reader: str, default, *bounds):
+        """``key`` as ``reader`` reads it; see ``KEYS``."""
+        value = self.get(key, list(default) if isinstance(default, tuple) else default)
+        path = self.at(key)
+        if reader == "json" or (value is None and reader[-1] == "?"):
+            return value
+        if reader == "bool":
+            if not isinstance(value, bool):
+                raise _malformed(value, "a boolean", path, self.errors)
+            return value
+        if reader[:4] == "node":
+            return _parse_node(value, path, self.errors)
+        if reader == "ints":
+            return _ints(value, path, self.errors)
+        if reader == "slots":
+            slots = []
+            for j, e in enumerate(_expect(value, list, path, self.errors)):
+                slots.append(_ints(e, f"{path}[{j}]", self.errors))
+                if len(slots[-1]) != 2:
+                    raise _malformed(e, "[queue, slot_us]", f"{path}[{j}]", self.errors)
+                _int(slots[-1][1], f"{path}[{j}][1]", self.errors, hi=INT64_MAX)
+            return tuple(slots)
+        return _int(value, path, self.errors, *bounds)
 
-    def ints(self, key: str, default: tuple[int, ...]) -> tuple[int, ...]:
-        return _ints(self.get(key, list(default)), self.at(key), self.errors)
-
-    def bool(self, key: str, default: bool) -> bool:
-        value = self.get(key, default)
-        if not isinstance(value, bool):
-            raise _malformed(value, "a boolean", self.at(key), self.errors)
-        return value
-
-    def node(self, key: str, null: bool = False) -> NodeId | None:
-        value = self.get(key)
-        return None if value is None and null else _parse_node(value, self.at(key), self.errors)
+    def fields(self, name: str) -> tuple:
+        """The value of each key of ``KEYS[name]``, in its order."""
+        return tuple(self.read(*entry) for entry in KEYS[name])
 
     def section(self, key: str) -> "_Object":
         return _Object(self.get(key, {}), self.at(key), self.errors)
@@ -143,7 +199,7 @@ class _Object:
 
     def close(self) -> None:
         self.errors.extend(f"{self.at(key)}: unexpected key"
-                           for key in self.value if key not in self.read)
+                           for key in self.value if key not in self.seen)
 
 
 def _number(value) -> bool:
@@ -163,15 +219,15 @@ def _drift_bounded(value, path: str, errors: list[str]) -> None:
                       " the clock servo can correct")
 
 
-def _drift(spec, topo: Topology, path: str, errors: list[str]):
-    """``spec`` unchanged once ``Scenario.resolve_drift`` can read all of it: a
-    number, ``{"seeded_max_ppm": x}`` with x >= 0, or ``default`` and populated
-    node ids; every value within the servo's range."""
+def _drift(spec, topo: Topology, path: str, errors: list[str]) -> None:
+    """Checks that ``Scenario.resolve_drift`` can read all of ``spec``: a number,
+    ``{"seeded_max_ppm": x}`` with x >= 0, or ``default`` and populated node
+    ids; every value within the servo's range."""
     if spec is None:
-        return spec
+        return
     if _number(spec):
         _drift_bounded(spec, path, errors)
-        return spec
+        return
     if not isinstance(spec, dict):
         raise _malformed(spec, "a number or an object", path, errors)
     for key, value in spec.items():
@@ -187,108 +243,73 @@ def _drift(spec, topo: Topology, path: str, errors: list[str]):
             errors.append(f"{path}: {key!r} cannot stand beside 'seeded_max_ppm'")
         elif not seeded and key != "default" and key not in node_ids:
             errors.append(f"{path}: {key!r} is neither 'default' nor a populated node id")
-    return spec
 
 
-class GridSpec(NamedTuple):
-    g_r: int = 1
-    g_c: int = 1
-    populated: tuple[NodeId, ...] | None = None  # None: every position of the grid
-    preset: str | None = None
+def _value_type(name: str, keys: tuple) -> type:
+    """An immutable value with a field for each of ``keys``, the table of a section or
+    an item; the table's readers give the fields' types."""
+    return namedtuple(name, [key for key, *_ in keys])
 
 
-class HostSettings(NamedTuple):
-    injection_cap_bps: int | None = 2_250_000_000  # None: uncapped
-    processing_delay_ns: int = 10_000
+GridSpec = _value_type("GridSpec", KEYS["grid"])
+HostSettings = _value_type("HostSettings", KEYS["host"])
+PtpSettings = _value_type("PtpSettings", KEYS["ptp"][:-1])  # drift_ppm is Scenario.drift_spec
+NicSettings = _value_type("NicSettings", KEYS["nic"])
+FaultSpec = _value_type("FaultSpec", KEYS["faults"])
+FlowSpec = _value_type("FlowSpec", KEYS["flows"])
+TILE_PLUS_TWO = GridSpec(1, 3, None, "tile_plus_two")
 
 
-class PtpSettings(NamedTuple):
-    enabled: bool = True
-    grandmaster: NodeId | None = None  # None: lowest populated id
-    interval_ms: int = 250
-    quantization_ns: int = 8
-    convergence_rounds: int = 10
+def _json(value):
+    """``value`` as the canonical form writes it: a node id as its dotted string, a tuple
+    as a list."""
+    if isinstance(value, NodeId):
+        return str(value)
+    return [_json(v) for v in value] if isinstance(value, tuple) else value
 
 
-class NicSettings(NamedTuple):
-    num_tx_queues: int = 8
-    time_aware_queues: tuple[int, ...] = (0, 1, 2)
-    queue_depth: int = 1024
-
-
-class FaultSpec(NamedTuple):
-    a: NodeId
-    b: NodeId
-    time_ns: int
-    up: bool
-
-
-class FlowSpec(NamedTuple):
-    src: NodeId
-    dst: NodeId
-    pcp: int
-    start: int
-    stop: int | None  # None runs to the scenario end
-    backlogged: bool
-    offered_rate_bps: int | None
-    frame_payload_bytes: int
+def _canonical(name: str, values):
+    """Each key of ``KEYS[name]`` with its value in ``values``; a list holds items."""
+    if isinstance(values, list):
+        return [_canonical(name, item) for item in values]
+    return {entry[0]: _json(value) for entry, value in zip(KEYS[name], values)}
 
 
 class Scenario:
     __slots__ = ("grid", "rate_bps", "prop_delay_ns", "host", "ptp", "drift_spec", "nic",
                  "priority_map", "schedules", "faults", "flows", "duration_ns", "seed", "trace")
 
-    def __init__(self) -> None:
-        self.grid = GridSpec()
-        self.rate_bps = DEFAULT_LINK_RATE_BPS
-        self.prop_delay_ns = DEFAULT_PROP_DELAY_NS
-        self.host = HostSettings()
-        self.ptp = PtpSettings()
-        self.drift_spec: object = None  # None (seeded 10 ppm), number, or mapping
-        self.nic = NicSettings()
-        self.priority_map = PriorityMap()
+    def __init__(self, sections: dict[str, tuple] = DEFAULTS) -> None:
+        """``sections``: the values of each section, in the order of its ``KEYS`` table."""
+        self.grid = GridSpec(*sections["grid"])
+        self.rate_bps, self.prop_delay_ns = sections["link"]
+        cap, delay = sections["host"]
+        self.host = HostSettings(cap or None, delay)  # an injection cap of 0 is uncapped
+        *ptp, self.drift_spec = sections["ptp"]
+        self.ptp = PtpSettings(*ptp)
+        self.nic = NicSettings(*sections["nic"])
+        self.priority_map = PriorityMap(*sections["priority_map"])
+        self.duration_ns, self.seed, self.trace = sections[""]
         self.schedules: list[tuple[NodeId, ScheduleConfig]] = []
         self.faults: list[FaultSpec] = []
         self.flows: list[FlowSpec] = []
-        self.duration_ns = 1_000_000_000
-        self.seed = 0
-        self.trace = False
 
     def build_fabric(self) -> Topology:
-        if self.grid.preset == "tile_plus_two":
+        if self.grid == TILE_PLUS_TWO:
             return tile_plus_two_nodes(self.rate_bps, self.prop_delay_ns)
-        return build_topology(self.grid.g_r, self.grid.g_c,
+        return build_topology(self.grid.G_r, self.grid.G_c,
                               self.rate_bps, self.prop_delay_ns,
                               populated=self.grid.populated)
 
     def canonical_dict(self) -> dict:
-        """Defaults-filled dict with stable shapes, used for the digest."""
-        return {
-            "grid": {
-                "G_r": self.grid.g_r, "G_c": self.grid.g_c,
-                "populated": ([str(n) for n in self.grid.populated]
-                              if self.grid.populated is not None else None),
-                "preset": self.grid.preset,
-            },
-            "link": {"rate_bps": self.rate_bps, "prop_delay_ns": self.prop_delay_ns},
-            "host": self.host._asdict(),
-            "ptp": {**self.ptp._asdict(),
-                    "grandmaster": (str(self.ptp.grandmaster)
-                                    if self.ptp.grandmaster is not None else None),
-                    "drift_ppm": self.drift_spec},
-            "nic": self.nic._asdict(),
-            "priority_map": self.priority_map._asdict(),
-            "schedules": [{"node": str(node), "port": cfg.port.value,
-                           "window_us": cfg.window_us,
-                           "entries": [list(e) for e in cfg.entries],
-                           "guardband_ns": cfg.guardband_ns} for node, cfg in self.schedules],
-            "faults": [{"a": str(f.a), "b": str(f.b), "time_ns": f.time_ns,
-                        "state": "up" if f.up else "down"} for f in self.faults],
-            "flows": [{**f._asdict(), "src": str(f.src), "dst": str(f.dst)} for f in self.flows],
-            "duration_ns": self.duration_ns,
-            "seed": self.seed,
-            "trace": self.trace,
-        }
+        """Every key of ``KEYS`` with its value, defaults filled in; used for the digest."""
+        sections = {"grid": self.grid, "link": (self.rate_bps, self.prop_delay_ns),
+                    "host": self.host, "ptp": (*self.ptp, self.drift_spec), "nic": self.nic,
+                    "priority_map": self.priority_map, "faults": self.faults, "flows": self.flows,
+                    "schedules": [(node, cfg.port.value, cfg.entries, cfg.window_us,
+                                   cfg.guardband_ns) for node, cfg in self.schedules]}
+        return {**_canonical("", (self.duration_ns, self.seed, self.trace)),
+                **{name: _canonical(name, values) for name, values in sections.items()}}
 
     def digest(self) -> str:
         blob = json.dumps(self.canonical_dict(), sort_keys=True).encode()
@@ -306,109 +327,85 @@ class Scenario:
         return {n: float(spec.get(str(n), default)) for n in topology.nodes}
 
 
+def _grid(grid: _Object) -> GridSpec:
+    """A preset, beside which only its own dimensions may stand (as the canonical
+    form writes them), or dimensions and an optional list of populated nodes."""
+    *shape, preset = KEYS["grid"]
+    name = grid.read(*preset)
+    if name == TILE_PLUS_TWO.preset:
+        for (key, *_), own in zip(shape, TILE_PLUS_TWO):
+            value = grid.value.get(key, own)
+            if value == own and not isinstance(value, bool):
+                grid.get(key)
+        return TILE_PLUS_TWO
+    if name:
+        grid.errors.append(f"{grid.at('preset')}: unknown preset {name!r}")
+        return TILE_PLUS_TWO  # unused: the errors end the parse
+    g_r, g_c, listed = (grid.read(*entry) for entry in shape)
+    if not (1 <= g_r <= MAX_GRID_DIM and 1 <= g_c <= MAX_GRID_DIM):
+        grid.errors.append(f"{grid.path}: dimensions {g_r}x{g_c} must be in 1..{MAX_GRID_DIM}")
+        g_r, g_c = (min(max(d, 1), MAX_GRID_DIM) for d in (g_r, g_c))
+    if listed is None:
+        return GridSpec(g_r, g_c, None, None)
+    path, populated = grid.at("populated"), []
+    for i, v in enumerate(_expect(listed, list, path, grid.errors)):
+        n = _parse_node(v, f"{path}[{i}]", grid.errors)
+        if n is None:
+            continue
+        if not (0 <= n.grc < g_r and 0 <= n.gcc < g_c and n.lrc in (0, 1) and n.lcc in (0, 1)):
+            grid.errors.append(f"{path}[{i}]: {n} is outside the {g_r}x{g_c} grid")
+            continue
+        if n in populated:
+            grid.errors.append(f"{path}[{i}]: {n} is already listed")
+            continue
+        populated.append(n)
+    if not listed:
+        grid.errors.append(f"{path}: must name at least one node")
+    return GridSpec(g_r, g_c, tuple(populated), None)
+
+
 def parse_scenario(doc: dict) -> Scenario:
     """Validate a decoded scenario document; raises ScenarioError.
 
-    A field the document leaves out keeps its value in ``Scenario()``, and a
-    key the format does not name is an error."""
+    A key the document leaves out reads as its default in ``KEYS``, and a key
+    that ``KEYS`` does not name is an error."""
     errors: list[str] = []
-    sc = Scenario()
     top = _Object(doc, "", errors)
-
     grid = top.section("grid")
-    preset = grid.get("preset")
-    if preset == "tile_plus_two":
-        sc.grid = GridSpec(1, 3, None, preset)
-    elif preset:
-        errors.append(f"{grid.at('preset')}: unknown preset {preset!r}")
-    else:
-        g_r, g_c = grid.int("G_r", sc.grid.g_r), grid.int("G_c", sc.grid.g_c)
-        if not (1 <= g_r <= MAX_GRID_DIM and 1 <= g_c <= MAX_GRID_DIM):
-            errors.append(f"{grid.path}: dimensions {g_r}x{g_c} must be in 1..{MAX_GRID_DIM}")
-            g_r, g_c = (min(max(d, 1), MAX_GRID_DIM) for d in (g_r, g_c))
-        listed, populated = grid.get("populated"), None
-        if listed is not None:
-            path, populated = grid.at("populated"), []
-            for i, v in enumerate(_expect(listed, list, path, errors)):
-                n = _parse_node(v, f"{path}[{i}]", errors)
-                if n is None:
-                    continue
-                if not (0 <= n.grc < g_r and 0 <= n.gcc < g_c and n.lrc in (0, 1)
-                        and n.lcc in (0, 1)):
-                    errors.append(f"{path}[{i}]: {n} is outside the {g_r}x{g_c} grid")
-                    continue
-                if n in populated:
-                    errors.append(f"{path}[{i}]: {n} is already listed")
-                    continue
-                populated.append(n)
-            if not listed:
-                errors.append(f"{path}: must name at least one node")
-            populated = tuple(populated)
-        sc.grid = GridSpec(g_r, g_c, populated, None)
+    sections = {"grid": _grid(grid)}
     grid.close()
-
-    link = top.section("link")
-    sc.rate_bps = link.int("rate_bps", sc.rate_bps, 1, INT64_MAX)
-    sc.prop_delay_ns = link.int("prop_delay_ns", sc.prop_delay_ns, 0, INT64_MAX)
-    link.close()
-
-    host = top.section("host")
-    sc.host = HostSettings(  # an injection cap of 0 or null is uncapped
-        host.int("injection_cap_bps", sc.host.injection_cap_bps, 0, INT64_MAX, null=True) or None,
-        host.int("processing_delay_ns", sc.host.processing_delay_ns, 0, INT64_MAX))
-    host.close()
-
-    ptp = top.section("ptp")
-    sc.ptp = PtpSettings(
-        ptp.bool("enabled", sc.ptp.enabled), ptp.node("grandmaster", null=True),
-        ptp.int("interval_ms", sc.ptp.interval_ms, 1, INT64_MAX),
-        ptp.int("quantization_ns", sc.ptp.quantization_ns, 1, INT64_MAX),
-        ptp.int("convergence_rounds", sc.ptp.convergence_rounds, 0))
-    drift = ptp.get("drift_ppm")
-    ptp.close()
+    for name in ("link", "host", "ptp"):
+        section = top.section(name)
+        sections[name] = section.fields(name)
+        section.close()
 
     nic = top.section("nic")
-    sc.nic = NicSettings(nic.int("num_tx_queues", sc.nic.num_tx_queues, 1, MAX_TX_QUEUES),
-                         nic.ints("time_aware_queues", sc.nic.time_aware_queues),
-                         nic.int("queue_depth", sc.nic.queue_depth, 1))
-    for q in sc.nic.time_aware_queues:
-        if not 0 <= q < sc.nic.num_tx_queues:
-            errors.append(f"{nic.at('time_aware_queues')}: queue {q} does not exist")
+    sections["nic"] = settings = NicSettings(*nic.fields("nic"))
+    errors.extend(f"{nic.at('time_aware_queues')}: queue {q} does not exist"
+                  for q in settings.time_aware_queues if not 0 <= q < settings.num_tx_queues)
     nic.close()
-
     pm = top.section("priority_map")
-    sc.priority_map = PriorityMap(pm.int("num_classes", sc.priority_map.num_classes),
-                                  pm.ints("prio_to_tc", sc.priority_map.prio_to_tc),
-                                  pm.ints("tc_to_queue", sc.priority_map.tc_to_queue))
-    for e in validate_map(sc.priority_map, sc.nic.num_tx_queues, sc.nic.time_aware_queues):
-        errors.append(f"{pm.path}: {e}")
+    sections["priority_map"] = pmap = PriorityMap(*pm.fields("priority_map"))
+    errors.extend(f"{pm.path}: {e}"
+                  for e in validate_map(pmap, settings.num_tx_queues, settings.time_aware_queues))
     pm.close()
 
-    sc.duration_ns = top.int("duration_ns", sc.duration_ns, 1, INT64_MAX)
-    sc.seed = top.int("seed", sc.seed)
-    sc.trace = top.bool("trace", sc.trace)
+    sections[""] = top.fields("")
     schedules, faults, flows = top.items("schedules"), top.items("faults"), top.items("flows")
     top.close()
 
     if errors:
         raise ScenarioError(errors)
 
+    sc = Scenario(sections)
     topo = sc.build_fabric()
     if sc.ptp.enabled and sc.ptp.grandmaster is not None and not topo.has_node(sc.ptp.grandmaster):
-        errors.append(f"{ptp.at('grandmaster')}: {sc.ptp.grandmaster} is not a populated node")
-    sc.drift_spec = _drift(drift, topo, ptp.at("drift_ppm"), errors)
+        errors.append(f"ptp.grandmaster: {sc.ptp.grandmaster} is not a populated node")
+    _drift(sc.drift_spec, topo, "ptp.drift_ppm", errors)
 
+    scheduled: dict[tuple[NodeId, PortKind], str] = {}  # the path of each port's schedule
     for s in schedules:
-        node, port = s.node("node"), s.get("port", "external")
-        path, entries = s.at("entries"), []
-        for j, e in enumerate(_expect(s.get("entries", []), list, path, errors)):
-            entries.append(_ints(e, f"{path}[{j}]", errors))
-            if len(entries[-1]) != 2:
-                raise _malformed(e, "[queue, slot_us]", f"{path}[{j}]", errors)
-            _int(entries[-1][1], f"{path}[{j}][1]", errors, hi=INT64_MAX)
-        entries = tuple(entries)
-        window = s.int("window_us", DEFAULT_WINDOW_US, hi=INT64_MAX)
-        guard = s.int("guardband_ns", None, hi=INT64_MAX, null=True)
+        node, port, entries, window, guard = s.fields("schedules")
         s.close()
         try:
             port = PortKind(port)
@@ -423,14 +420,18 @@ def parse_scenario(doc: dict) -> Scenario:
         if topo.ports[node][port] is None:
             errors.append(f"{s.path}: node {node} port {port.value} is not connected")
             continue
+        if (node, port) in scheduled:
+            errors.append(f"{s.path}: node {node} port {port.value} is already scheduled by"
+                          f" {scheduled[node, port]}")
+            continue
+        scheduled[node, port] = s.path
         committed = default_guardband_ns(sc.rate_bps) if guard is None else guard  # as set_conf
         for e in validate_schedule(window, entries, committed, sc.nic.num_tx_queues):
             errors.append(f"{s.path} (node {node} port {port.value}): {e}")
         sc.schedules.append((node, ScheduleConfig(port, window, entries, guard)))
 
     for f in faults:
-        a, b = f.node("a"), f.node("b")
-        t, state = f.int("time_ns", 0, hi=INT64_MAX), f.get("state", "down")
+        a, b, t, state = f.fields("faults")
         f.close()
         if a is None or b is None:
             continue
@@ -442,25 +443,20 @@ def parse_scenario(doc: dict) -> Scenario:
         if state not in ("up", "down"):
             errors.append(f"{f.at('state')}: {state!r} must be 'up' or 'down'")
             continue
-        sc.faults.append(FaultSpec(a, b, t, state == "up"))
+        sc.faults.append(FaultSpec(a, b, t, state))
 
     for f in flows:
-        src, dst = f.node("src"), f.node("dst")
-        spec = FlowSpec(src, dst, f.int("pcp", 0, 0, 7), f.int("start", 0, hi=INT64_MAX),
-                        f.int("stop", None, hi=INT64_MAX, null=True),
-                        f.bool("backlogged", False),
-                        f.int("offered_rate_bps", None, 1, INT64_MAX, null=True),
-                        f.int("frame_payload_bytes", MAX_CHUNK, 1, MAX_CHUNK))
+        spec = FlowSpec(*f.fields("flows"))
         f.close()
-        if src is None or dst is None:
+        if spec.src is None or spec.dst is None:
             continue
-        if not topo.has_node(src):
-            errors.append(f"{f.at('src')}: {src} is not populated")
+        if not topo.has_node(spec.src):
+            errors.append(f"{f.at('src')}: {spec.src} is not populated")
             continue
-        if not topo.has_node(dst):
-            errors.append(f"{f.at('dst')}: {dst} is not populated")
+        if not topo.has_node(spec.dst):
+            errors.append(f"{f.at('dst')}: {spec.dst} is not populated")
             continue
-        if src == dst:
+        if spec.src == spec.dst:
             errors.append(f"{f.path}: src and dst must differ")
             continue
         if spec.start < 0 or spec.start >= sc.duration_ns:

@@ -125,6 +125,9 @@ def test_validate_error_exit_one(tmp_path, capsys):
     ({"flows": [{"src": "0.0.0.0", "dst": "0.0.0.1", "pcp ": 3, "backlogged": True}]},
      "flows[0].pcp : unexpected key"),
     ({"grid": {"preset": "tile_plus_two", "G_r": 9}}, "grid.G_r: unexpected key"),
+    ({"schedules": [{"node": "0.0.0.0", "port": "intra_h", "entries": [[0, 10]]},
+                    {"node": [0, 0, 0, 0], "port": "intra_h", "entries": [[1, 10]]}]},
+     "schedules[1]: node 0.0.0.0 port intra_h is already scheduled by schedules[0]"),
 ], ids=["grid_G_r", "flow_item", "schedule_entry", "time_aware_queues",
         "drift_string", "drift_seeded_max", "drift_per_node",
         "drift_bool", "drift_seeded_max_string", "drift_default_string", "drift_per_node_bool",
@@ -141,7 +144,8 @@ def test_validate_error_exit_one(tmp_path, capsys):
         "queue_depth_negative", "num_tx_queues_zero", "num_tx_queues_above_scr_range",
         "window_above_u32", "guardband_above_u32", "default_guardband_above_u32",
         "unknown_top_level_key",
-        "unknown_link_key", "unknown_schedule_key", "unknown_flow_key", "preset_beside_G_r"])
+        "unknown_link_key", "unknown_schedule_key", "unknown_flow_key", "preset_beside_G_r",
+        "second_schedule_for_a_port"])
 def test_malformed_scenario_is_a_validation_error(tmp_path, doc, message):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))

@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,18 @@ from tasnic.fabric import NodeId, abs_coords, mac_of
 from tasnic.harness import build_network, run_scenario
 from tasnic.nic import MAX_SCHEDULE_ENTRIES, default_guardband_ns
 from tasnic.runtime import ScheduleConfig
-from tasnic.scenario import INT64_MAX, Scenario, ScenarioError, load_scenario, parse_scenario
+from tasnic.scenario import (
+    INT64_MAX,
+    KEYS,
+    Scenario,
+    ScenarioError,
+    load_scenario,
+    parse_scenario,
+)
+
+ROOT = Path(__file__).resolve().parents[1]
+SHIPPED = sorted((ROOT / "scenarios").glob("*.json"))
+SHIPPED_DOCS = [json.loads(path.read_text()) for path in SHIPPED]
 
 
 def minimal_doc(**overrides):
@@ -282,21 +295,55 @@ def fuzzed_documents(draw):
     return doc
 
 
+def _prune(draw, value):
+    """``value`` with some keys of its objects, at any depth, left out."""
+    if isinstance(value, dict):
+        return {key: _prune(draw, v) for key, v in value.items() if draw(st.booleans())}
+    if isinstance(value, list):
+        return [_prune(draw, v) for v in value]
+    return value
+
+
+@st.composite
+def pruned_documents(draw):
+    """A valid document with some of its keys left out, each then read as its default."""
+    return _prune(draw, draw(st.sampled_from([FULL_DOC, EVERY_FIELD_DOC, *SHIPPED_DOCS])))
+
+
 def test_full_fuzz_document_is_valid():
     assert len(parse_scenario(FULL_DOC).flows) == 2
 
 
-@pytest.mark.parametrize("doc", [EVERY_FIELD_DOC, FULL_DOC], ids=["every_field", "full"])
+def reparsed(sc: Scenario) -> Scenario:
+    """``sc`` parsed again from its canonical form, as JSON writes it."""
+    return parse_scenario(json.loads(json.dumps(sc.canonical_dict())))
+
+
+@pytest.mark.parametrize("doc", [EVERY_FIELD_DOC, FULL_DOC, *SHIPPED_DOCS],
+                         ids=["every_field", "full", *(path.stem for path in SHIPPED)])
 def test_canonical_form_parses_back_to_the_same_digest(doc):
     # every key the digest form writes is a key the parser reads
     sc = parse_scenario(doc)
-    assert parse_scenario(json.loads(json.dumps(sc.canonical_dict()))).digest() == sc.digest()
+    assert reparsed(sc).digest() == sc.digest()
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
-@given(fuzzed_documents() | st.dictionaries(st.sampled_from(list(FULL_DOC)), json_values))
+@given(fuzzed_documents() | pruned_documents()
+       | st.dictionaries(st.sampled_from(list(FULL_DOC)), json_values))
 def test_any_document_parses_or_is_a_scenario_error(doc):
     try:
-        parse_scenario(doc)
+        sc = parse_scenario(doc)
     except ScenarioError:
-        pass
+        return
+    # a document that parses has a canonical form that parses to the same scenario
+    again = reparsed(sc)
+    assert again.canonical_dict() == sc.canonical_dict()
+    assert again.digest() == sc.digest()
+
+
+def test_readme_names_every_key_of_the_table():
+    # the jsonc block under README's "Scenario files", comments included
+    section = (ROOT / "README.md").read_text().split("## Scenario files", 1)[1]
+    block = section.split("```jsonc", 1)[1].split("```", 1)[0]
+    table = {name for name in KEYS if name} | {entry[0] for keys in KEYS.values() for entry in keys}
+    assert set(re.findall(r'"(\w+)"\s*:', block)) == table | {"seeded_max_ppm"}

@@ -74,7 +74,7 @@ VALUES = [
     (HostSettings, (None, 4_000)),
     (PtpSettings, (False, NodeId(0, 0, 1, 1), 125, 4, 6)),
     (NicSettings, (16, (1, 3), 256)),
-    (FaultSpec, (NodeId(0, 0, 0, 0), NodeId(0, 0, 0, 1), 300, True)),
+    (FaultSpec, (NodeId(0, 0, 0, 0), NodeId(0, 0, 0, 1), 300, "up")),
     (FlowSpec, (NodeId(0, 0, 0, 0), NodeId(0, 0, 1, 1), 2, 0, None, True, None, 64)),
 ]
 
