@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from array import array
-from collections.abc import Iterator
 from itertools import islice
 
 from .runtime import Message
@@ -36,23 +35,6 @@ class DeliveredMessage:
         self.deliver_true_ns = deliver_true_ns
         self.latency_ns = latency_ns
         self.hops = hops
-
-
-class MessageView:
-    """Read-only view of a flow's delivered messages, in arrival order."""
-
-    __slots__ = ("_recorder",)
-
-    def __init__(self, recorder: FlowRecorder):
-        self._recorder = recorder
-
-    def __len__(self) -> int:
-        return len(self._recorder.latency_ns)
-
-    def __iter__(self) -> Iterator[DeliveredMessage]:
-        r = self._recorder
-        return (DeliveredMessage(s, d, lat, h) for s, d, lat, h in
-                zip(r.send_true_ns, r.deliver_true_ns, r.latency_ns, r.hops))
 
 
 class FlowRecorder:
@@ -82,8 +64,10 @@ class FlowRecorder:
         self.hops = array("B")
 
     @property
-    def messages(self) -> MessageView:
-        return MessageView(self)
+    def messages(self) -> list[DeliveredMessage]:
+        """The delivered messages in arrival order, built when read."""
+        return [DeliveredMessage(*fields) for fields in
+                zip(self.send_true_ns, self.deliver_true_ns, self.latency_ns, self.hops)]
 
     def on_message(self, msg: Message) -> None:
         self.send_true_ns.append(msg.send_true_ns)

@@ -10,8 +10,9 @@ remaining queues round-robin, one frame at a time.  A schedule with no
 entries degenerates to plain round-robin over all queues with no window
 bookkeeping at all.
 
-Schedule updates are staged in shadow registers and applied atomically at
-the next window boundary after a successful commit.  This module alone
+Schedule updates are staged in shadow registers.  A successful commit takes
+effect at once on a port with no schedule entries, else at the port's first
+decision at or past the active window's next boundary.  This module alone
 knows the register layout: ``schedule_registers`` turns a schedule's
 ``(queue_idx, slot_us)`` entries into a register image, and
 ``RegisterFile._commit`` reads them back out of the shadow.
@@ -283,7 +284,6 @@ class NicPort:
         self.tx_frames = 0
         self._txdone_label = f"txdone:{node_id}:{kind.value}"
         self._wake_label = f"wake:{node_id}:{kind.value}"
-        self._commit_label = f"commit:{node_id}:{kind.value}"
         # bound once: each transmission schedules a kick and an arrival
         self._kick = self.kick
         self.arrive_action = self.arrive
@@ -347,20 +347,19 @@ class NicPort:
     # -- schedule management -------------------------------------------
 
     def arm_table(self, table: ScheduleTable) -> None:
-        """Register a committed table; it activates at the window boundary,
-        at once when no schedule is active, so a table is only pending while
-        the active one has entries."""
+        """Register a committed table: active at once when no schedule is, else
+        pending until ``kick``'s first decision at or past the active window's
+        next local boundary, which a transmission's end or a wake brings."""
         self.committed_table = table
-        local = self.clock.read_ns(self.sim.now)
-        w = self.active_table.window_ns
-        effective = ((local + w - 1) // w) * w if self.active_table.entries else local
-        if effective <= local:
-            self.active_table, self._pending = table, None
-            self.kick()
-        else:
-            self._pending, self._pending_at_local = table, effective
-            when = self.clock.true_at_local(effective, self.sim.now)
-            self.sim.at(when, self._kick, label=self._commit_label)
+        if self.active_table.entries:
+            local = self.clock.read_ns(self.sim.now)
+            w = self.active_table.window_ns
+            phase = local % w
+            if phase:
+                self._pending, self._pending_at_local = table, local - phase + w
+                return
+        self.active_table, self._pending = table, None
+        self.kick()
 
     # -- scheduler -----------------------------------------------------
 
@@ -369,15 +368,17 @@ class NicPort:
         now = self.sim.now
         if self.busy_until > now:
             return
-        if not self.active_table.entries:
-            # plain round robin, with no table pending (arm_table), decides on
-            # queue state alone: no clock read
-            nxt = self._rr_decide(None, None, None, now) if self._rr_mask else None
-        else:
+        table = self.active_table
+        if table.entries:  # a table is pending only behind one with entries
             local = self.clock.read_ns(now)
             if self._pending is not None and local >= self._pending_at_local:
-                self.active_table, self._pending = self._pending, None
-            nxt = self._decide(local, now)
+                table = self.active_table = self._pending
+                self._pending = None
+        if not table.entries:
+            # plain round robin decides on queue state alone: no clock read
+            nxt = self._rr_decide(None, None, None, now) if self._rr_mask else None
+        else:
+            nxt = self._decide(table, local, now)
         if nxt is not None and isinstance(nxt, int):  # no call when nothing is due
             self._set_wake(nxt)
             return
@@ -387,11 +388,9 @@ class NicPort:
         if nxt is not None:
             self._transmit(nxt, now)
 
-    def _decide(self, local: int, now: SimTime) -> TxQueue | SimTime | None:
-        """The queue to transmit from now, else the true wake time, else None."""
-        table = self.active_table
-        if not table.entries:
-            return self._rr_decide(None, None, local, now)
+    def _decide(self, table: ScheduleTable, local: int, now: SimTime) -> TxQueue | SimTime:
+        """Under ``table``, which has entries: the queue to transmit from now,
+        else the true wake time."""
         w = table.window_ns
         phase = local % w
         window_start = local - phase

@@ -12,9 +12,10 @@ JSON is the reference encoding; node ids are 4-element arrays [Grc, Gcc,
 Lrc, Lcc] or dotted strings "Grc.Gcc.Lrc.Lcc".  What a table cannot say is
 code after the read: the ``grid``'s ``tile_plus_two`` preset or its
 dimensions and ``populated`` subset, the free-form ``ptp.drift_ppm``, and the
-checks across fields (the topology builds, the priority map is acceptable,
-each port has at most one committable schedule, times fall within the run,
-and flows and faults name populated nodes and existing links).
+checks across fields (the topology builds, each time-aware queue exists and
+is listed once, the priority map is acceptable, each port has at most one
+committable schedule, times fall within the run, and flows and faults name
+populated nodes and existing links).
 """
 
 from __future__ import annotations
@@ -338,7 +339,7 @@ def _grid(grid: _Object) -> GridSpec:
             if value == own and not isinstance(value, bool):
                 grid.get(key)
         return TILE_PLUS_TWO
-    if name:
+    if name is not None:
         grid.errors.append(f"{grid.at('preset')}: unknown preset {name!r}")
         return TILE_PLUS_TWO  # unused: the errors end the parse
     g_r, g_c, listed = (grid.read(*entry) for entry in shape)
@@ -381,8 +382,13 @@ def parse_scenario(doc: dict) -> Scenario:
 
     nic = top.section("nic")
     sections["nic"] = settings = NicSettings(*nic.fields("nic"))
-    errors.extend(f"{nic.at('time_aware_queues')}: queue {q} does not exist"
-                  for q in settings.time_aware_queues if not 0 <= q < settings.num_tx_queues)
+    path, listed = nic.at("time_aware_queues"), set()
+    for i, q in enumerate(settings.time_aware_queues):
+        if not 0 <= q < settings.num_tx_queues:
+            errors.append(f"{path}: queue {q} does not exist")
+        elif q in listed:
+            errors.append(f"{path}[{i}]: queue {q} is already listed")
+        listed.add(q)
     nic.close()
     pm = top.section("priority_map")
     sections["priority_map"] = pmap = PriorityMap(*pm.fields("priority_map"))

@@ -128,6 +128,15 @@ def test_validate_error_exit_one(tmp_path, capsys):
     ({"schedules": [{"node": "0.0.0.0", "port": "intra_h", "entries": [[0, 10]]},
                     {"node": [0, 0, 0, 0], "port": "intra_h", "entries": [[1, 10]]}]},
      "schedules[1]: node 0.0.0.0 port intra_h is already scheduled by schedules[0]"),
+    # a falsy preset is no less unknown than a truthy one
+    ({"grid": {"preset": False}}, "grid.preset: unknown preset False"),
+    ({"grid": {"preset": 0}}, "grid.preset: unknown preset 0"),
+    ({"grid": {"preset": ""}}, "grid.preset: unknown preset ''"),
+    ({"grid": {"preset": []}}, "grid.preset: unknown preset []"),
+    ({"grid": {"preset": {}}}, "grid.preset: unknown preset {}"),
+    # a repeat would move the digest of an unchanged run
+    ({"nic": {"time_aware_queues": [0, 0, 1, 2]}},
+     "nic.time_aware_queues[1]: queue 0 is already listed"),
 ], ids=["grid_G_r", "flow_item", "schedule_entry", "time_aware_queues",
         "drift_string", "drift_seeded_max", "drift_per_node",
         "drift_bool", "drift_seeded_max_string", "drift_default_string", "drift_per_node_bool",
@@ -145,7 +154,8 @@ def test_validate_error_exit_one(tmp_path, capsys):
         "window_above_u32", "guardband_above_u32", "default_guardband_above_u32",
         "unknown_top_level_key",
         "unknown_link_key", "unknown_schedule_key", "unknown_flow_key", "preset_beside_G_r",
-        "second_schedule_for_a_port"])
+        "second_schedule_for_a_port", "preset_false", "preset_zero", "preset_empty_string",
+        "preset_empty_list", "preset_empty_object", "time_aware_queue_repeated"])
 def test_malformed_scenario_is_a_validation_error(tmp_path, doc, message):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))

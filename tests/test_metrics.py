@@ -71,7 +71,7 @@ def test_summary_matches_per_message_reference(msgs):
     # json also tells an int from a float, which the report's bytes do
     assert json.dumps(got, sort_keys=True) == json.dumps(expected, sort_keys=True)
     assert csv_row(got) == csv_row(expected)
-    # the view yields each message's record in arrival order
+    # the list holds each message's record in arrival order
     assert len(rec.messages) == len(msgs)
     assert [(m.send_true_ns, m.deliver_true_ns, m.latency_ns, m.hops) for m in rec.messages] \
         == [(send_true, deliver_true, lat, hops)

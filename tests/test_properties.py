@@ -1,11 +1,17 @@
 """Property tests over whole runs: the model keeps its symmetry under a shift
-by whole tiles, and a scheduled port keeps its slot rules."""
+by whole tiles, and a scheduled port keeps its slot rules, across a schedule
+committed mid-run as well."""
+
+from bisect import bisect_right
+from unittest.mock import patch
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tasnic import harness
 from tasnic.fabric import DATA_PORT_KINDS, NodeId, PortKind, all_node_ids, build_topology
-from tasnic.harness import run_scenario
+from tasnic.harness import build_network, run_scenario
+from tasnic.runtime import ScheduleConfig
 from tasnic.scenario import parse_scenario
 
 # -- translation by whole tiles -------------------------------------------------
@@ -80,9 +86,9 @@ SCHEDULED = NodeId(0, 0, 1, 1)  # the west single node: every frame it sends lea
 FAR_NODES = ("0.1.0.0", "0.1.1.1", "0.2.0.0")  # its external port
 
 
-@st.composite
-def _slot_cases(draw):
-    """A schedule for the scheduled port, its flows and the run's settings."""
+def _table(draw):
+    """A window, its slots over one to three of queues 0-2 and a guardband
+    (None: the port default)."""
     window_us = draw(st.integers(10, 200))
     queues = draw(st.permutations([0, 1, 2]))[:draw(st.integers(1, 3))]
     entries, left = [], window_us
@@ -90,9 +96,17 @@ def _slot_cases(draw):
         if left < 1:
             break
         slot = draw(st.integers(1, left))
-        entries.append([q, slot])
+        entries.append((q, slot))
         left -= slot
     guardband = draw(st.one_of(st.none(), st.just(0), st.integers(1, 3_000)))
+    return window_us, tuple(entries), guardband
+
+
+@st.composite
+def _slot_cases(draw):
+    """A schedule for the scheduled port, its flows, the run's settings and an
+    optional second table (entries or none) with the true instant of its commit."""
+    window_us, entries, guardband = _table(draw)
     flows = []
     for _ in range(draw(st.integers(1, 4))):
         flow = {"src": str(SCHEDULED), "dst": draw(st.sampled_from(FAR_NODES)),
@@ -106,40 +120,109 @@ def _slot_cases(draw):
         flows.append(flow)
     cap = draw(st.sampled_from([None, 2_250_000_000, 9_000_000_000]))
     ptp = {"enabled": draw(st.booleans()), "interval_ms": 1,
-           "drift_ppm": draw(st.integers(0, 100))}
-    return window_us, entries, guardband, flows, cap, ptp
+           "drift_ppm": draw(st.integers(0, 200))}
+    second = None
+    if draw(st.integers(0, 2)):  # most runs commit a second table
+        w2, e2, g2 = _table(draw)
+        if draw(st.integers(0, 3)) == 0:
+            e2 = ()
+        second = ScheduleConfig(PortKind.EXTERNAL, w2, e2, g2), draw(st.integers(0, 1_000_000))
+    return window_us, entries, guardband, flows, cap, ptp, second
+
+
+def _keeps_slot_rules(rec, table):
+    """``rec`` starts in ``table``'s slot for its queue, or in leftover time
+    for an unscheduled queue, and ends clear of the guardband."""
+    window, guard = table.window_ns, table.guardband_ns
+    phase = rec.local_start % window
+    end = phase + rec.ser_ns
+    for slot_end, queue in table.slots_ns:
+        if phase < slot_end:
+            assert rec.queue_idx == queue, rec
+            assert phase <= slot_end - guard and end <= slot_end, rec
+            return
+    # leftover time: an unscheduled queue or the management queue (-1)
+    assert rec.queue_idx not in {q for q, _ in table.entries}, rec
+    assert end <= window - guard, rec
 
 
 @given(_slot_cases())
-@settings(derandomize=True, max_examples=30, deadline=None)
+@settings(derandomize=True, max_examples=40, deadline=None)
 def test_a_scheduled_port_keeps_its_slot_rules_and_each_flow_its_frames(case):
-    window_us, entries, guardband, flows, cap, ptp = case
+    window_us, entries, guardband, flows, cap, ptp, second = case
     schedule = {"node": str(SCHEDULED), "port": "external", "window_us": window_us,
-                "entries": entries}
+                "entries": [list(e) for e in entries]}
     if guardband is not None:
         schedule["guardband_ns"] = guardband
-    result = run_scenario(parse_scenario({
-        "grid": {"preset": "tile_plus_two"}, "host": {"injection_cap_bps": cap},
-        "ptp": ptp, "priority_map": {"num_classes": 3, "prio_to_tc": [0, 1, 2],
-                                     "tc_to_queue": [0, 1, 2]},
-        "schedules": [schedule], "flows": flows, "duration_ns": 1_000_000, "trace": True}))
+    decisions = []  # (true time, reading, the table decided under) of each decision
+    commit = {}
+    labels = set()
+
+    def build(scenario):
+        net = build_network(scenario)
+        node = net.nodes[SCHEDULED]
+        port, sim = node.ports[PortKind.EXTERNAL], net.sim
+        kick = port.kick
+
+        def observed_kick():
+            now = sim.now
+            deciding = port.busy_until <= now
+            kick()
+            if deciding:
+                decisions.append((now, port.clock.read_ns(now), port.active_table))
+        port.kick = port._kick = observed_kick
+
+        def hook(now, seq, label):
+            labels.add(label.split(":")[0])
+            # a port under a schedule always has a decision coming: its
+            # transmission's end or a live wake
+            if port.active_table.entries and port.busy_until < now:
+                assert port._wake is not None and not port._wake.cancelled, now
+                assert port._wake.fire_at >= now, now
+        sim.trace_hook = hook
+
+        if second is not None:
+            cfg, at = second
+
+            def commit_second():
+                commit.update(reading=port.clock.read_ns(sim.now), old=port.active_table,
+                              decisions=len(decisions))
+                node.runtime.set_conf(cfg)
+                commit["new"] = port.committed_table
+            sim.at(at, commit_second, label="script")
+        return net
+
+    with patch.object(harness, "build_network", build):
+        result = run_scenario(parse_scenario({
+            "grid": {"preset": "tile_plus_two"}, "host": {"injection_cap_bps": cap},
+            "ptp": ptp, "priority_map": {"num_classes": 3, "prio_to_tc": [0, 1, 2],
+                                         "tc_to_queue": [0, 1, 2]},
+            "schedules": [schedule], "flows": flows, "duration_ns": 1_000_000,
+            "trace": True}))
+    assert "commit" not in labels
     net = result.network
     port = net.nodes[SCHEDULED].ports[PortKind.EXTERNAL]
-    table = port.active_table
-    window, guard = table.window_ns, table.guardband_ns
-    assert table.entries == tuple(map(tuple, entries))
-    scheduled = {q for q, _ in table.entries}
+    first = decisions[0][2]
+    assert first.entries == entries
+    swap = len(decisions)
+    if commit:
+        # the table swaps in at the first decision whose reading is at or past
+        # the first window boundary at or after the commit's reading
+        assert commit["old"] is first
+        w = first.window_ns
+        boundary = -(-commit["reading"] // w) * w
+        swap = next((i for i in range(commit["decisions"], swap)
+                     if decisions[i][1] >= boundary), swap)
+    active = [first] * swap + [commit.get("new")] * (len(decisions) - swap)
+    assert [table for *_, table in decisions] == active
+    # a transmission starts at a decision, the last one at or before it (the
+    # port is busy then), or at an enqueue to an idle port with no entries
+    times = [t for t, *_ in decisions]
     for rec in port.trace:
-        phase = rec.local_start % window
-        end = phase + rec.ser_ns
-        for slot_end, queue in table.slots_ns:
-            if phase < slot_end:
-                assert rec.queue_idx == queue, rec
-                assert phase <= slot_end - guard and end <= slot_end, rec
-                break
-        else:  # leftover time: an unscheduled queue or the management queue (-1)
-            assert rec.queue_idx not in scheduled, rec
-            assert end <= window - guard, rec
+        i = bisect_right(times, rec.true_start) - 1
+        assert i >= 0, rec
+        if active[i].entries:
+            _keeps_slot_rules(rec, active[i])
     held = {}  # the frames of each flow still queued or on a wire at the end
     for node in net.nodes.values():
         for p in node.ports.values():
