@@ -240,7 +240,8 @@ def build_topology(g_r: int, g_c: int,
         nodes = universe
     else:
         nodes = sorted(set(populated))
-        unknown = [n for n in nodes if n not in set(universe)]
+        known = set(universe)
+        unknown = [n for n in nodes if n not in known]
         if unknown:
             raise AddressError(f"populated nodes outside the {g_r}x{g_c} grid: {unknown}")
     topo = Topology(g_r, g_c, nodes, rate_bps, prop_delay_ns)

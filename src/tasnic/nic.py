@@ -34,9 +34,8 @@ from __future__ import annotations
 from collections import deque
 from typing import TYPE_CHECKING, NamedTuple
 
-from .clock import LocalClock
-from .engine import SimTime, Simulator
-from .fabric import Link, NodeId, PortKind
+from .engine import SimTime
+from .fabric import Link, PortKind
 from .frame import (
     ETHERTYPE_PTP,
     MAX_WIRE_BYTES,
@@ -46,7 +45,7 @@ from .frame import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .node import Network, Node
+    from .node import Node
 
 MAX_SCHEDULE_ENTRIES = 16
 MAX_TX_QUEUES = 1 << 16  # an SCR register holds a queue index in bits [15:0]
@@ -198,7 +197,7 @@ class RegisterFile:
 
     def __init__(self, port: "NicPort"):
         self._port = port
-        self.shadow = port.committed_table.registers()
+        self.shadow = port.active_table.registers()  # a new port's table, committed
         self.last_commit_errors: list[str] = []
 
     def write(self, offset: int, value: int) -> None:
@@ -253,34 +252,32 @@ class NicPort:
 
     MGMT_IDX = MGMT_IDX
 
-    def __init__(self, network: "Network", node_id: NodeId, kind: PortKind,
-                 link: Link, clock: LocalClock, sim: Simulator,
-                 num_tx_queues: int, queue_depth: int, bucket: TokenBucket | None):
-        self.network = network
-        self.node_id = node_id
+    def __init__(self, node: Node, kind: PortKind, link: Link,
+                 num_tx_queues: int, queue_depth: int):
+        self.network = network = node.network
+        self.node_id = node_id = node.node_id
         self.kind = kind
         self.link = link
         self.prop_delay_ns = link.prop_delay_ns
-        self.clock = clock
-        self.sim = sim
+        self.clock = node.clock
+        self.sim = node.sim
         self.num_tx_queues = num_tx_queues
         self.rate_bps = link.rate_bps
         self.ser_ns = SerializationTicks(self.rate_bps)
-        self.bucket = bucket
+        self.bucket = node.bucket
         self.queue_depth = queue_depth
         self.mgmt_queue = TxQueue(MGMT_IDX, num_tx_queues)
         self._queues = {num_tx_queues: self.mgmt_queue}  # by bit position
         self.active_table = ScheduleTable(DEFAULT_WINDOW_US, (),
                                           default_guardband_ns(self.rate_bps))
-        self.committed_table = self.active_table
-        self.regs = RegisterFile(self)
         self._pending: ScheduleTable | None = None
         self._pending_at_local = 0
+        self.regs = RegisterFile(self)
         self.busy_until: SimTime = 0
         self._wake = None
         self._rr_last = 0  # the bit of the queue last served round-robin, 0 before any
         self._rr_mask = 0  # the bits of the backlogged queues
-        self.trace: list[TxRecord] | None = None
+        self.trace: list[TxRecord] | None = [] if network.trace else None
         self.tx_frames = 0
         self._txdone_label = f"txdone:{node_id}:{kind.value}"
         self._wake_label = f"wake:{node_id}:{kind.value}"
@@ -294,6 +291,11 @@ class NicPort:
         # (frame, tx_start) of each frame on the wire or in propagation, oldest
         # first: the link delivers in transmission order
         self.in_flight: deque[tuple[Frame, SimTime]] = deque()
+
+    @property
+    def committed_table(self) -> ScheduleTable:
+        """The table of the last successful commit: pending, else active."""
+        return self.active_table if self._pending is None else self._pending
 
     def attach_peer(self, peer: Node, peer_kind: PortKind) -> None:
         """Record the node and port at the far end of the link."""
@@ -350,7 +352,6 @@ class NicPort:
         """Register a committed table: active at once when no schedule is, else
         pending until ``kick``'s first decision at or past the active window's
         next local boundary, which a transmission's end or a wake brings."""
-        self.committed_table = table
         if self.active_table.entries:
             local = self.clock.read_ns(self.sim.now)
             w = self.active_table.window_ns
@@ -470,19 +471,18 @@ class NicPort:
             # refilled the bucket to this instant: only the debit is left
             self.bucket.tokens -= wire * 8
         ser = self.ser_ns[wire]
-        is_ptp = frame.ethertype == ETHERTYPE_PTP and self.network.ptp is not None
-        if is_ptp or self.trace is not None:
-            tx_local = self.clock.read_ns(now)
-        if is_ptp:
-            self.network.ptp.on_tx_start(self.node_id, frame, tx_local)  # one-step timestamp
         if self.trace is not None:
-            self.trace.append(TxRecord(now, tx_local, q.index, wire, ser, frame.flow_id))
+            self.trace.append(TxRecord(now, self.clock.read_ns(now), q.index, wire, ser,
+                                       frame.flow_id))
         self.tx_frames += 1
         self.busy_until = end = now + ser
         self.sim.at(end, self._kick, self._txdone_label)
         self.network.schedule_delivery(self, frame, now, end)
-        if frame.hops == 1:  # a frame's flow hears of its first transmission only
-            self.network.frame_dequeued(frame)
+        if frame.hops == 1:  # at its origin port only
+            if frame.ethertype == ETHERTYPE_PTP:  # one-step timestamp
+                self.network.ptp.on_tx_start(self.node_id, frame, self.clock.read_ns(now))
+            else:  # a frame's flow hears of its first transmission
+                self.network.frame_dequeued(frame)
 
     def arrive(self) -> None:
         """Hand the oldest frame in flight to the link's far end, or count it a

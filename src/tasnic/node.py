@@ -67,7 +67,8 @@ class Node:
         # TX queue of each pcp (a Frame's pcp is 0..7), classified once
         self.queue_of_pcp = tuple(classify(pcp, priority_map) for pcp in range(8))
         self.counters = NodeCounters()
-        self.bucket: TokenBucket | None = None
+        cap = network.host.injection_cap_bps  # the host budget its ports share
+        self.bucket = TokenBucket(cap, MAX_WIRE_BYTES * 8) if cap else None
         self.ports: dict[PortKind, NicPort] = {}
         self.hostrx_label = f"hostrx:{node_id}"
         self.reasm_deadline_label = f"reasm-deadline:{node_id}"
@@ -162,17 +163,11 @@ class Network:
             clock = LocalClock(drift_ppm=drift_by_node[node_id],
                                quantum_ns=scenario.ptp.quantization_ns)
             node = Node(self, node_id, clock, scenario.priority_map)
-            if self.host.injection_cap_bps:
-                node.bucket = TokenBucket(self.host.injection_cap_bps, MAX_WIRE_BYTES * 8)
             for kind in DATA_PORT_KINDS:
                 link = topology.ports[node_id][kind]
-                if link is None:
-                    continue
-                node.ports[kind] = NicPort(
-                    self, node_id, kind, link, clock, self.sim,
-                    nic.num_tx_queues, nic.queue_depth, node.bucket)
-                if self.trace:
-                    node.ports[kind].trace = []
+                if link is not None:
+                    node.ports[kind] = NicPort(node, kind, link, nic.num_tx_queues,
+                                               nic.queue_depth)
             self.nodes[node_id] = node
         for node in self.nodes.values():
             for port in node.ports.values():

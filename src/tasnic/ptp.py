@@ -95,9 +95,6 @@ class PtpService:
 
     # -- frame construction ----------------------------------------------
 
-    def _send(self, src: NodeId, dst: NodeId, msg: PtpMessage) -> None:
-        self.network.send_protocol_frame(src, dst, msg.pack())
-
     def _send_sync(self, slave: NodeId) -> None:
         eid = self._next_exchange_id
         self._next_exchange_id += 1
@@ -105,14 +102,14 @@ class PtpService:
         state.pending_id = eid
         state.t1 = state.t2 = state.t3 = None
         # origin timestamp is patched in hardware as the frame leaves the wire
-        self._send(self.grandmaster, slave, PtpMessage(MSG_SYNC, 0, eid))
+        self.network.send_protocol_frame(self.grandmaster, slave,
+                                         PtpMessage(MSG_SYNC, 0, eid).pack())
 
     # -- hardware timestamp hook ------------------------------------------
 
     def on_tx_start(self, node_id: NodeId, frame: Frame, tx_local: int) -> None:
-        """One-step timestamping: patch origin time at the originating port."""
-        if frame.hops != 1:
-            return  # transit hop (hops counts link traversals, origin = 1)
+        """One-step timestamping: patch origin time as ``frame`` leaves its
+        origin port (``NicPort._send`` calls this there only)."""
         msg = PtpMessage.unpack(frame.payload)
         if msg.msg_type not in (MSG_SYNC, MSG_DELAY_REQ):
             return
@@ -135,10 +132,12 @@ class PtpService:
                 return
             state.t1 = msg.origin_timestamp
             state.t2 = rx_local
-            self._send(node.node_id, self.grandmaster, PtpMessage(MSG_DELAY_REQ, 0, msg.exchange_id))
+            self.network.send_protocol_frame(node.node_id, self.grandmaster,
+                                             PtpMessage(MSG_DELAY_REQ, 0, msg.exchange_id).pack())
         elif msg.msg_type == MSG_DELAY_REQ and node.node_id == self.grandmaster:
-            self._send(self.grandmaster, frame.src,
-                       PtpMessage(MSG_DELAY_RESP, rx_local, msg.exchange_id))
+            self.network.send_protocol_frame(
+                self.grandmaster, frame.src,
+                PtpMessage(MSG_DELAY_RESP, rx_local, msg.exchange_id).pack())
         elif msg.msg_type == MSG_DELAY_RESP and node.node_id in self.slaves:
             state = self.slaves[node.node_id]
             if state.pending_id != msg.exchange_id or None in (state.t1, state.t2, state.t3):

@@ -348,7 +348,7 @@ def _grid(grid: _Object) -> GridSpec:
         g_r, g_c = (min(max(d, 1), MAX_GRID_DIM) for d in (g_r, g_c))
     if listed is None:
         return GridSpec(g_r, g_c, None, None)
-    path, populated = grid.at("populated"), []
+    path, populated = grid.at("populated"), {}  # an ordered set
     for i, v in enumerate(_expect(listed, list, path, grid.errors)):
         n = _parse_node(v, f"{path}[{i}]", grid.errors)
         if n is None:
@@ -359,7 +359,7 @@ def _grid(grid: _Object) -> GridSpec:
         if n in populated:
             grid.errors.append(f"{path}[{i}]: {n} is already listed")
             continue
-        populated.append(n)
+        populated[n] = None
     if not listed:
         grid.errors.append(f"{path}: must name at least one node")
     return GridSpec(g_r, g_c, tuple(populated), None)

@@ -1,8 +1,8 @@
 """Call-count guard on the per-hop and per-message paths.
 
-A 1 ms round-robin run on 2x2 tiles, and 1 ms of criterion 1's slot
-schedule, run under cProfile, and the tests count calls, never time, so they
-are deterministic.  Each assertion names Python-level work that one
+A 1 ms round-robin run on 2x2 tiles, 1 ms of criterion 1's slot schedule,
+and three round trips of 64 KiB messages run under cProfile, and the tests
+count calls, never time, so they are deterministic.  Each assertion names Python-level work that one
 frame-hop or one one-frame message once did and no longer does.  One more
 test checks the condition under which a port may debit its host budget with
 no refill call of its own.
@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 from tasnic.clock import LocalClock
-from tasnic.fabric import NodeId
+from tasnic.fabric import NodeId, encode_id
 from tasnic.frame import MAX_WIRE_BYTES, Frame, wire_bytes
 from tasnic.harness import build_network, run_scenario
 from tasnic.nic import NicPort, TxQueue
@@ -125,6 +125,29 @@ def test_slot_schedule_hop_stays_within_its_call_budget():
     # clock once and invert nothing (204 inversions for 204 wakes before)
     inversions = _calls_of(entries, LocalClock.true_at_local.__code__)
     assert 0 < inversions < _calls_of(entries, NicPort._set_wake.__code__)
+
+
+def test_multi_fragment_round_trip_stays_within_its_call_budget():
+    # fragmentation, reassembly and host-token wakes, as in the rpc bench:
+    # each request is 45 frames and each reply one, over the 4 hops between
+    # the two single nodes of the lab shape
+    net = build_network(parse_scenario({"grid": {"preset": "tile_plus_two"}}))
+    net.start()
+    west, east = NodeId(0, 0, 1, 1), NodeId(0, 2, 0, 0)
+    client, server = net.nodes[west].runtime, net.nodes[east].runtime
+    request, reply = bytes(64 * 1024), bytes(256)
+    profile = cProfile.Profile()
+    profile.enable()
+    for _ in range(3):
+        client.send_msg(request, encode_id(east))
+        assert server.recv_msg(len(request), encode_id(west)) == request
+        server.send_msg(reply, encode_id(west))
+        assert client.recv_msg(len(reply), encode_id(east)) == reply
+    profile.disable()
+    hops = _hops(net)
+    assert hops == 3 * (45 + 1) * 4
+    # 31.8 calls per hop when this budget was set
+    assert sum(entry.callcount for entry in profile.getstats()) <= 34 * hops
 
 
 @pytest.mark.parametrize("doc", [DOC, PARTITION], ids=["round_robin", "slot_schedule"])

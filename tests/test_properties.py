@@ -1,16 +1,21 @@
 """Property tests over whole runs: the model keeps its symmetry under a shift
-by whole tiles, and a scheduled port keeps its slot rules, across a schedule
-committed mid-run as well."""
+by whole tiles and under a relabel of its TX queues, and a scheduled port
+keeps its slot rules, across a schedule committed mid-run as well."""
 
+import json
 from bisect import bisect_right
+from functools import cache
+from pathlib import Path
 from unittest.mock import patch
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tasnic import harness
 from tasnic.fabric import DATA_PORT_KINDS, NodeId, PortKind, all_node_ids, build_topology
 from tasnic.harness import build_network, run_scenario
+from tasnic.nic import MGMT_IDX
 from tasnic.runtime import ScheduleConfig
 from tasnic.scenario import parse_scenario
 
@@ -78,6 +83,44 @@ def test_a_shift_by_whole_tiles_changes_no_flow_summary(case):
         return summaries, report["totals"]["events_processed"]
 
     assert outcome(shift) == outcome((0, 0))
+
+
+# -- queue relabel ------------------------------------------------------------------
+
+PARTITION = json.loads((Path(__file__).resolve().parents[1] / "scenarios"
+                        / "bandwidth_partition.json").read_text())
+
+
+@cache
+def _relabelled_run(offset, num_tx_queues):
+    """Criterion 1's scenario, cut to 5 ms and traced, with every TX queue index
+    moved up by ``offset``: each port's transmit trace with the offset taken off
+    again, and the flow summaries."""
+    pmap, nic = PARTITION["priority_map"], parse_scenario(PARTITION).nic
+    doc = {**PARTITION, "duration_ns": 5_000_000, "trace": True,
+           "nic": {"num_tx_queues": num_tx_queues,
+                   "time_aware_queues": [q + offset for q in nic.time_aware_queues]},
+           "priority_map": {**pmap, "tc_to_queue": [q + offset for q in pmap["tc_to_queue"]]},
+           "schedules": [{**s, "entries": [[q + offset, slot] for q, slot in s["entries"]]}
+                         for s in PARTITION["schedules"]]}
+    result = run_scenario(parse_scenario(doc))
+    traces = {(node_id, kind): [rec if rec.queue_idx == MGMT_IDX
+                                else rec._replace(queue_idx=rec.queue_idx - offset)
+                                for rec in port.trace]
+              for node_id, node in result.network.nodes.items()
+              for kind, port in node.ports.items()}
+    return traces, result.report()["flows"]
+
+
+@pytest.mark.parametrize("offset, num_tx_queues", [(5, 8), (100, 128), (1000, 1024)])
+def test_a_relabel_of_the_tx_queues_changes_no_transmission(offset, num_tx_queues):
+    traces, flows = _relabelled_run(offset, num_tx_queues)
+    base_traces, base_flows = _relabelled_run(0, 8)
+    # the scheduled queue, the leftover queue and sync frames all transmit
+    queues = {rec.queue_idx for trace in base_traces.values() for rec in trace}
+    assert {0, 2, MGMT_IDX} <= queues
+    assert traces == base_traces
+    assert flows == base_flows
 
 
 # -- the slot rules ---------------------------------------------------------------

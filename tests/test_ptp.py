@@ -1,3 +1,4 @@
+from tasnic.clock import LocalClock
 from tasnic.engine import TICKS_PER_S
 from tasnic.fabric import NodeId
 from tasnic.frame import (
@@ -7,8 +8,9 @@ from tasnic.frame import (
     MIN_PAYLOAD,
     Frame,
 )
+from tasnic.nic import NicPort
 from tasnic.node import Network
-from tasnic.ptp import MSG_DELAY_REQ, MSG_DELAY_RESP, MSG_SYNC, PtpMessage
+from tasnic.ptp import MSG_DELAY_REQ, MSG_DELAY_RESP, MSG_SYNC, PtpMessage, PtpService
 from tasnic.scenario import parse_scenario
 
 GM = NodeId(0, 0, 0, 0)
@@ -39,6 +41,34 @@ def test_one_step_timestamp_keeps_the_wire_length():
     assert PtpMessage.unpack(frame.payload) == PtpMessage(MSG_SYNC, 123_456_789, 9)
     assert len(frame.payload) == MIN_PAYLOAD
     assert frame.wire_bytes == before == HEADER_BYTES + len(frame.payload) + FCS_BYTES
+
+
+def test_only_the_origin_port_stamps_a_sync_frame_or_reads_its_clock(monkeypatch):
+    counts = {"on_tx_start": 0, "read_ns": 0}
+
+    def counted(name, fn):
+        def wrapped(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapped
+    monkeypatch.setattr(PtpService, "on_tx_start", counted("on_tx_start", PtpService.on_tx_start))
+    monkeypatch.setattr(LocalClock, "read_ns", counted("read_ns", LocalClock.read_ns))
+    sends = []  # (transit hop, on_tx_start calls, read_ns calls) per sync frame transmission
+    send = NicPort._send
+
+    def observed_send(port, q, frame, now):
+        before = dict(counts)
+        send(port, q, frame, now)
+        if frame.ethertype == ETHERTYPE_PTP:
+            sends.append((frame.hops > 1, counts["on_tx_start"] - before["on_tx_start"],
+                          counts["read_ns"] - before["read_ns"]))
+    monkeypatch.setattr(NicPort, "_send", observed_send)
+    net = sync_net({})  # untraced; the far corner of the tile syncs through a transit hop
+    net.start()
+    net.sim.run_until(TICKS_PER_S // 100)
+    assert all(state.rounds_completed == 1 for state in net.ptp.slaves.values())
+    assert {s for s in sends if not s[0]} == {(False, 1, 1)}
+    assert {s for s in sends if s[0]} == {(True, 0, 0)}
 
 
 def test_exchanges_complete_every_interval():

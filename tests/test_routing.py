@@ -209,6 +209,37 @@ def test_tile_plus_two_reroute_adds_a_hop():
     link.set_state(True, 0)
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 4: the bypass rule can loop under a "
+                   "single link fault (32 of the 96 faults here)")
+def test_no_single_link_fault_of_a_4x4_tile_torus_makes_a_forwarding_loop():
+    # A frame's next hop depends only on its (node, ingress) state and its
+    # destination, so a walk that meets a state twice loops until its TTL runs out.
+    topo = build_topology(4, 4)
+    loops = {}  # fault -> the number of (source, destination) pairs that loop
+    for link in topo.links:
+        link.set_state(False, 0)
+        looping = 0
+        for dst in topo.nodes:
+            loops_from = {}  # (node, ingress) -> whether the walk from it loops
+            for src in topo.nodes:
+                path, state = set(), (src, None)
+                # a walk ends at the destination, at a drop, at a state it
+                # met before, or at one an earlier walk went on from
+                while (state is not None and state[0] != dst and state not in path
+                       and state not in loops_from):
+                    path.add(state)
+                    node, ingress = state
+                    kind = next_hop(topo, node, dst, ingress)
+                    state = None if kind is None else topo.ports[node][kind].other_end(node)
+                looped = state in path or loops_from.get(state, False)
+                loops_from.update(dict.fromkeys(path, looped))
+                looping += looped
+        if looping:
+            loops[f"{link.a[0]}-{link.b[0]}"] = looping
+        link.set_state(True, 0)
+    assert loops == {}
+
+
 # -- per-node route tables ----------------------------------------------------
 
 

@@ -1,5 +1,6 @@
 import json
 import re
+import time
 from pathlib import Path
 
 import pytest
@@ -108,6 +109,18 @@ def test_largest_grid_is_128_tiles_per_side():
                                     flows=[]))
     node = build_network(sc).nodes[NodeId(127, 0, 1, 1)]
     assert mac_of(abs_coords(node.node_id))[4] == 255
+
+
+def test_a_fully_listed_grid_parses_and_builds_its_fabric_in_linear_time():
+    # 9,216 listed nodes: with a scan of the list per entry, parse and build took 11 s
+    n = 48
+    listed = [f"{r}.{c}.{a}.{b}" for r in range(n) for c in range(n) for a in (0, 1)
+              for b in (0, 1)]
+    start = time.perf_counter()
+    sc = parse_scenario(minimal_doc(grid={"G_r": n, "G_c": n, "populated": listed}, flows=[]))
+    topology = sc.build_fabric()
+    assert time.perf_counter() - start < 3
+    assert len(topology.nodes) == len(listed) == 4 * n * n
 
 
 def test_oversubscribed_schedule_names_the_port():
